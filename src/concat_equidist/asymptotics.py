@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .counting import count_A
 from .exactnum import HalfOpenInterval
-from .seqgen import ChampernowneTail, IntPoly, MultipleTail, PolyTail, TailSpec
+from .seqgen import IntPoly, MultipleTail, PolyTail, TailSpec, poly_floor_inverse
 
 
 @dataclass(frozen=True)
@@ -76,24 +76,6 @@ def subsequence_points_linear(k: int, j_max: int) -> list[tuple[int, int]]:
     return [(j, 2 * 10**j // k) for j in range(j_max + 1) if 2 * 10**j > k]
 
 
-def poly_floor_inverse(poly: IntPoly, m: int) -> int:
-    """The unique n >= n_min with f(n) <= m < f(n+1), by exact binary search."""
-    lo = poly.n_min
-    if m < poly.eval(lo):
-        raise ValueError(f"m = {m} below f(n_min) = {poly.eval(lo)}")
-    hi = lo + 1
-    while poly.eval(hi) <= m:
-        hi = 2 * hi - lo + 1
-    # invariant: f(lo) <= m < f(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if poly.eval(mid) <= m:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def inverse_epsilon(poly: IntPoly, m: int) -> float:
     """g(m) - (m/c_d)^(1/d): the bounded correction of the floor inverse."""
     d = poly.degree
@@ -152,7 +134,6 @@ def ratio_scan(
     spec: TailSpec,
     interval: HalfOpenInterval,
     points: list[tuple[int, int]],
-    workers: int = 1,
 ) -> RatioScanReport:
     """Counting ratios with attached main terms and residuals at each point."""
     if not points:
@@ -178,11 +159,7 @@ def ratio_scan(
 
     records = []
     for j, N in points:
-        res = count_A(spec, interval, N, workers=workers)
+        res = count_A(spec, interval, N)
         mt = main(j)
         records.append(ScanRecord(j, N, res.count, res.ratio, mt, res.count - mt))
     return RatioScanReport(kind, tuple(records), constants)
-
-
-def champernowne_spec(base: int = 10) -> ChampernowneTail:
-    return ChampernowneTail(base)

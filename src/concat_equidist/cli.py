@@ -10,13 +10,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from typing import Sequence, TextIO
 
 from . import asymptotics, counting, equidist, seqgen
 from .counting import UndecidedMembershipError
-from .exactnum import ExactEndpoint, HalfOpenInterval
+from .exactnum import ExactEndpoint, HalfOpenInterval, digits_to_int
 from .seqgen import ChampernowneTail, DomainError, IntPoly, MultipleTail, PolyTail, TailSpec
 
 THREADS_ENV = "CONCAT_EQUIDIST_THREADS"
@@ -51,7 +52,8 @@ def _jsonify(x):
     return x
 
 
-def _threads() -> int:
+def _check_threads() -> None:
+    """Validate the thread hint; counting is closed-form and uses no threads."""
     raw = os.environ.get(THREADS_ENV, "1")
     try:
         workers = int(raw)
@@ -59,7 +61,6 @@ def _threads() -> int:
         raise UsageError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
     if workers < 1:
         raise UsageError(f"{THREADS_ENV} must be >= 1, got {workers}")
-    return workers
 
 
 def _build_spec(args) -> TailSpec:
@@ -149,7 +150,8 @@ def cmd_count(args) -> int:
     spec = _build_spec(args)
     interval = _interval(args)
     _check_cap(args.N, DEFAULT_N_CAP, "N", args.unsafe_uncapped)
-    res = counting.count_A(spec, interval, args.N, workers=_threads())
+    _check_threads()
+    res = counting.count_A(spec, interval, args.N)
     rows = [{"interval": str(interval), "N": res.N, "count": res.count, "ratio": res.ratio}]
     _emit(args, ["interval", "N", "count", "ratio"], rows, {})
     return EXIT_OK
@@ -165,7 +167,8 @@ def cmd_scan(args) -> int:
     else:
         _check_cap(args.jmax, DEFAULT_JMAX_CAP, "jmax", args.unsafe_uncapped)
     points = asymptotics.scan_points(spec, args.jmax)
-    report = asymptotics.ratio_scan(spec, interval, points, workers=_threads())
+    _check_threads()
+    report = asymptotics.ratio_scan(spec, interval, points)
     rows = [
         {
             "j": r.j,
@@ -273,13 +276,13 @@ def cmd_discrepancy(args) -> int:
     alpha = ExactEndpoint.parse(args.alpha, spec.base)
     beta = ExactEndpoint.parse(args.beta, spec.base)
     depth = 18
-    values = []
-    for n in range(spec.n_min, spec.n_min + args.N):
-        ds = seqgen.tail_digits(spec, n, depth)
-        value = 0
-        for d in ds.digits:
-            value = value * spec.base + d
-        values.append(value / spec.base**depth)
+    scale = spec.base**depth
+    # an 18-digit prefix such as 0.999...9 rounds to 1.0; keep every point below 1
+    below_one = math.nextafter(1.0, 0.0)
+    values = [
+        min(digits_to_int(seqgen.tail_digits(spec, n, depth)) / scale, below_one)
+        for n in range(spec.n_min, spec.n_min + args.N)
+    ]
     points = equidist.PointSet.of(values)
     rows = [
         {
@@ -383,3 +386,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

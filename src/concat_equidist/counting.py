@@ -1,9 +1,8 @@
 """Interval membership of tail values and the counting function A([a,b); N)."""
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .exactnum import (
     DigitString,
@@ -11,6 +10,7 @@ from .exactnum import (
     PrefixOrder,
     compare_prefix,
     digit_length,
+    digits_to_int,
     int_to_digits,
 )
 from .seqgen import TailSpec, term
@@ -64,20 +64,20 @@ def census(terms: Iterable[int], base: int = 10) -> list[int]:
     return counts
 
 
-def _fast_digit_bounds(interval: HalfOpenInterval) -> tuple[int, int] | None:
-    """(c_lo, c_hi) such that membership == c_lo <= leading digit < c_hi.
+def _leading_window(interval: HalfOpenInterval) -> tuple[int, int, int]:
+    """(L, lo_L, hi_L): the endpoints as L-digit integers, L their longer length.
 
-    Applies only when both endpoints have at most one digit (the first-digit
-    reduction); returns None otherwise.
+    For a term a of at least L digits, x = 0.a... lies in [lo, hi) exactly
+    when lo_L <= (leading L digits of a) < hi_L: the digits after the first L
+    add a value in (0, b^-L), which never reaches the next L-digit step.
     """
-    lo, hi = interval.lo, interval.hi
-    if lo.is_one or len(lo.digits) > 1:
-        return None
-    if not hi.is_one and len(hi.digits) > 1:
-        return None
-    c_lo = lo.digits[0] if lo.digits else 0
-    c_hi = interval.base if hi.is_one else hi.digits[0]
-    return c_lo, c_hi
+    lo, hi, base = interval.lo, interval.hi, interval.base
+    L = max(len(lo.digits), len(hi.digits), 1)
+
+    def padded(digits: tuple[int, ...]) -> int:
+        return digits_to_int(DigitString(base, digits + (0,) * (L - len(digits))))
+
+    return L, padded(lo.digits), base**L if hi.is_one else padded(hi.digits)
 
 
 def default_max_digits(spec: TailSpec, n: int) -> int:
@@ -125,40 +125,16 @@ def in_interval(
     if spec.base != interval.base:
         raise ValueError(f"base mismatch: spec base {spec.base} vs interval base {interval.base}")
     if fast:
-        bounds = _fast_digit_bounds(interval)
-        if bounds is not None:
-            c_lo, c_hi = bounds
-            return c_lo <= leading_digit(term(spec, n, 0), spec.base) < c_hi
+        L, lo_L, hi_L = _leading_window(interval)
+        a = term(spec, n, 0)
+        length = digit_length(a, spec.base)
+        if length >= L and (max_digits is None or max_digits >= L):
+            return lo_L <= a // spec.base ** (length - L) < hi_L
     budget = max_digits if max_digits is not None else default_max_digits(spec, n)
     if budget < 1:
         raise ValueError(f"max_digits must be >= 1, got {budget}")
     member, _ = _membership_stream(spec, n, interval, budget)
     return member
-
-
-def _count_range_fast(spec: TailSpec, c_lo: int, c_hi: int, start: int, stop: int) -> int:
-    base = spec.base
-    if base == 10:
-        # tight loops per kind; leading decimal digit via str
-        kind = spec.kind
-        if kind == "champ":
-            return sum(1 for i in range(start, stop) if c_lo <= int(str(i)[0]) < c_hi)
-        if kind == "mult":
-            k = spec.k
-            return sum(1 for i in range(start, stop) if c_lo <= int(str(k * i)[0]) < c_hi)
-        ev = spec.poly.eval
-        return sum(1 for i in range(start, stop) if c_lo <= int(str(ev(i))[0]) < c_hi)
-    return sum(
-        1 for i in range(start, stop) if c_lo <= leading_digit(term(spec, i, 0), base) < c_hi
-    )
-
-
-def _split_range(start: int, stop: int, parts: int) -> Sequence[tuple[int, int]]:
-    total = stop - start
-    parts = max(1, min(parts, total))
-    step = total // parts
-    bounds = [start + i * step for i in range(parts)] + [stop]
-    return [(bounds[i], bounds[i + 1]) for i in range(parts)]
 
 
 def count_A(
@@ -167,37 +143,45 @@ def count_A(
     N: int,
     max_digits: int | None = None,
     fast: bool = True,
-    workers: int = 1,
 ) -> CountResult:
     """Count indices n_min <= n < n_min + N with x_n in [lo, hi).
 
-    The result is identical regardless of ``workers``; parallel chunks cover
-    disjoint index ranges and combine by integer addition.
+    Let L be the longer endpoint length.  A term of at least L digits decides
+    membership by its leading L digits alone, so each decade of such terms
+    contributes a difference of two ``spec.index_le`` values, and the cost
+    grows with the number of decades, not with N.  Only the indices whose
+    first term is shorter than L digits are decided by digit streaming; an
+    ``UndecidedMembershipError`` can come only from them.  With ``max_digits``
+    below L, or with ``fast=False`` (the reference oracle), every index is
+    streamed.  Both paths return identical results.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if spec.base != interval.base:
         raise ValueError(f"base mismatch: spec base {spec.base} vs interval base {interval.base}")
+    base = spec.base
     start = spec.n_min
     stop = start + N
-    bounds = _fast_digit_bounds(interval) if fast else None
-    if bounds is not None:
-        c_lo, c_hi = bounds
-        if workers > 1:
-            chunks = _split_range(start, stop, workers)
-            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                count = sum(
-                    pool.map(lambda ab: _count_range_fast(spec, c_lo, c_hi, *ab), chunks)
-                )
-        else:
-            count = _count_range_fast(spec, c_lo, c_hi, start, stop)
-        digits_max = digit_length(term(spec, stop - 1, 0), spec.base)
+    L, lo_L, hi_L = _leading_window(interval)
+    if fast and (max_digits is None or max_digits >= L):
+        # indices whose first term has fewer than L digits come first
+        short = min(spec.index_le(base ** (L - 1) - 1), N)
     else:
-        count = 0
-        digits_max = 0
-        for n in range(start, stop):
-            budget = max_digits if max_digits is not None else default_max_digits(spec, n)
-            member, used = _membership_stream(spec, n, interval, budget)
-            count += member
-            digits_max = max(digits_max, used)
+        short = N
+    count = 0
+    digits_max = 0
+    for n in range(start, start + short):
+        budget = max_digits if max_digits is not None else default_max_digits(spec, n)
+        member, used = _membership_stream(spec, n, interval, budget)
+        count += member
+        digits_max = max(digits_max, used)
+    if short < N:
+        E = digit_length(term(spec, stop - 1, 0), base)
+        digits_max = max(digits_max, E if max_digits is None else min(E, max_digits))
+        for e in range(L, E + 1):
+            scale = base ** (e - L)
+            below = max(lo_L * scale, base ** (e - 1)) - 1
+            upto = hi_L * scale - 1
+            if upto > below:
+                count += min(spec.index_le(upto), N) - min(spec.index_le(below), N)
     return CountResult(interval, N, count, count / N, digits_max)

@@ -3,6 +3,8 @@
 Three families are supported: the Champernowne tail 0.(n)(n+1)(n+2)...,
 the multiple-of-k tail 0.(kn)(k(n+1))..., and the polynomial tail
 0.f(n)f(n+1)... for an eventually increasing integer polynomial f.
+Each family also counts its terms up to a bound in closed form
+(``index_le``), which exact counting uses decade by decade.
 """
 from __future__ import annotations
 
@@ -97,6 +99,10 @@ class ChampernowneTail:
         _check_index(self, n, offset)
         return n + offset
 
+    def index_le(self, m: int) -> int:
+        """#{n >= n_min : a_n <= m}."""
+        return max(m, 0)
+
 
 @dataclass(frozen=True)
 class MultipleTail:
@@ -116,6 +122,10 @@ class MultipleTail:
     def term(self, n: int, offset: int = 0) -> int:
         _check_index(self, n, offset)
         return self.k * (n + offset)
+
+    def index_le(self, m: int) -> int:
+        """#{n >= n_min : a_n <= m}."""
+        return max(m // self.k, 0)
 
 
 @dataclass(frozen=True)
@@ -138,8 +148,32 @@ class PolyTail:
         _check_index(self, n, offset)
         return self.poly.eval(n + offset)
 
+    def index_le(self, m: int) -> int:
+        """#{n >= n_min : a_n <= m}."""
+        if m < self.poly.eval(self.n_min):
+            return 0
+        return poly_floor_inverse(self.poly, m) - self.n_min + 1
+
 
 TailSpec = Union[ChampernowneTail, MultipleTail, PolyTail]
+
+
+def poly_floor_inverse(poly: IntPoly, m: int) -> int:
+    """The unique n >= n_min with f(n) <= m < f(n+1), by exact binary search."""
+    lo = poly.n_min
+    if m < poly.eval(lo):
+        raise ValueError(f"m = {m} below f(n_min) = {poly.eval(lo)}")
+    hi = lo + 1
+    while poly.eval(hi) <= m:
+        hi = 2 * hi - lo + 1
+    # invariant: f(lo) <= m < f(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if poly.eval(mid) <= m:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _check_index(spec: TailSpec, n: int, offset: int) -> None:
@@ -172,8 +206,3 @@ def tail_digits(spec: TailSpec, n: int, p: int) -> DigitString:
     for _ in range(p):
         out.append(next(stream))
     return DigitString(spec.base, tuple(out))
-
-
-def poly_eval(poly: IntPoly, n: int) -> int:
-    """Exact polynomial evaluation (alias for IntPoly.eval)."""
-    return poly.eval(n)

@@ -199,12 +199,6 @@ class TestRatioScan:
         for rec in report.records:
             assert abs(rec.residual) <= 10 * (rec.j + 1)
 
-    def test_parallel_determinism(self):
-        pts = subsequence_points_linear(3, 4)
-        a = ratio_scan(MultipleTail(3), I12, pts, workers=1)
-        b = ratio_scan(MultipleTail(3), I12, pts, workers=4)
-        assert a == b
-
     def test_rejects_empty_points(self):
         with pytest.raises(ValueError):
             ratio_scan(MultipleTail(200), I12, subsequence_points_linear(200, 2))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import concat_equidist
 from concat_equidist.cli import main, read_csv
 
 
@@ -169,6 +174,34 @@ class TestDiscrepancy:
         rows, _ = read_csv(out)
         assert float(rows[0]["ud_deviation"]) >= 0.4
         assert 0 < float(rows[0]["star_discrepancy"]) <= 1
+
+    def test_prefix_rounding_to_one_stays_below_one(self, capsys):
+        # x_1 = 0.999999999999999991999...: its 18-digit prefix rounds to 1.0
+        code, out, err = run(capsys, "discrepancy", "--kind", "mult", "--k", "99999999999999999", "--N", "1")
+        assert code == 0, err
+        rows, _ = read_csv(out)
+        assert rows[0]["star_discrepancy"] == "1"
+
+
+class TestModuleEntry:
+    def _run_module(self, *args):
+        env = dict(os.environ, PYTHONPATH=str(Path(concat_equidist.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "concat_equidist", *args],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_limits_table(self):
+        proc = self._run_module("limits", "--dmax", "2")
+        assert proc.returncode == 0
+        rows, meta = read_csv(proc.stdout)
+        assert [r["d"] for r in rows] == ["1", "2"]
+        assert "y_limit" in meta
+
+    def test_bad_flag(self):
+        proc = self._run_module("limits", "--bogus")
+        assert proc.returncode == 1
+        assert "unrecognized arguments" in proc.stderr
 
 
 class TestExitCodes:

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from concat_equidist.asymptotics import lemma1_main_term
 from concat_equidist.counting import (
     UndecidedMembershipError,
     census,
@@ -8,7 +10,14 @@ from concat_equidist.counting import (
     leading_digit,
 )
 from concat_equidist.exactnum import ExactEndpoint, HalfOpenInterval
-from concat_equidist.seqgen import ChampernowneTail, IntPoly, MultipleTail, PolyTail, term
+from concat_equidist.seqgen import (
+    ChampernowneTail,
+    IntPoly,
+    MultipleTail,
+    PolyTail,
+    tail_digits,
+    term,
+)
 
 CHAMP = ChampernowneTail()
 I12 = HalfOpenInterval.parse("0.1", "0.2")
@@ -123,14 +132,13 @@ class TestCountA:
             assert cur - prev in (0, 1)
             prev = cur
 
-    @pytest.mark.parametrize("workers", [1, 2, 5])
-    def test_parallel_determinism(self, workers):
-        for spec in FAMILIES:
-            assert count_A(spec, I12, 777, workers=workers).count == count_A(spec, I12, 777).count
-
     def test_slow_path_matches_fast_path(self):
         for spec in FAMILIES:
             assert count_A(spec, I12, 300, fast=False).count == count_A(spec, I12, 300).count
+
+    def test_closed_form_at_huge_N(self):
+        # indices 1 .. 2*10^j with leading digit 1: sum of 10^i for i = 0..j
+        assert count_A(CHAMP, I12, 2 * 10**100).count == lemma1_main_term(1, 100)
 
     def test_rejects_bad_N(self):
         with pytest.raises(ValueError):
@@ -140,6 +148,100 @@ class TestCountA:
         spec = PolyTail(IntPoly((10, -10, 1)))
         res = count_A(spec, FULL, 50)
         assert res.count == 50  # indices anchored at n_min, all values valid
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except UndecidedMembershipError as exc:
+        return ("undecided", exc.prefix)
+
+
+@st.composite
+def _specs(draw, base):
+    kind = draw(st.sampled_from(["champ", "mult", "poly"]))
+    if kind == "champ":
+        return ChampernowneTail(base)
+    if kind == "mult":
+        return MultipleTail(draw(st.integers(1, 10**18)), base)
+    degree = draw(st.integers(1, 3))
+    constant = draw(st.integers(-60, 5))  # mostly negative, so that n_min > 1
+    middle = draw(st.lists(st.integers(-20, 20), min_size=degree - 1, max_size=degree - 1))
+    return PolyTail(IntPoly((constant, *middle, draw(st.integers(1, 4)))), base)
+
+
+def _endpoint(base, digits):
+    digits = list(digits)
+    while digits and digits[-1] == 0:
+        digits.pop()
+    return ExactEndpoint(base, tuple(digits))
+
+
+@st.composite
+def _cases(draw, max_n):
+    """(spec, interval, N or index, max_digits), endpoints of 0-5 digits.
+
+    Some endpoints are prefixes of tail values in range, so that narrow
+    intervals still catch members.
+    """
+    base = draw(st.integers(2, 16))
+    spec = draw(_specs(base))
+    n = draw(st.integers(1, max_n))
+
+    def endpoint():
+        choice = draw(st.sampled_from(["one", "digits", "prefix"]))
+        if choice == "one":
+            return ExactEndpoint(base, (), is_one=True)
+        if choice == "digits":
+            return _endpoint(base, draw(st.lists(st.integers(0, base - 1), max_size=5)))
+        m = spec.n_min + draw(st.integers(0, n - 1))
+        return _endpoint(base, tail_digits(spec, m, draw(st.integers(1, 5))).digits)
+
+    a, b = endpoint(), endpoint()
+    if a == b:
+        a = ExactEndpoint(base)
+        if a == b:
+            b = ExactEndpoint(base, (), is_one=True)
+    lo, hi = (a, b) if a < b else (b, a)
+    max_digits = draw(st.one_of(st.none(), st.integers(1, 24)))
+    return spec, HalfOpenInterval(lo, hi), n, max_digits
+
+
+class TestClosedFormMatchesOracle:
+    @settings(max_examples=500)
+    @given(_cases(max_n=1500))
+    def test_count_A(self, case):
+        spec, interval, N, max_digits = case
+        fast = _outcome(lambda: count_A(spec, interval, N, max_digits))
+        oracle = _outcome(lambda: count_A(spec, interval, N, max_digits, fast=False))
+        assert fast == oracle
+
+    @settings(max_examples=500)
+    @given(_cases(max_n=3000))
+    def test_in_interval(self, case):
+        spec, interval, i, max_digits = case
+        n = spec.n_min + i - 1
+        fast = _outcome(lambda: in_interval(spec, n, interval, max_digits))
+        oracle = _outcome(lambda: in_interval(spec, n, interval, max_digits, fast=False))
+        assert fast == oracle
+
+    # stop = n_min + N with a_{stop-1} = 10^e - 1 or 10^e
+    @pytest.mark.parametrize(
+        "spec,N",
+        [
+            (CHAMP, 99), (CHAMP, 100), (CHAMP, 999), (CHAMP, 1000),
+            (MultipleTail(9), 111), (MultipleTail(5), 200),
+            (PolyTail(IntPoly((0, 0, 1))), 3), (PolyTail(IntPoly((0, 0, 1))), 100),
+            (PolyTail(IntPoly((-5, 1))), 99), (PolyTail(IntPoly((-5, 1))), 1000),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "lo,hi", [("0.1", "0.2"), ("0.123", "0.1231"), ("0.99", "1"), ("0.09", "0.1"), ("0", "0.1")]
+    )
+    def test_decade_boundaries(self, spec, N, lo, hi):
+        assert term(spec, spec.n_min + N - 1, 0) in (9, 99, 999, 100, 1000, 10**4)
+        interval = HalfOpenInterval.parse(lo, hi)
+        assert count_A(spec, interval, N) == count_A(spec, interval, N, fast=False)
 
 
 class TestFirstDigitReduction:

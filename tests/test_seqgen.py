@@ -8,7 +8,6 @@ from concat_equidist.seqgen import (
     IntPoly,
     MultipleTail,
     PolyTail,
-    poly_eval,
     tail_digits,
     term,
 )
@@ -85,9 +84,9 @@ class TestTailDigits:
 
 class TestIntPoly:
     def test_eval_examples(self):
-        assert poly_eval(NSQ, 12) == 144
-        assert poly_eval(IntPoly((1, 0, 0, 2)), 10) == 2001
-        assert poly_eval(IntPoly((0, 1)), 7) == 7
+        assert NSQ.eval(12) == 144
+        assert IntPoly((1, 0, 0, 2)).eval(10) == 2001
+        assert IntPoly((0, 1)).eval(7) == 7
 
     def test_rejects_constant(self):
         with pytest.raises(ValueError):
@@ -128,3 +127,19 @@ class TestIntPoly:
     def test_poly_terms_strictly_increasing_in_offset(self, n, offset):
         spec = PolyTail(NSQ)
         assert term(spec, n, offset + 1) > term(spec, n, offset)
+
+
+class TestIndexLe:
+    @given(
+        st.sampled_from(
+            [ChampernowneTail(), MultipleTail(7), MultipleTail(10**18), PolyTail(NSQ),
+             PolyTail(IntPoly((10, -10, 1))), PolyTail(IntPoly((-5, 1))), PolyTail(IntPoly((1, 0, 0, 2)))]
+        ),
+        st.integers(-3, 3000),
+    )
+    def test_counts_terms_up_to_m(self, spec, m):
+        expected = 0
+        while term(spec, spec.n_min + expected, 0) <= m:
+            expected += 1
+        assert spec.index_le(m) == expected
+
