@@ -58,6 +58,15 @@ class TestCount:
         assert doc["records"][0]["N"] == 20
         assert doc["records"][0]["count"] == sum(str(3 * n)[0] == "1" for n in range(1, 21))
 
+    def test_poly_n_min_far_from_one(self, capsys, deadline):
+        # f = n^2 - 10^18 is <= 0 up to n = 10^9, so the count starts at 10^9 + 1
+        with deadline(5.0, "count with an 18-digit constant term"):
+            code, out, _ = run(capsys, "count", "--kind", "poly", "--coeffs=-1000000000000000000,0,1", "--N", "10")
+        rows, _ = read_csv(out)
+        n_min = 10**9 + 1
+        expected = sum(str(n * n - 10**18)[0] == "1" for n in range(n_min, n_min + 10))
+        assert code == 0 and rows[0]["count"] == str(expected)
+
 
 class TestScan:
     def test_linear_k1(self, capsys):
@@ -82,6 +91,13 @@ class TestScan:
         rows, meta = read_csv(out)
         assert abs(float(rows[-1]["ratio"]) - 0.4284) < 0.05
         assert meta["kind"] == "poly-d"
+
+    def test_large_constant_has_no_scan_points(self, capsys, deadline):
+        # f(1) = 10^18 - 1 exceeds 2*10^8, the last scan point's bound
+        with deadline(5.0, "scan with an 18-digit constant term"):
+            code, _, err = run(capsys, "scan", "--kind", "poly", "--coeffs=999999999999999998,1")
+        assert code == 1
+        assert "no scan points" in err
 
     def test_below_threshold_reports_error(self, capsys):
         code, _, err = run(capsys, "scan", "--kind", "mult", "--k", "200", "--jmax", "2")
@@ -217,6 +233,11 @@ class TestExitCodes:
         )
         assert code == 2
         assert "domain" in err
+
+    def test_bad_coefficient_is_named(self, capsys):
+        code, _, err = run(capsys, "count", "--kind", "poly", "--coeffs", "3,0", "--N", "5")
+        assert code == 1
+        assert "leading coefficient must be >= 1, got 0 in (3, 0)" in err
 
     def test_undecided_membership(self, capsys):
         # lo is a long prefix of x_1's expansion; membership cannot resolve

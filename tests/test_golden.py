@@ -2,8 +2,10 @@
 
 The files under ``tests/golden/`` were recorded before counting became
 closed-form by decade, when every multi-digit interval was decided by digit
-streaming; any refactor of counting or scanning must reproduce them byte for
-byte.  To record them again after a deliberate output change, run
+streaming, and the large-constant scans before n_min was certified by root
+isolation, when it was found by checking every index; any refactor of
+counting, scanning or n_min must reproduce them byte for byte.  To record
+them again after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 import contextlib
@@ -48,6 +50,10 @@ CASES = [
     ("scan_shifted_square", ["scan", "--kind", "poly", "--coeffs", "5,-3,1", *JSON], 0),
     ("scan_cubic", ["scan", *CUBIC], 0),
     ("scan_mult3_0.37_0.3712", ["scan", "--kind", "mult", "--k", "3", "--lo", "0.37", "--hi", "0.3712", "--jmax", "5"], 0),
+    # large constant terms: n_min is certified far from 1 or at 1 despite a big bound
+    ("scan_poly_m420000_5_2", ["scan", "--kind", "poly", "--coeffs=-420000,5,2"], 0),
+    ("scan_poly_210000_0_1", ["scan", "--kind", "poly", "--coeffs", "210000,0,1", *JSON], 0),
+    ("scan_poly_140000_0_0_1", ["scan", "--kind", "poly", "--coeffs", "140000,0,0,1"], 0),
     # an endpoint that is a long prefix of x_1: membership stays undecided
     (
         "count_undecided",

@@ -1,6 +1,6 @@
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from concat_equidist.seqgen import (
     ChampernowneTail,
@@ -13,6 +13,53 @@ from concat_equidist.seqgen import (
 )
 
 NSQ = IntPoly((0, 0, 1))
+
+
+def walk_n_min(poly):
+    """Oracle: n_min by checking every index up to the derivative-dominance
+    bound d * sum|c_i| / c_d, beyond which f grows monotonically."""
+    d = poly.degree
+    bound = (d * sum(abs(c) for c in poly.coeffs)) // poly.coeffs[-1] + 1
+    last_bad = 0
+    prev = poly.eval(1)
+    for n in range(1, bound + 1):
+        cur = poly.eval(n + 1)
+        if cur <= prev or prev < 1:
+            last_bad = n
+        prev = cur
+    start = last_bad + 1
+    while poly.eval(start) < 1:
+        start += 1
+    return start
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+random_polys = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(st.lists(st.integers(-10**3, 10**3), min_size=d, max_size=d), st.integers(1, 10**3))
+).map(lambda t: IntPoly((*t[0], t[1])))
+
+
+@st.composite
+def factored_polys(draw):
+    """c * prod(x - r) * prod((x - r)^2 + s) + e, degree 1-4: repeated and
+    tangent roots, with the offset e moving which condition binds."""
+    n_quad = draw(st.integers(0, 2))
+    n_lin = draw(st.integers(0 if n_quad else 1, 4 - 2 * n_quad))
+    coeffs = [draw(st.integers(1, 3))]
+    for _ in range(n_lin):
+        coeffs = _times(coeffs, [-draw(st.integers(-3, 10)), 1])
+    for _ in range(n_quad):
+        r, s = draw(st.integers(0, 10)), draw(st.integers(-2, 2))
+        coeffs = _times(coeffs, [r * r + s, -2 * r, 1])
+    coeffs[0] += draw(st.integers(-3, 3))
+    return IntPoly(tuple(coeffs))
 
 
 def concat_oracle(values, p):
@@ -89,14 +136,20 @@ class TestIntPoly:
         assert IntPoly((0, 1)).eval(7) == 7
 
     def test_rejects_constant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"non-constant \(degree >= 1\), got \(5,\)"):
             IntPoly((5,))
 
     def test_rejects_nonpositive_leading(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^leading coefficient must be >= 1, got -1 in \(0, 0, -1\)$"):
             IntPoly((0, 0, -1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^leading coefficient must be >= 1, got 0 in \(3, 0\)$"):
             IntPoly((3, 0))
+
+    def test_rejects_non_int_coefficient(self):
+        with pytest.raises(ValueError, match=r"^coefficient c_1 must be an int, got '0' in \(1, '0'\)$"):
+            IntPoly((1, "0"))
+        with pytest.raises(ValueError, match=r"^coefficient c_0 must be an int, got 1.5 in \(1.5, 2\)$"):
+            IntPoly((1.5, 2))
 
     def test_parse(self):
         assert IntPoly.parse("0,0,1") == NSQ
@@ -122,6 +175,38 @@ class TestIntPoly:
         values = [poly.eval(n) for n in range(poly.n_min, poly.n_min + 200)]
         assert values[0] >= 1
         assert all(b > a for a, b in zip(values, values[1:]))
+
+    @settings(max_examples=400)
+    @given(st.one_of(random_polys, factored_polys()))
+    def test_n_min_matches_walk_and_is_tight(self, poly):
+        m = poly.n_min
+        assert m == walk_n_min(poly)
+        if m == 1:
+            event("n_min = 1")
+            return
+        f_binds = poly.eval(m - 1) <= 0
+        growth_binds = poly.eval(m) <= poly.eval(m - 1)
+        event(f"binding: f >= 1 {f_binds}, f increasing {growth_binds}")
+        assert f_binds or growth_binds
+
+    @pytest.mark.parametrize(
+        "coeffs,n_min",
+        [
+            ((10**7, 0, 1), 1),
+            ((999999999999999998, 1), 1),
+            ((-10**40, 0, 1), 10**20 + 1),
+            ((-10**400, 0, 1), 10**200 + 1),
+            ((123456789012345678, -5, 0, 1), 1),
+            ((-10**18, 0, 0, 1), 10**6 + 1),  # f(10^6) = 0
+            ((-(10**18) + 1, 0, 0, 1), 10**6),  # f(10^6) = 1
+        ],
+        ids=["1e7+n^2", "18-digit-linear", "n^2-1e40", "n^2-1e400", "cubic+18-digit", "n^3-1e18", "n^3-1e18+1"],
+    )
+    def test_n_min_cost_is_bounded_by_digits(self, coeffs, n_min, deadline):
+        # walk_n_min takes seconds to forever on these; the deadline keeps a
+        # certificate that grows with the coefficients' size from hanging the suite
+        with deadline(2.0, f"n_min of a polynomial with a {len(str(max(map(abs, coeffs))))}-digit coefficient"):
+            assert IntPoly(coeffs).n_min == n_min
 
     @given(st.integers(1, 50), st.integers(0, 20))
     def test_poly_terms_strictly_increasing_in_offset(self, n, offset):
