@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .counting import count_A
 from .exactnum import HalfOpenInterval
-from .seqgen import IntPoly, MultipleTail, PolyTail, TailSpec, poly_floor_inverse
+from .seqgen import IntPoly, PolyTail, TailSpec, poly_floor_inverse
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,7 @@ def scan_points(spec: TailSpec, j_max: int) -> list[tuple[int, int]]:
     """Subsequence points appropriate to the family of ``spec``."""
     if isinstance(spec, PolyTail):
         return subsequence_points_poly(spec.poly, j_max)
-    k = spec.k if isinstance(spec, MultipleTail) else 1
-    return subsequence_points_linear(k, j_max)
+    return subsequence_points_linear(spec.k, j_max)
 
 
 def ratio_scan(
@@ -166,10 +165,9 @@ def ratio_scan(
     else:
         kind = "linear-k"
         constants = limit_constants(1)
-        k = spec.k if isinstance(spec, MultipleTail) else 1
 
         def main(j: int) -> float:
-            return float(lemma1_main_term(k, j))
+            return float(lemma1_main_term(spec.k, j))
 
     records = []
     for j, N in points:

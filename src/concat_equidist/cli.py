@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from typing import Sequence, TextIO
 
@@ -20,7 +19,6 @@ from .counting import UndecidedMembershipError
 from .exactnum import ExactEndpoint, HalfOpenInterval, digits_to_int
 from .seqgen import ChampernowneTail, DomainError, IntPoly, MultipleTail, PolyTail, TailSpec
 
-THREADS_ENV = "CONCAT_EQUIDIST_THREADS"
 DEFAULT_N_CAP = 10**7
 DEFAULT_JMAX_CAP = 6
 DEFAULT_JMAX_POLY_CAP = 8
@@ -52,17 +50,6 @@ def _jsonify(x):
     return x
 
 
-def _check_threads() -> None:
-    """Validate the thread hint; counting is closed-form and uses no threads."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise UsageError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    if workers < 1:
-        raise UsageError(f"{THREADS_ENV} must be >= 1, got {workers}")
-
-
 def _build_spec(args) -> TailSpec:
     base = getattr(args, "base", 10)
     if args.kind == "champ":
@@ -71,11 +58,9 @@ def _build_spec(args) -> TailSpec:
         if args.k is None:
             raise UsageError("--kind mult requires --k")
         return MultipleTail(args.k, base)
-    if args.kind == "poly":
-        if args.coeffs is None:
-            raise UsageError("--kind poly requires --coeffs")
-        return PolyTail(IntPoly.parse(args.coeffs), base)
-    raise UsageError(f"unknown kind {args.kind!r}")
+    if args.coeffs is None:  # --kind poly
+        raise UsageError("--kind poly requires --coeffs")
+    return PolyTail(IntPoly.parse(args.coeffs), base)
 
 
 def _interval(args) -> HalfOpenInterval:
@@ -150,7 +135,6 @@ def cmd_count(args) -> int:
     spec = _build_spec(args)
     interval = _interval(args)
     _check_cap(args.N, DEFAULT_N_CAP, "N", args.unsafe_uncapped)
-    _check_threads()
     res = counting.count_A(spec, interval, args.N)
     rows = [{"interval": str(interval), "N": res.N, "count": res.count, "ratio": res.ratio}]
     _emit(args, ["interval", "N", "count", "ratio"], rows, {})
@@ -159,15 +143,12 @@ def cmd_count(args) -> int:
 
 def cmd_scan(args) -> int:
     spec = _build_spec(args)
-    if isinstance(spec, ChampernowneTail):
-        raise UsageError("scan requires --kind mult or --kind poly (champ is mult with k=1)")
     interval = _interval(args)
     if isinstance(spec, PolyTail):
         _check_cap(args.jmax, DEFAULT_JMAX_POLY_CAP, "Jmax", args.unsafe_uncapped)
     else:
         _check_cap(args.jmax, DEFAULT_JMAX_CAP, "jmax", args.unsafe_uncapped)
     points = asymptotics.scan_points(spec, args.jmax)
-    _check_threads()
     report = asymptotics.ratio_scan(spec, interval, points)
     rows = [
         {
@@ -219,12 +200,10 @@ def _generated_terms(args) -> list[int]:
         if args.k is None:
             raise UsageError("--gen mult requires --k")
         return [args.k * n for n in range(1, args.N + 1)]
-    if args.gen == "poly":
-        if args.coeffs is None:
-            raise UsageError("--gen poly requires --coeffs")
-        poly = IntPoly.parse(args.coeffs)
-        return [poly.eval(n) for n in range(poly.n_min, poly.n_min + args.N)]
-    raise UsageError(f"unknown generator {args.gen!r}")
+    if args.coeffs is None:  # --gen poly
+        raise UsageError("--gen poly requires --coeffs")
+    poly = IntPoly.parse(args.coeffs)
+    return [poly.eval(n) for n in range(poly.n_min, poly.n_min + args.N)]
 
 
 def cmd_benford(args) -> int:

@@ -4,13 +4,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+# bench/tracer.py wraps term, compare_prefix (unused here), int_to_digits and
+# default_max_digits at these module-level names, so they must stay here.
 from .exactnum import (
+    STR_BELOW,
     DigitString,
     HalfOpenInterval,
-    PrefixOrder,
     compare_prefix,
+    decimal_head,
     digit_length,
-    digits_to_int,
     int_to_digits,
 )
 from .seqgen import TailSpec, term
@@ -42,7 +44,8 @@ def leading_digit(m: int, base: int = 10) -> int:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if base == 10:
-        return int(str(m)[0])
+        # below STR_BELOW, str() is exact and skips a call per term
+        return int((str(m) if m < STR_BELOW else decimal_head(m)[1])[0])
     while m >= base:
         m //= base
     return m
@@ -71,13 +74,9 @@ def _leading_window(interval: HalfOpenInterval) -> tuple[int, int, int]:
     when lo_L <= (leading L digits of a) < hi_L: the digits after the first L
     add a value in (0, b^-L), which never reaches the next L-digit step.
     """
-    lo, hi, base = interval.lo, interval.hi, interval.base
+    lo, hi = interval.lo, interval.hi
     L = max(len(lo.digits), len(hi.digits), 1)
-
-    def padded(digits: tuple[int, ...]) -> int:
-        return digits_to_int(DigitString(base, digits + (0,) * (L - len(digits))))
-
-    return L, padded(lo.digits), base**L if hi.is_one else padded(hi.digits)
+    return L, lo.scaled(L), hi.scaled(L)
 
 
 def default_max_digits(spec: TailSpec, n: int) -> int:
@@ -88,30 +87,34 @@ def default_max_digits(spec: TailSpec, n: int) -> int:
 def _membership_stream(
     spec: TailSpec, n: int, interval: HalfOpenInterval, max_digits: int
 ) -> tuple[bool, int]:
-    """Decide lo <= x_n < hi by extending the digit prefix term by term."""
+    """Decide lo <= x_n < hi by extending the digit prefix term by term.
+
+    The prefix is one integer of ``used`` <= max_digits digits.  Its leading
+    k = min(used, L) digits are compared with those of lo_L and hi_L; equal
+    heads leave an endpoint undecided while the prefix is shorter than it.
+    """
     base = spec.base
-    buf: list[int] = []
-    lo_state = PrefixOrder.UNDECIDED
-    hi_state = PrefixOrder.UNDECIDED
-    offset = 0
-    while len(buf) < max_digits:
-        buf.extend(int_to_digits(term(spec, n, offset), base).digits)
+    L, lo_L, hi_L = _leading_window(interval)
+    lo_len, hi_len = len(interval.lo.digits), len(interval.hi.digits)
+    prefix = used = offset = 0
+    while used < max_digits:
+        a = term(spec, n, offset)
         offset += 1
-        prefix = DigitString(base, tuple(buf[:max_digits]))
-        if lo_state is PrefixOrder.UNDECIDED:
-            lo_state = compare_prefix(prefix, interval.lo)
-        if hi_state is PrefixOrder.UNDECIDED:
-            hi_state = compare_prefix(prefix, interval.hi)
-        if lo_state is PrefixOrder.DEFINITELY_LESS:
-            return False, len(prefix)
-        if hi_state is PrefixOrder.DEFINITELY_GREATER_OR_EQUAL:
-            return False, len(prefix)
-        if (
-            lo_state is PrefixOrder.DEFINITELY_GREATER_OR_EQUAL
-            and hi_state is PrefixOrder.DEFINITELY_LESS
-        ):
-            return True, len(prefix)
-    raise UndecidedMembershipError(DigitString(base, tuple(buf[:max_digits])), interval)
+        d = digit_length(a, base)
+        if used + d > max_digits:
+            a //= base ** (used + d - max_digits)
+            d = max_digits - used
+        prefix = prefix * base**d + a
+        used += d
+        k = min(used, L)
+        head = prefix // base ** (used - k)
+        lo_k, hi_k = lo_L // base ** (L - k), hi_L // base ** (L - k)
+        if head < lo_k or head > hi_k or (head == hi_k and used >= hi_len):
+            return False, used
+        if head < hi_k and (head > lo_k or used >= lo_len):
+            return True, used
+    digits = int_to_digits(prefix, base).digits if used else ()
+    raise UndecidedMembershipError(DigitString(base, digits), interval)
 
 
 def in_interval(

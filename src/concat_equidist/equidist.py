@@ -12,11 +12,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .counting import census
-from .exactnum import ExactEndpoint
+from .exactnum import HEAD_DIGITS, STR_BELOW, ExactEndpoint, decimal_head
 from .seqgen import IntPoly
-
-# enough mantissa digits for >= 12 correct fractional digits of log10
-_MANTISSA_DIGITS = 17
 
 BENFORD_FREQ = tuple(math.log10(1 + 1 / c) for c in range(1, 10))
 
@@ -94,9 +91,8 @@ def log10_int(m: int) -> float:
     """log10 of a positive integer of any size, from digit count plus mantissa."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    s = str(m)
-    mant = s[:_MANTISSA_DIGITS]
-    return (len(s) - 1) + math.log10(int(mant)) - (len(mant) - 1)
+    n, head, _ = decimal_head(m)
+    return (n - 1) + math.log10(int(head)) - (len(head) - 1)
 
 
 def log10_fracpart(m: int) -> float:
@@ -107,10 +103,14 @@ def log10_fracpart(m: int) -> float:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    s = str(m).rstrip("0")
-    if s == "" or s == "1":
+    if m < STR_BELOW:  # str() is exact here and saves a call per term
+        s = str(m).rstrip("0")
+    else:
+        _, head, exact = decimal_head(m)
+        s = head.rstrip("0") if exact else head
+    if s == "1":
         return 0.0
-    mant = s[:_MANTISSA_DIGITS]
+    mant = s[:HEAD_DIGITS]
     frac = math.log10(int(mant)) - (len(mant) - 1)
     return frac % 1.0
 

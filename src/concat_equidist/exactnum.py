@@ -74,6 +74,29 @@ def digits_to_int(ds: DigitString) -> int:
     return value
 
 
+HEAD_DIGITS = 17  # enough for >= 12 correct fractional digits of log10
+# str() is faster below about 260 digits (CPython 3.11); above, it costs
+# quadratic time and fails past 4300 digits.
+STR_BELOW = 10**256
+
+
+def decimal_head(m: int) -> tuple[int, str, bool]:
+    """(n, head, exact) for m >= 1: its decimal digit count n, its leading
+    min(n, HEAD_DIGITS) digits as a string, and whether every later digit is 0.
+
+    Large m never goes through str(m): the digit count comes from
+    ``bit_length`` and the head from one exact division by a power of ten.
+    """
+    if m < STR_BELOW:
+        s = str(m)
+        return len(s), s[:HEAD_DIGITS], not s[HEAD_DIGITS:].strip("0")
+    # 0.30102999 < log10(2), so m has at least e + HEAD_DIGITS digits
+    e = (m.bit_length() - 1) * 30102999 // 10**8 + 1 - HEAD_DIGITS
+    q, r = divmod(m, 10**e)
+    s = str(q)
+    return e + len(s), s[:HEAD_DIGITS], not r and not s[HEAD_DIGITS:].strip("0")
+
+
 def digit_length(n: int, base: int) -> int:
     """Number of base-b digits of n, by exact integer division (no float log)."""
     _check_base(base)
@@ -136,21 +159,24 @@ class ExactEndpoint:
             return cls(base, (), is_one=True)
         raise ValueError(f"endpoint {text!r} outside [0, 1]")
 
+    def scaled(self, L: int) -> int:
+        """The endpoint times base**L, an integer for L >= len(digits)."""
+        if self.is_one:
+            return self.base**L
+        value = 0
+        for d in self.digits:
+            value = value * self.base + d
+        return value * self.base ** (L - len(self.digits))
+
     def value(self) -> Fraction:
         """Exact rational value of the endpoint."""
-        if self.is_one:
-            return Fraction(1)
-        total = Fraction(0)
-        scale = Fraction(1, self.base)
-        for d in self.digits:
-            total += d * scale
-            scale /= self.base
-        return total
+        return Fraction(self.scaled(len(self.digits)), self.base ** len(self.digits))
 
     def __lt__(self, other: "ExactEndpoint") -> bool:
         if self.base != other.base:
             raise ValueError("cannot compare endpoints with different bases")
-        return self.value() < other.value()
+        # canonical digits order like their values: a proper prefix is smaller
+        return (self.is_one, self.digits) < (other.is_one, other.digits)
 
     def __le__(self, other: "ExactEndpoint") -> bool:
         return self == other or self < other

@@ -1,8 +1,8 @@
 """Concatenation-tail sequence families as lazy digit streams.
 
-Three families are supported: the Champernowne tail 0.(n)(n+1)(n+2)...,
-the multiple-of-k tail 0.(kn)(k(n+1))..., and the polynomial tail
-0.f(n)f(n+1)... for an eventually increasing integer polynomial f.
+Two families are supported: the multiple-of-k tail 0.(kn)(k(n+1))..., whose
+k = 1 case is the Champernowne tail 0.(n)(n+1)(n+2)..., and the polynomial
+tail 0.f(n)f(n+1)... for an eventually increasing integer polynomial f.
 Each family also counts its terms up to a bound in closed form
 (``index_le``), which exact counting uses decade by decade.
 """
@@ -34,12 +34,14 @@ class IntPoly:
 
     def __post_init__(self) -> None:
         if len(self.coeffs) < 2:
-            raise ValueError(f"polynomial must be non-constant (degree >= 1), got {self.coeffs!r}")
+            raise ValueError(f"polynomial must be non-constant (degree >= 1), got {_show(self.coeffs)}")
         if any(not isinstance(c, int) for c in self.coeffs):
             i, c = next((i, c) for i, c in enumerate(self.coeffs) if not isinstance(c, int))
-            raise ValueError(f"coefficient c_{i} must be an int, got {c!r} in {self.coeffs!r}")
+            raise ValueError(f"coefficient c_{i} must be an int, got {c!r} in {_show(self.coeffs)}")
         if self.coeffs[-1] < 1:
-            raise ValueError(f"leading coefficient must be >= 1, got {self.coeffs[-1]} in {self.coeffs!r}")
+            raise ValueError(
+                f"leading coefficient must be >= 1, got {_show(self.coeffs[-1])} in {_show(self.coeffs)}"
+            )
 
     @classmethod
     def parse(cls, text: str) -> "IntPoly":
@@ -81,6 +83,16 @@ class IntPoly:
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.coeffs)
+
+
+def _show(x: object) -> str:
+    """repr(x), with ints too long to print shown by size (repr fails past 4300 digits)."""
+    if isinstance(x, tuple):
+        inner = ", ".join(map(_show, x))
+        return f"({inner},)" if len(x) == 1 else f"({inner})"
+    if isinstance(x, int) and abs(x).bit_length() > 1024:
+        return f"{'-' if x < 0 else ''}<{abs(x).bit_length()}-bit int>"
+    return repr(x)
 
 
 # --- exact real-root certificates for integer polynomials -------------------
@@ -208,34 +220,12 @@ def _sign_variations(seq: list[list[int]], x: int) -> int:
 
 
 @dataclass(frozen=True)
-class ChampernowneTail:
-    """x_n = 0.(n)(n+1)(n+2)..., the Champernowne expansion started at n."""
-
-    base: int = 10
-
-    kind = "champ"
-    n_min = 1
-
-    def __post_init__(self) -> None:
-        _check_base(self.base)
-
-    def term(self, n: int, offset: int = 0) -> int:
-        _check_index(self, n, offset)
-        return n + offset
-
-    def index_le(self, m: int) -> int:
-        """#{n >= n_min : a_n <= m}."""
-        return max(m, 0)
-
-
-@dataclass(frozen=True)
 class MultipleTail:
     """x_n = 0.(kn)(k(n+1))(k(n+2))... for a positive integer k."""
 
     k: int
     base: int = 10
 
-    kind = "mult"
     n_min = 1
 
     def __post_init__(self) -> None:
@@ -252,14 +242,17 @@ class MultipleTail:
         return max(m // self.k, 0)
 
 
+def ChampernowneTail(base: int = 10) -> MultipleTail:
+    """x_n = 0.(n)(n+1)(n+2)..., the Champernowne expansion started at n: k = 1."""
+    return MultipleTail(1, base)
+
+
 @dataclass(frozen=True)
 class PolyTail:
     """x_n = 0.f(n)f(n+1)f(n+2)... for an eventually increasing integer polynomial."""
 
     poly: IntPoly
     base: int = 10
-
-    kind = "poly"
 
     def __post_init__(self) -> None:
         _check_base(self.base)
@@ -279,7 +272,7 @@ class PolyTail:
         return poly_floor_inverse(self.poly, m) - self.n_min + 1
 
 
-TailSpec = Union[ChampernowneTail, MultipleTail, PolyTail]
+TailSpec = Union[MultipleTail, PolyTail]
 
 
 def poly_floor_inverse(poly: IntPoly, m: int) -> int:

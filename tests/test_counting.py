@@ -4,12 +4,21 @@ from hypothesis import given, settings, strategies as st
 from concat_equidist.asymptotics import lemma1_main_term
 from concat_equidist.counting import (
     UndecidedMembershipError,
+    _membership_stream,
     census,
     count_A,
+    default_max_digits,
     in_interval,
     leading_digit,
 )
-from concat_equidist.exactnum import ExactEndpoint, HalfOpenInterval
+from concat_equidist.exactnum import (
+    DigitString,
+    ExactEndpoint,
+    HalfOpenInterval,
+    PrefixOrder,
+    compare_prefix,
+    int_to_digits,
+)
 from concat_equidist.seqgen import (
     ChampernowneTail,
     IntPoly,
@@ -178,8 +187,8 @@ def _endpoint(base, digits):
 
 
 @st.composite
-def _cases(draw, max_n):
-    """(spec, interval, N or index, max_digits), endpoints of 0-5 digits.
+def _cases(draw, max_n, max_len=5, max_budget=24):
+    """(spec, interval, N or index, max_digits), endpoints of 0-max_len digits.
 
     Some endpoints are prefixes of tail values in range, so that narrow
     intervals still catch members.
@@ -193,9 +202,9 @@ def _cases(draw, max_n):
         if choice == "one":
             return ExactEndpoint(base, (), is_one=True)
         if choice == "digits":
-            return _endpoint(base, draw(st.lists(st.integers(0, base - 1), max_size=5)))
+            return _endpoint(base, draw(st.lists(st.integers(0, base - 1), max_size=max_len)))
         m = spec.n_min + draw(st.integers(0, n - 1))
-        return _endpoint(base, tail_digits(spec, m, draw(st.integers(1, 5))).digits)
+        return _endpoint(base, tail_digits(spec, m, draw(st.integers(1, max_len))).digits)
 
     a, b = endpoint(), endpoint()
     if a == b:
@@ -203,7 +212,7 @@ def _cases(draw, max_n):
         if a == b:
             b = ExactEndpoint(base, (), is_one=True)
     lo, hi = (a, b) if a < b else (b, a)
-    max_digits = draw(st.one_of(st.none(), st.integers(1, 24)))
+    max_digits = draw(st.one_of(st.none(), st.integers(1, max_budget)))
     return spec, HalfOpenInterval(lo, hi), n, max_digits
 
 
@@ -242,6 +251,72 @@ class TestClosedFormMatchesOracle:
         assert term(spec, spec.n_min + N - 1, 0) in (9, 99, 999, 100, 1000, 10**4)
         interval = HalfOpenInterval.parse(lo, hi)
         assert count_A(spec, interval, N) == count_A(spec, interval, N, fast=False)
+
+
+def digit_list_stream(spec, n, interval, max_digits):
+    """The membership stream before it kept its prefix as an integer: a
+    DigitString rebuilt per term and compared with ``compare_prefix``."""
+    base = spec.base
+    buf: list[int] = []
+    lo_state = PrefixOrder.UNDECIDED
+    hi_state = PrefixOrder.UNDECIDED
+    offset = 0
+    while len(buf) < max_digits:
+        buf.extend(int_to_digits(term(spec, n, offset), base).digits)
+        offset += 1
+        prefix = DigitString(base, tuple(buf[:max_digits]))
+        if lo_state is PrefixOrder.UNDECIDED:
+            lo_state = compare_prefix(prefix, interval.lo)
+        if hi_state is PrefixOrder.UNDECIDED:
+            hi_state = compare_prefix(prefix, interval.hi)
+        if lo_state is PrefixOrder.DEFINITELY_LESS:
+            return False, len(prefix)
+        if hi_state is PrefixOrder.DEFINITELY_GREATER_OR_EQUAL:
+            return False, len(prefix)
+        if (
+            lo_state is PrefixOrder.DEFINITELY_GREATER_OR_EQUAL
+            and hi_state is PrefixOrder.DEFINITELY_LESS
+        ):
+            return True, len(prefix)
+    raise UndecidedMembershipError(DigitString(base, tuple(buf[:max_digits])), interval)
+
+
+class TestIntegerStreamMatchesDigitList:
+    @settings(max_examples=600)
+    @given(_cases(max_n=3000, max_len=8, max_budget=30))
+    def test_same_outcome_and_digits_used(self, case):
+        spec, interval, i, max_digits = case
+        n = spec.n_min + i - 1
+        budget = max_digits if max_digits is not None else default_max_digits(spec, n)
+        new = _outcome(lambda: _membership_stream(spec, n, interval, budget))
+        old = _outcome(lambda: digit_list_stream(spec, n, interval, budget))
+        assert new == old
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(2, 16).flatmap(_specs),
+        st.integers(1, 500),
+        st.integers(1, 12),
+        st.integers(1, 14),
+        st.booleans(),
+    )
+    def test_endpoint_on_the_tail(self, spec, i, length, budget, as_lo):
+        # an endpoint that is a prefix of x_n itself is undecided below its length
+        n = spec.n_min + i - 1
+        endpoint = _endpoint(spec.base, tail_digits(spec, n, length).digits)
+        edge = ExactEndpoint(spec.base, (), is_one=as_lo)
+        if endpoint == edge:
+            return
+        interval = HalfOpenInterval(endpoint, edge) if as_lo else HalfOpenInterval(edge, endpoint)
+        new = _outcome(lambda: _membership_stream(spec, n, interval, budget))
+        old = _outcome(lambda: digit_list_stream(spec, n, interval, budget))
+        assert new == old
+
+    @pytest.mark.parametrize("max_digits", [0, -1])
+    def test_empty_budget_is_undecided_with_empty_prefix(self, max_digits):
+        with pytest.raises(UndecidedMembershipError) as exc:
+            _membership_stream(CHAMP, 1, I12, max_digits)
+        assert exc.value.prefix == DigitString(10, ())
 
 
 class TestFirstDigitReduction:

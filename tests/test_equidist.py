@@ -1,8 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from concat_equidist.counting import leading_digit
 from concat_equidist.equidist import (
     BENFORD_FREQ,
     PointSet,
@@ -156,6 +159,76 @@ class TestLog10Int:
     def test_huge_values(self):
         assert log10_int(10**100) == pytest.approx(100.0, abs=1e-12)
         assert log10_int(10**40 - 1) == pytest.approx(40.0, abs=1e-12)
+
+
+def str_log10_int(m):
+    s = str(m)
+    mant = s[:17]
+    return (len(s) - 1) + math.log10(int(mant)) - (len(mant) - 1)
+
+
+def str_log10_fracpart(m):
+    s = str(m).rstrip("0")
+    if s == "" or s == "1":
+        return 0.0
+    mant = s[:17]
+    return (math.log10(int(mant)) - (len(mant) - 1)) % 1.0
+
+
+def str_leading_digit(m):
+    return int(str(m)[0])
+
+
+@st.composite
+def huge_terms(draw):
+    """Positive integers up to 6000 digits, weighted towards the cases the
+    17-digit mantissa rule distinguishes."""
+    kind = draw(st.sampled_from(["small", "bits", "pow2", "scaled", "zero_run", "near_power"]))
+    if kind == "small":
+        return draw(st.integers(1, 10**40))
+    if kind == "bits":
+        return draw(st.integers(1, 20_000).flatmap(lambda b: st.integers(2 ** (b - 1), 2**b - 1)))
+    if kind == "pow2":
+        return 2 ** draw(st.integers(0, 20_000))
+    if kind == "scaled":  # c * 10^k, mantissa stripped to c
+        return draw(st.integers(1, 10**20)) * 10 ** draw(st.integers(0, 6000))
+    if kind == "zero_run":
+        # a 17-digit head ending in zeros with a nonzero digit later: the head
+        # is used unstripped, which can differ from the stripped one by an ulp
+        zeros = draw(st.integers(1, 16))
+        head = draw(st.integers(10 ** (16 - zeros), 10 ** (17 - zeros) - 1)) * 10**zeros
+        later = draw(st.integers(1, 6000))
+        tail = draw(st.one_of(st.just(1), st.integers(1, 10**later - 1)))
+        return (head * 10**later + tail) * 10 ** draw(st.integers(0, 3))
+    k = draw(st.integers(1, 6000))
+    return 10**k + draw(st.integers(-3, 3))
+
+
+class TestMatchesStrOracle:
+    """log10_int, log10_fracpart and leading_digit equal the str()-based rules
+    bit for bit, also past Python's 4300-digit int-to-str limit."""
+
+    @settings(max_examples=600)
+    @given(huge_terms())
+    # (b - 1) log10(2) lies just below an integer at b = 13302 and 26603 bits:
+    # the digit count estimate must round down there
+    @example(2**13301)
+    @example(2**26602 + 1)
+    def test_bitwise_equal(self, m):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = (str_log10_int(m), str_log10_fracpart(m), str_leading_digit(m))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (log10_int(m), log10_fracpart(m), leading_digit(m)) == expected
+
+    def test_powers_of_two_past_the_str_limit(self, deadline):
+        with deadline(5.0, "log10 parts of 2^1..2^15000"):
+            fracs = log_fracparts(2**n for n in range(1, 15_001)).values
+            digits = [leading_digit(2**n) for n in range(1, 15_001)]
+        assert fracs[-1] == pytest.approx((15_000 * LOG2) % 1.0, abs=1e-9)
+        assert digits[-1] == 2  # 2^15000 = 2.8…e4515
 
 
 class TestBenfordReport:

@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from concat_equidist.exactnum import (
     DigitString,
@@ -116,6 +116,56 @@ class TestExactEndpoint:
         ea, eb = mk(a), mk(b)
         frac = lambda e: sum(Fraction(d, 10 ** (i + 1)) for i, d in enumerate(e.digits))
         assert (ea < eb) == (frac(ea) < frac(eb))
+
+
+@st.composite
+def _endpoint_pairs(draw, base):
+    """Two canonical endpoints of one base: 0, 1, digit strings, and extensions
+    of each other (the cases where padding decides the order)."""
+
+    def canonical(digits):
+        digits = tuple(digits)
+        while digits and digits[-1] == 0:
+            digits = digits[:-1]
+        return ExactEndpoint(base, digits)
+
+    digit_lists = st.lists(st.integers(0, base - 1), max_size=6)
+
+    def endpoint():
+        choice = draw(st.sampled_from(["zero", "one", "digits"]))
+        if choice == "zero":
+            return ExactEndpoint(base)
+        if choice == "one":
+            return ExactEndpoint(base, (), is_one=True)
+        return canonical(draw(digit_lists))
+
+    a = endpoint()
+    if draw(st.booleans()) and not a.is_one:
+        b = canonical(a.digits + tuple(draw(digit_lists)))
+    else:
+        b = endpoint()
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+class TestEndpointOrder:
+    @settings(max_examples=500)
+    @given(st.integers(2, 36).flatmap(_endpoint_pairs))
+    def test_order_matches_values(self, pair):
+        a, b = pair
+        assert (a < b) == (a.value() < b.value())
+        assert (a <= b) == (a.value() <= b.value())
+
+    @given(
+        st.tuples(st.integers(2, 36), st.integers(2, 36)).filter(lambda bases: bases[0] != bases[1]),
+        st.data(),
+    )
+    def test_different_bases_raise(self, bases, data):
+        a = data.draw(_endpoint_pairs(bases[0]))[0]
+        b = data.draw(_endpoint_pairs(bases[1]))[0]
+        with pytest.raises(ValueError, match="different bases"):
+            a < b
+        with pytest.raises(ValueError, match="different bases"):
+            a <= b
 
 
 class TestComparePrefix:

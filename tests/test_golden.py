@@ -3,9 +3,12 @@
 The files under ``tests/golden/`` were recorded before counting became
 closed-form by decade, when every multi-digit interval was decided by digit
 streaming, and the large-constant scans before n_min was certified by root
-isolation, when it was found by checking every index; any refactor of
-counting, scanning or n_min must reproduce them byte for byte.  To record
-them again after a deliberate output change, run
+isolation, when it was found by checking every index.  The ``tail``,
+``discrepancy`` and ``benford`` cases were recorded while the Champernowne
+tail was a class of its own, membership was streamed through per-term digit
+tuples and the leading digits of every term were read with str().  Any
+refactor of these paths must reproduce them byte for byte.  To record them
+again after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 import contextlib
@@ -54,6 +57,24 @@ CASES = [
     ("scan_poly_m420000_5_2", ["scan", "--kind", "poly", "--coeffs=-420000,5,2"], 0),
     ("scan_poly_210000_0_1", ["scan", "--kind", "poly", "--coeffs", "210000,0,1", *JSON], 0),
     ("scan_poly_140000_0_0_1", ["scan", "--kind", "poly", "--coeffs", "140000,0,0,1"], 0),
+    # tail digits of each family, and of a base-2 Champernowne tail
+    ("tail_champ", ["tail", *CHAMP, "--n", "97", "--digits", "60"], 0),
+    ("tail_mult7", ["tail", *MULT7, "--n", "13", "--digits", "45"], 0),
+    ("tail_square", ["tail", *SQUARE, "--n", "31", "--digits", "50"], 0),
+    ("tail_champ_base2", ["tail", *CHAMP, "--base", "2", "--n", "5", "--digits", "40"], 0),
+    # 18-digit tail prefixes as points, one of them rounding to 1.0 as a float
+    ("discrepancy_champ", ["discrepancy", *CHAMP, "--N", "2000"], 0),
+    (
+        "discrepancy_mult_k17",
+        ["discrepancy", "--kind", "mult", "--k", "99999999999999999", "--N", "50", *JSON],
+        0,
+    ),
+    ("discrepancy_cubic", ["discrepancy", *CUBIC, "--N", "500", "--weyl-h", "3"], 0),
+    # leading-digit census and log10 fractional parts
+    ("benford_naturals", ["benford", "--gen", "naturals", "--N", "12345"], 0),
+    ("benford_mult7", ["benford", "--gen", "mult", "--k", "7", "--N", "3000", *JSON], 0),
+    ("benford_poly", ["benford", "--gen", "poly", "--coeffs", "10,-10,1", "--N", "4000"], 0),
+    ("benford_pow2", ["benford", "--gen", "pow2", "--N", "4000"], 0),
     # an endpoint that is a long prefix of x_1: membership stays undecided
     (
         "count_undecided",
@@ -73,8 +94,7 @@ def _run(argv: list[str], capsys) -> tuple[int, str]:
 
 
 @pytest.mark.parametrize("name,argv,exit_code", CASES, ids=[c[0] for c in CASES])
-def test_golden_output(name, argv, exit_code, capsys, monkeypatch):
-    monkeypatch.delenv("CONCAT_EQUIDIST_THREADS", raising=False)
+def test_golden_output(name, argv, exit_code, capsys):
     code, out = _run(argv, capsys)
     assert code == exit_code
     assert out.encode("utf-8") == _path(name, argv).read_bytes()

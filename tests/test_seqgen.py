@@ -151,6 +151,19 @@ class TestIntPoly:
         with pytest.raises(ValueError, match=r"^coefficient c_0 must be an int, got 1.5 in \(1.5, 2\)$"):
             IntPoly((1.5, 2))
 
+    def test_messages_render_huge_coefficients_by_size(self):
+        # repr of an int past 4300 digits raises; the messages must not
+        big = 10**5000
+        size = f"<{big.bit_length()}-bit int>"
+        with pytest.raises(ValueError, match=rf"^polynomial must be non-constant \(degree >= 1\), got \({size},\)$"):
+            IntPoly((big,))
+        with pytest.raises(ValueError, match=rf"^coefficient c_1 must be an int, got '0' in \({size}, '0'\)$"):
+            IntPoly((big, "0"))
+        with pytest.raises(ValueError, match=rf"^leading coefficient must be >= 1, got 0 in \({size}, 0\)$"):
+            IntPoly((big, 0))
+        with pytest.raises(ValueError, match=rf"^leading coefficient must be >= 1, got -{size} in \(1, -{size}\)$"):
+            IntPoly((1, -big))
+
     def test_parse(self):
         assert IntPoly.parse("0,0,1") == NSQ
         assert IntPoly.parse(" 1, 0, 0, 2 ").coeffs == (1, 0, 0, 2)
