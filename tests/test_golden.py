@@ -75,6 +75,17 @@ CASES = [
     ("benford_mult7", ["benford", "--gen", "mult", "--k", "7", "--N", "3000", *JSON], 0),
     ("benford_poly", ["benford", "--gen", "poly", "--coeffs", "10,-10,1", "--N", "4000"], 0),
     ("benford_pow2", ["benford", "--gen", "pow2", "--N", "4000"], 0),
+    # c*10^k terms, a 17-digit head of zeros with a later nonzero digit, and
+    # terms at or above 10^256, whose heads are read without str()
+    ("benford_file", ["benford", "--file", str(GOLDEN_DIR / "benford_terms.txt")], 0),
+    # a zero term is rejected before any output
+    ("benford_mult_k0", ["benford", "--gen", "mult", "--k", "0", "--N", "10"], 1),
+    # prefixes in bases 2 and 16, across the 4-to-5-digit boundary, and of a
+    # polynomial tail with n_min > 1
+    ("discrepancy_champ_base2", ["discrepancy", *CHAMP, "--base", "2", "--N", "3000"], 0),
+    ("discrepancy_mult5_base16", ["discrepancy", "--kind", "mult", "--k", "5", "--base", "16", "--N", "2000", *JSON], 0),
+    ("discrepancy_champ_12000", ["discrepancy", *CHAMP, "--N", "12000"], 0),
+    ("discrepancy_shifted_square", ["discrepancy", "--kind", "poly", "--coeffs=5,-3,1", "--N", "3000", "--weyl-h", "3", *JSON], 0),
     # an endpoint that is a long prefix of x_1: membership stays undecided
     (
         "count_undecided",
