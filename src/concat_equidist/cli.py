@@ -16,7 +16,7 @@ from typing import Sequence, TextIO
 
 from . import asymptotics, counting, equidist, seqgen
 from .counting import UndecidedMembershipError
-from .exactnum import ExactEndpoint, HalfOpenInterval, digits_to_int
+from .exactnum import ExactEndpoint, HalfOpenInterval
 from .seqgen import ChampernowneTail, DomainError, IntPoly, MultipleTail, PolyTail, TailSpec
 
 DEFAULT_N_CAP = 10**7
@@ -195,7 +195,7 @@ def _generated_terms(args) -> list[int]:
     if args.gen == "naturals":
         return list(range(1, args.N + 1))
     if args.gen == "pow2":
-        return [2**n for n in range(1, args.N + 1)]
+        return [1 << n for n in range(1, args.N + 1)]
     if args.gen == "mult":
         if args.k is None:
             raise UsageError("--gen mult requires --k")
@@ -258,11 +258,8 @@ def cmd_discrepancy(args) -> int:
     scale = spec.base**depth
     # an 18-digit prefix such as 0.999...9 rounds to 1.0; keep every point below 1
     below_one = math.nextafter(1.0, 0.0)
-    values = [
-        min(digits_to_int(seqgen.tail_digits(spec, n, depth)) / scale, below_one)
-        for n in range(spec.n_min, spec.n_min + args.N)
-    ]
-    points = equidist.PointSet.of(values)
+    prefixes = seqgen.tail_prefixes(spec, spec.n_min, args.N, depth)
+    points = equidist.PointSet.of(min(prefix / scale, below_one) for prefix in prefixes)
     rows = [
         {
             "N": args.N,

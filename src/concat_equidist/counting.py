@@ -162,6 +162,8 @@ def count_A(
         raise ValueError(f"N must be >= 1, got {N}")
     if spec.base != interval.base:
         raise ValueError(f"base mismatch: spec base {spec.base} vs interval base {interval.base}")
+    if max_digits is not None and max_digits < 1:
+        raise ValueError(f"max_digits must be >= 1, got {max_digits}")
     base = spec.base
     start = spec.n_min
     stop = start + N

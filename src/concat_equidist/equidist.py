@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .counting import census
+from .counting import census  # unused here; bench/tracer.py wraps equidist.census
 from .exactnum import HEAD_DIGITS, STR_BELOW, ExactEndpoint, decimal_head
 from .seqgen import IntPoly
 
@@ -25,12 +25,14 @@ class PointSet:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if any(not (0.0 <= v < 1.0) for v in self.values):
+        v = np.asarray(self.values, dtype=float)
+        # one vectorised pass; NaN fails both comparisons, -0.0 passes
+        if not np.all((v >= 0.0) & (v < 1.0)):
             raise ValueError("all points must lie in [0, 1)")
 
     @classmethod
     def of(cls, values: Iterable[float]) -> "PointSet":
-        return cls(tuple(float(v) for v in values))
+        return cls(tuple(map(float, values)))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -74,7 +76,7 @@ def ud_deviation(points: PointSet, alpha: ExactEndpoint, beta: ExactEndpoint) ->
     if np.any(v < a) or np.any(v >= b):
         raise ValueError(f"point outside [{alpha}, {beta})")
     rescaled = np.minimum((v - a) / (b - a), np.nextafter(1.0, 0.0))
-    return star_discrepancy(PointSet.of(rescaled))
+    return star_discrepancy(PointSet.of(rescaled.tolist()))
 
 
 def weyl_sum(points: PointSet, h: int) -> float:
@@ -101,6 +103,16 @@ def log10_fracpart(m: int) -> float:
     Trailing zeros are stripped first so exact powers of ten (and small
     multiples of them) never round to 0.999... from the wrong side.
     """
+    return _digit_and_fracpart(m)[1]
+
+
+def _digit_and_fracpart(m: int) -> tuple[int, float]:
+    """(leading decimal digit of m, {log10 m}) from one read of m's digits.
+
+    Below STR_BELOW the digits come from str(m), above from ``decimal_head``;
+    the 17-digit head is stripped of trailing zeros only when every later
+    digit is 0 as well.
+    """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if m < STR_BELOW:  # str() is exact here and saves a call per term
@@ -109,10 +121,10 @@ def log10_fracpart(m: int) -> float:
         _, head, exact = decimal_head(m)
         s = head.rstrip("0") if exact else head
     if s == "1":
-        return 0.0
+        return 1, 0.0
     mant = s[:HEAD_DIGITS]
     frac = math.log10(int(mant)) - (len(mant) - 1)
-    return frac % 1.0
+    return int(s[0]), frac % 1.0
 
 
 def log_fracparts(terms: Iterable[int]) -> PointSet:
@@ -120,16 +132,25 @@ def log_fracparts(terms: Iterable[int]) -> PointSet:
     return PointSet.of(log10_fracpart(m) for m in terms)
 
 
-def benford_report(terms: Sequence[int]) -> BenfordReport:
-    """Leading-digit frequencies vs the Benford reference, plus log-discrepancy."""
-    terms = list(terms)
-    if not terms:
+def benford_report(terms: Iterable[int]) -> BenfordReport:
+    """Leading-digit frequencies vs the Benford reference, plus log-discrepancy.
+
+    One pass reads each term's decimal digits once and takes both its
+    leading digit and {log10 a_i} from them; the results equal those of
+    ``census`` and ``star_discrepancy(log_fracparts(terms))``.
+    """
+    counts = [0] * 9
+    fracs = []
+    for m in terms:
+        digit, frac = _digit_and_fracpart(m)
+        counts[digit - 1] += 1
+        fracs.append(frac)
+    n = len(fracs)
+    if not n:
         raise ValueError("empty term stream")
-    n = len(terms)
-    counts = census(terms, 10)
     freq = tuple(c / n for c in counts)
     gap = max(abs(f - b) for f, b in zip(freq, BENFORD_FREQ))
-    disc = star_discrepancy(log_fracparts(terms))
+    disc = star_discrepancy(PointSet.of(fracs))
     return BenfordReport(n, freq, BENFORD_FREQ, gap, disc)
 
 

@@ -1,4 +1,4 @@
-"""Concatenation-tail sequence families as lazy digit streams.
+"""Concatenation-tail sequence families and the digit prefixes of their tails.
 
 Two families are supported: the multiple-of-k tail 0.(kn)(k(n+1))..., whose
 k = 1 case is the Champernowne tail 0.(n)(n+1)(n+2)..., and the polynomial
@@ -9,6 +9,7 @@ Each family also counts its terms up to a bound in closed form
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence, Union
@@ -305,21 +306,54 @@ def term(spec: TailSpec, n: int, offset: int = 0) -> int:
     return spec.term(n, offset)
 
 
-def digit_stream(spec: TailSpec, n: int) -> Iterator[int]:
-    """Lazily yield the fractional digits of x_n, one at a time."""
-    _check_index(spec, n, 0)
-    offset = 0
-    while True:
-        yield from int_to_digits(spec.term(n, offset), spec.base).digits
-        offset += 1
-
-
 def tail_digits(spec: TailSpec, n: int, p: int) -> DigitString:
-    """First p digits of x_n; evaluates no more terms than needed."""
+    """First p digits of x_n.
+
+    The digits of a_n, a_{n+1}, ... are appended term by term until p are
+    known, so the cost is linear in p and no more terms are evaluated than
+    needed.
+    """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    out = []
-    stream = digit_stream(spec, n)
-    for _ in range(p):
-        out.append(next(stream))
-    return DigitString(spec.base, tuple(out))
+    _check_index(spec, n, 0)
+    out: list[int] = []
+    offset = 0
+    while len(out) < p:
+        out.extend(int_to_digits(spec.term(n, offset), spec.base).digits)
+        offset += 1
+    return DigitString(spec.base, tuple(out[:p]))
+
+
+def tail_prefixes(spec: TailSpec, n: int, count: int, p: int) -> Iterator[int]:
+    """Yield the leading p digits of x_n, ..., x_{n+count-1}, each as one int.
+
+    Each value equals ``digits_to_int(tail_digits(spec, m, p))``.  One integer
+    window holds the concatenated terms a_m, a_{m+1}, ...: terms are appended
+    until it has at least p digits, its leading p digits are yielded, and the
+    leading term is dropped.  So every term is evaluated once, count + O(p)
+    terms in all.  Digit lengths come from tracking the next power of the
+    base, which is valid because the terms increase from n_min: a
+    ``MultipleTail`` is linear in n, and a ``PolyTail`` is certified strictly
+    increasing from ``IntPoly.n_min``.
+    """
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    _check_index(spec, n, 0)
+    base = spec.base
+    length, bound = 1, base  # base**(length - 1) <= the next term < bound = base**length
+    lengths: deque[int] = deque()
+    window = used = 0
+    nxt = n
+    for _ in range(count):
+        while used < p:
+            a = spec.term(nxt)
+            nxt += 1
+            while a >= bound:
+                bound *= base
+                length += 1
+            window = window * bound + a
+            used += length
+            lengths.append(length)
+        yield window // base ** (used - p)
+        used -= lengths.popleft()
+        window %= base**used

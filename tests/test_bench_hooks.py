@@ -10,17 +10,29 @@ from pathlib import Path
 
 import pytest
 
-from concat_equidist import cli, counting, seqgen
+from concat_equidist import asymptotics, cli, counting, equidist, seqgen
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+MODULES = {"cli": cli, "asymptotics": asymptotics, "counting": counting, "equidist": equidist, "seqgen": seqgen}
 
 
 @pytest.fixture
-def tracer_cls(monkeypatch):
+def tracer_module(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH_DIR))
-    from tracer import Tracer
+    import tracer
 
-    return Tracer
+    return tracer
+
+
+@pytest.fixture
+def tracer_cls(tracer_module):
+    return tracer_module.Tracer
+
+
+def _patched_names(tracer_module):
+    """Every (module, attribute) the tracer wraps, with its current value."""
+    sites = tracer_module._SPAN_SITES + tracer_module._COUNTER_SITES
+    return {(mod, attr): getattr(MODULES[mod], attr) for mod, attr, _ in sites}
 
 
 def test_tracer_counts_streamed_indices_and_restores_originals(tracer_cls, capsys):
@@ -59,4 +71,39 @@ def test_tracer_counts_streamed_indices_and_restores_originals(tracer_cls, capsy
 
     for (module, attr), original in originals.items():
         assert getattr(module, attr) is original, f"{module.__name__}.{attr} not restored"
+    assert seqgen.IntPoly.__dict__["n_min"] is n_min
+
+
+def test_tracer_sees_every_diagnostics_point(tracer_module, capsys):
+    jobs = (["discrepancy", "--kind", "champ", "--N", "300"], ["benford", "--gen", "pow2", "--N", "300"])
+    untraced = []
+    for argv in jobs:
+        assert cli.main(argv) == 0
+        untraced.append(capsys.readouterr().out)
+    originals = _patched_names(tracer_module)
+    n_min = seqgen.IntPoly.__dict__["n_min"]
+
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert all(getattr(MODULES[mod], attr) is not fn for (mod, attr), fn in originals.items())
+        traced = []
+        for argv in jobs:
+            assert cli.main(argv) == 0
+            traced.append(capsys.readouterr().out)
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+
+    calls = {name: stat[0] for name, stat in tracer.stats.items()}
+    # discrepancy: the points, and again rescaled inside ud_deviation; benford: the log parts
+    assert calls["equidist.star_discrepancy"] == 3
+    assert calls["equidist.ud_deviation"] == 1
+    assert calls["equidist.benford_report"] == 1
+    assert tracer.points == 300 + 300 + 300
+    # the points come from integer prefixes and one digit read per term
+    assert calls["seqgen.tail_digits"] == 0
+    assert calls["counting.census"] == calls["equidist.log_fracparts"] == 0
+
+    assert _patched_names(tracer_module) == originals
     assert seqgen.IntPoly.__dict__["n_min"] is n_min

@@ -265,6 +265,19 @@ class TestExitCodes:
         assert code == 3
         assert "undecided" in err
 
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["--N", "20"], 0),
+            (["--N", "0"], 1),
+            (["--N", "-3"], 1),
+            (["--lo", "0.2", "--hi", "0.1", "--N", "20"], 1),
+            (["--lo", "0.123456789101112131415161718", "--hi", "0.9", "--N", "1"], 3),
+        ],
+    )
+    def test_count_exit_codes(self, capsys, argv, code):
+        assert run(capsys, "count", "--kind", "champ", *argv)[0] == code
+
     def test_n_cap(self, capsys):
         code, _, err = run(capsys, "count", "--kind", "champ", "--N", str(2 * 10**7))
         assert code == 1 and "cap" in err

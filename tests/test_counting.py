@@ -319,6 +319,21 @@ class TestIntegerStreamMatchesDigitList:
         assert exc.value.prefix == DigitString(10, ())
 
 
+class TestDigitBudget:
+    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize("max_digits", [0, -1])
+    def test_nonpositive_budget_is_rejected_by_both(self, max_digits, fast):
+        message = f"max_digits must be >= 1, got {max_digits}"
+        with pytest.raises(ValueError, match=message):
+            count_A(CHAMP, I12, 20, max_digits, fast=fast)
+        with pytest.raises(ValueError, match=message):
+            in_interval(CHAMP, 1, I12, max_digits, fast=fast)
+
+    def test_one_digit_budget_decides_a_one_digit_interval(self):
+        assert count_A(CHAMP, I12, 20, max_digits=1).count == 11
+        assert in_interval(CHAMP, 1, I12, max_digits=1)
+
+
 class TestFirstDigitReduction:
     @pytest.mark.parametrize("spec", FAMILIES)
     def test_single_digit_intervals_reduce_to_leading_digit(self, spec):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from concat_equidist.counting import leading_digit
+from concat_equidist.counting import census, leading_digit
 from concat_equidist.equidist import (
     BENFORD_FREQ,
+    BenfordReport,
     PointSet,
     benford_report,
     log10_fracpart,
@@ -72,6 +73,29 @@ class TestStarDiscrepancy:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             star_discrepancy(PointSet.of([]))
+
+
+class TestPointSetValidation:
+    @pytest.mark.parametrize("bad", [math.nan, 1.0, -1e-300, math.inf, -math.inf, np.float64(np.nan)])
+    def test_rejects_outside_unit_interval(self, bad):
+        for values in ([bad], [0.25, bad, 0.5], [0.5] * 3 + [bad]):
+            with pytest.raises(ValueError, match=r"all points must lie in \[0, 1\)"):
+                PointSet.of(values)
+            with pytest.raises(ValueError, match=r"all points must lie in \[0, 1\)"):
+                PointSet(tuple(values))
+
+    def test_negative_zero_is_kept(self):
+        pts = PointSet.of([0.5, -0.0, np.float64(-0.0)])
+        assert pts.values == (0.5, 0.0, 0.0)
+        assert [math.copysign(1.0, v) for v in pts.values] == [1.0, -1.0, -1.0]
+        assert all(type(v) is float for v in pts.values)
+
+    def test_largest_float_below_one(self):
+        below = math.nextafter(1.0, 0.0)
+        assert PointSet.of([below, 0.0]).values == (below, 0.0)
+
+    def test_empty(self):
+        assert PointSet.of([]).values == ()
 
 
 class TestPointSet:
@@ -264,6 +288,58 @@ class TestBenfordReport:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             benford_report([])
+
+
+def two_pass_report(terms):
+    """The report as it was built before it read each term once: a census
+    pass and a separate pass of log10 fractional parts."""
+    terms = list(terms)
+    if not terms:
+        raise ValueError("empty term stream")
+    n = len(terms)
+    freq = tuple(c / n for c in census(terms, 10))
+    gap = max(abs(f - b) for f, b in zip(freq, BENFORD_FREQ))
+    return BenfordReport(n, freq, BENFORD_FREQ, gap, star_discrepancy(log_fracparts(terms)))
+
+
+def _report_or_error(terms):
+    try:
+        return benford_report(terms), two_pass_report(terms)
+    except ValueError as exc:
+        new = str(exc)
+    with pytest.raises(ValueError) as old:
+        two_pass_report(terms)
+    return new, str(old.value)
+
+
+class TestFusedBenfordReport:
+    @settings(max_examples=300)
+    @given(st.lists(huge_terms(), min_size=1, max_size=12))
+    def test_equals_two_pass_oracle(self, terms):
+        fused, oracle = _report_or_error(terms)
+        assert fused == oracle
+
+    @settings(max_examples=100)
+    @given(
+        st.lists(st.integers(1, 10**30), max_size=8),
+        st.integers(-5, 0),
+        st.lists(st.integers(1, 10**30), max_size=8),
+    )
+    def test_nonpositive_term_raises_the_census_message(self, before, bad, after):
+        fused, oracle = _report_or_error([*before, bad, *after])
+        assert fused == oracle == f"m must be >= 1, got {bad}"
+
+    @pytest.mark.parametrize(
+        "terms",
+        [range(1, 5001), [7 * n for n in range(1, 3001)], [2**n for n in range(1, 1200)], [10**k for k in range(300)]],
+        ids=["naturals", "mult7", "pow2", "powers_of_ten"],
+    )
+    def test_generated_streams(self, terms):
+        fused, oracle = _report_or_error(terms)
+        assert fused == oracle
+
+    def test_empty(self):
+        assert _report_or_error([]) == ("empty term stream", "empty term stream")
 
 
 class TestPolyLogRatio:

@@ -2,6 +2,7 @@ import pytest
 
 from hypothesis import event, given, settings, strategies as st
 
+from concat_equidist.exactnum import digits_to_int, int_to_digits
 from concat_equidist.seqgen import (
     ChampernowneTail,
     DomainError,
@@ -9,6 +10,7 @@ from concat_equidist.seqgen import (
     MultipleTail,
     PolyTail,
     tail_digits,
+    tail_prefixes,
     term,
 )
 
@@ -127,6 +129,88 @@ class TestTailDigits:
     def test_base_parametric(self):
         # champ tail in base 2 starting at 1: 1, 10, 11, 100, ...
         assert str(tail_digits(ChampernowneTail(base=2), 1, 8)) == "11011100"
+
+
+@st.composite
+def prefix_specs(draw):
+    """A tail in base 2-36: champ, k up to 10^18 (terms longer than p), or a
+    polynomial of degree 1-3 whose constant term mostly pushes n_min above 1."""
+    base = draw(st.integers(2, 36))
+    kind = draw(st.sampled_from(["champ", "mult", "poly"]))
+    if kind == "champ":
+        return ChampernowneTail(base)
+    if kind == "mult":
+        return MultipleTail(draw(st.one_of(st.integers(1, 50), st.integers(1, 10**18))), base)
+    degree = draw(st.integers(1, 3))
+    constant = draw(st.integers(-60, 5))
+    middle = draw(st.lists(st.integers(-20, 20), min_size=degree - 1, max_size=degree - 1))
+    return PolyTail(IntPoly((constant, *middle, draw(st.integers(1, 4)))), base)
+
+
+@st.composite
+def prefix_cases(draw):
+    """(spec, n, count, p) with n often a few indices below the last term
+    that is shorter than base^j digits, so the window crosses a digit-length
+    boundary."""
+    spec = draw(prefix_specs())
+    if draw(st.booleans()):
+        j = draw(st.integers(1, 24))
+        last_short = spec.n_min + spec.index_le(spec.base**j - 1) - 1
+        n = max(spec.n_min, last_short - draw(st.integers(0, 5)))
+    else:
+        n = spec.n_min + draw(st.integers(0, 3000))
+    return spec, n, draw(st.integers(0, 40)), draw(st.integers(1, 60))
+
+
+class CountingTail:
+    """Wraps a tail and records every index whose term is evaluated."""
+
+    def __init__(self, spec):
+        self.spec, self.base, self.n_min, self.evaluated = spec, spec.base, spec.n_min, []
+
+    def term(self, n, offset=0):
+        self.evaluated.append(n + offset)
+        return self.spec.term(n, offset)
+
+
+class TestTailPrefixes:
+    @settings(max_examples=500)
+    @given(prefix_cases())
+    def test_matches_tail_digits(self, case):
+        spec, n, count, p = case
+        expected = [digits_to_int(tail_digits(spec, m, p)) for m in range(n, n + count)]
+        assert list(tail_prefixes(spec, n, count, p)) == expected
+
+    @settings(max_examples=100)
+    @given(prefix_cases())
+    def test_reads_each_term_once(self, case):
+        spec, n, count, p = case
+        counted = CountingTail(spec)
+        list(tail_prefixes(counted, n, count, p))
+        # from the last start on, exactly the terms that give its p digits
+        stop = n + count - 1
+        digits = 0
+        while count and digits < p:
+            digits += len(int_to_digits(spec.term(stop), spec.base))
+            stop += 1
+        assert counted.evaluated == list(range(n, stop if count else n))
+
+    def test_champ_crossing_into_five_digits(self):
+        got = list(tail_prefixes(ChampernowneTail(), 9998, 3, 18))
+        assert got == [999899991000010001, 999910000100011000, 100001000110002100]
+
+    def test_is_lazy(self):
+        prefixes = tail_prefixes(ChampernowneTail(), 1, 10**15, 18)
+        assert next(prefixes) == 123456789101112131
+
+    def test_rejects_nonpositive_p(self):
+        with pytest.raises(ValueError, match="p must be >= 1, got 0"):
+            list(tail_prefixes(ChampernowneTail(), 1, 5, 0))
+
+    def test_rejects_index_below_n_min(self):
+        spec = PolyTail(IntPoly((10, -10, 1)))
+        with pytest.raises(DomainError):
+            list(tail_prefixes(spec, spec.n_min - 1, 5, 18))
 
 
 class TestIntPoly:
