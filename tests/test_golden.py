@@ -6,8 +6,12 @@ streaming, and the large-constant scans before n_min was certified by root
 isolation, when it was found by checking every index.  The ``tail``,
 ``discrepancy`` and ``benford`` cases were recorded while the Champernowne
 tail was a class of its own, membership was streamed through per-term digit
-tuples and the leading digits of every term were read with str().  Any
-refactor of these paths must reproduce them byte for byte.  To record them
+tuples and the leading digits of every term were read with str().  The
+base-2 and base-16 ``discrepancy`` cases, the 12000-point and shifted-square
+ones and the ``benford --file`` and ``--k 0`` cases were recorded while
+discrepancy prefixes were still rebuilt per index from digit tuples and
+Benford read every term's digits twice.  Any refactor of these paths must
+reproduce them byte for byte.  To record them
 again after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
