@@ -90,6 +90,12 @@ CASES = [
     ("discrepancy_mult5_base16", ["discrepancy", "--kind", "mult", "--k", "5", "--base", "16", "--N", "2000", *JSON], 0),
     ("discrepancy_champ_12000", ["discrepancy", *CHAMP, "--N", "12000"], 0),
     ("discrepancy_shifted_square", ["discrepancy", "--kind", "poly", "--coeffs=5,-3,1", "--N", "3000", "--weyl-h", "3", *JSON], 0),
+    # a polynomial tail started at n_min = 9, and one index below its domain
+    ("tail_poly_n_min_9", ["tail", "--kind", "poly", "--coeffs=10,-10,1", "--n", "9", "--digits", "80"], 0),
+    ("tail_poly_below_n_min", ["tail", "--kind", "poly", "--coeffs=10,-10,1", "--n", "8", "--digits", "80"], 2),
+    # Benford terms of a polynomial from n_min = 458, and a negative multiplier
+    ("benford_poly_n_min_458", ["benford", "--gen", "poly", "--coeffs=-420000,5,2", "--N", "2000"], 0),
+    ("benford_mult_k_negative", ["benford", "--gen", "mult", "--k", "-3", "--N", "10"], 1),
     # an endpoint that is a long prefix of x_1: membership stays undecided
     (
         "count_undecided",
