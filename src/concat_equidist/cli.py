@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -51,15 +52,17 @@ def _jsonify(x):
 
 
 def _build_spec(args) -> TailSpec:
+    """The family named by ``--kind``, or by benford's ``--gen`` (naturals is champ)."""
+    option, kind = ("--gen", args.gen) if hasattr(args, "gen") else ("--kind", args.kind)
     base = getattr(args, "base", 10)
-    if args.kind == "champ":
+    if kind in ("champ", "naturals"):
         return ChampernowneTail(base)
-    if args.kind == "mult":
+    if kind == "mult":
         if args.k is None:
-            raise UsageError("--kind mult requires --k")
+            raise UsageError(f"{option} mult requires --k")
         return MultipleTail(args.k, base)
-    if args.coeffs is None:  # --kind poly
-        raise UsageError("--kind poly requires --coeffs")
+    if args.coeffs is None:  # poly
+        raise UsageError(f"{option} poly requires --coeffs")
     return PolyTail(IntPoly.parse(args.coeffs), base)
 
 
@@ -144,11 +147,10 @@ def cmd_count(args) -> int:
 def cmd_scan(args) -> int:
     spec = _build_spec(args)
     interval = _interval(args)
-    if isinstance(spec, PolyTail):
-        _check_cap(args.jmax, DEFAULT_JMAX_POLY_CAP, "Jmax", args.unsafe_uncapped)
-    else:
-        _check_cap(args.jmax, DEFAULT_JMAX_CAP, "jmax", args.unsafe_uncapped)
-    points = asymptotics.scan_points(spec, args.jmax)
+    cap, name = (DEFAULT_JMAX_POLY_CAP, "Jmax") if isinstance(spec, PolyTail) else (DEFAULT_JMAX_CAP, "jmax")
+    jmax = cap if args.jmax is None else args.jmax
+    _check_cap(jmax, cap, name, args.unsafe_uncapped)
+    points = asymptotics.scan_points(spec, jmax)
     report = asymptotics.ratio_scan(spec, interval, points)
     rows = [
         {
@@ -190,29 +192,19 @@ def _read_terms_file(path: str) -> list[int]:
     return terms
 
 
-def _generated_terms(args) -> list[int]:
-    _check_cap(args.N, DEFAULT_N_CAP, "N", args.unsafe_uncapped)
-    if args.gen == "naturals":
-        return list(range(1, args.N + 1))
-    if args.gen == "pow2":
-        return [1 << n for n in range(1, args.N + 1)]
-    if args.gen == "mult":
-        if args.k is None:
-            raise UsageError("--gen mult requires --k")
-        return [args.k * n for n in range(1, args.N + 1)]
-    if args.coeffs is None:  # --gen poly
-        raise UsageError("--gen poly requires --coeffs")
-    poly = IntPoly.parse(args.coeffs)
-    return [poly.eval(n) for n in range(poly.n_min, poly.n_min + args.N)]
-
-
 def cmd_benford(args) -> int:
     if args.file:
         terms = _read_terms_file(args.file)
     elif args.gen:
         if args.N is None:
             raise UsageError("--gen requires --N")
-        terms = _generated_terms(args)
+        _check_cap(args.N, DEFAULT_N_CAP, "N", args.unsafe_uncapped)
+        count = max(args.N, 0)  # islice rejects a negative stop; no terms is "empty term stream"
+        if args.gen == "pow2":
+            terms = (1 << n for n in range(1, count + 1))
+        else:
+            spec = _build_spec(args)
+            terms = itertools.islice(spec.terms(spec.n_min), count)
     else:
         raise UsageError("benford requires --gen or --file")
     report = equidist.benford_report(terms)
@@ -343,8 +335,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "command", None) == "scan" and args.jmax is None:
-            args.jmax = DEFAULT_JMAX_POLY_CAP if args.kind == "poly" else DEFAULT_JMAX_CAP
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

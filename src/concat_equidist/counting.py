@@ -2,19 +2,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 # bench/tracer.py wraps term, compare_prefix (unused here), int_to_digits and
 # default_max_digits at these module-level names, so they must stay here.
-from .exactnum import (
-    STR_BELOW,
-    DigitString,
-    HalfOpenInterval,
-    compare_prefix,
-    decimal_head,
-    digit_length,
-    int_to_digits,
-)
+from .exactnum import DigitString, HalfOpenInterval, compare_prefix, digit_length, int_to_digits
 from .seqgen import TailSpec, term
 
 
@@ -39,46 +30,6 @@ class CountResult:
     digits_consulted_max: int
 
 
-def leading_digit(m: int, base: int = 10) -> int:
-    """Most significant digit of the base-b expansion of m >= 1."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if base == 10:
-        # below STR_BELOW, str() is exact and skips a call per term
-        return int((str(m) if m < STR_BELOW else decimal_head(m)[1])[0])
-    while m >= base:
-        m //= base
-    return m
-
-
-def census(terms: Iterable[int], base: int = 10) -> list[int]:
-    """Leading-digit counts for a stream of positive integers.
-
-    Returns a list indexed by digit - 1 (length base - 1); counts sum to the
-    stream length.
-    """
-    counts = [0] * (base - 1)
-    empty = True
-    for m in terms:
-        counts[leading_digit(m, base) - 1] += 1
-        empty = False
-    if empty:
-        raise ValueError("empty term stream")
-    return counts
-
-
-def _leading_window(interval: HalfOpenInterval) -> tuple[int, int, int]:
-    """(L, lo_L, hi_L): the endpoints as L-digit integers, L their longer length.
-
-    For a term a of at least L digits, x = 0.a... lies in [lo, hi) exactly
-    when lo_L <= (leading L digits of a) < hi_L: the digits after the first L
-    add a value in (0, b^-L), which never reaches the next L-digit step.
-    """
-    lo, hi = interval.lo, interval.hi
-    L = max(len(lo.digits), len(hi.digits), 1)
-    return L, lo.scaled(L), hi.scaled(L)
-
-
 def default_max_digits(spec: TailSpec, n: int) -> int:
     """Digit budget before membership is declared undecided."""
     return 4 * digit_length(term(spec, n, 0), spec.base) + 16
@@ -94,7 +45,7 @@ def _membership_stream(
     heads leave an endpoint undecided while the prefix is shorter than it.
     """
     base = spec.base
-    L, lo_L, hi_L = _leading_window(interval)
+    L, lo_L, hi_L = interval.window
     lo_len, hi_len = len(interval.lo.digits), len(interval.hi.digits)
     prefix = used = offset = 0
     while used < max_digits:
@@ -128,7 +79,7 @@ def in_interval(
     if spec.base != interval.base:
         raise ValueError(f"base mismatch: spec base {spec.base} vs interval base {interval.base}")
     if fast:
-        L, lo_L, hi_L = _leading_window(interval)
+        L, lo_L, hi_L = interval.window
         a = term(spec, n, 0)
         length = digit_length(a, spec.base)
         if length >= L and (max_digits is None or max_digits >= L):
@@ -167,7 +118,7 @@ def count_A(
     base = spec.base
     start = spec.n_min
     stop = start + N
-    L, lo_L, hi_L = _leading_window(interval)
+    L, lo_L, hi_L = interval.window
     if fast and (max_digits is None or max_digits >= L):
         # indices whose first term has fewer than L digits come first
         short = min(spec.index_le(base ** (L - 1) - 1), N)

@@ -11,7 +11,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .counting import census  # unused here; bench/tracer.py wraps equidist.census
 from .exactnum import HEAD_DIGITS, STR_BELOW, ExactEndpoint, decimal_head
 from .seqgen import IntPoly
 
@@ -125,6 +124,33 @@ def _digit_and_fracpart(m: int) -> tuple[int, float]:
     mant = s[:HEAD_DIGITS]
     frac = math.log10(int(mant)) - (len(mant) - 1)
     return int(s[0]), frac % 1.0
+
+
+def leading_digit(m: int, base: int = 10) -> int:
+    """Most significant digit of the base-b expansion of m >= 1."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if base == 10:
+        return int(decimal_head(m)[1][0])
+    while m >= base:
+        m //= base
+    return m
+
+
+def census(terms: Iterable[int], base: int = 10) -> list[int]:
+    """Leading-digit counts for a stream of positive integers.
+
+    Returns a list indexed by digit - 1 (length base - 1); counts sum to the
+    stream length.
+    """
+    counts = [0] * (base - 1)
+    empty = True
+    for m in terms:
+        counts[leading_digit(m, base) - 1] += 1
+        empty = False
+    if empty:
+        raise ValueError("empty term stream")
+    return counts
 
 
 def log_fracparts(terms: Iterable[int]) -> PointSet:

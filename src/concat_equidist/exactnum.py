@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 MIN_BASE = 2
 MAX_BASE = 36
@@ -240,6 +241,18 @@ class HalfOpenInterval:
     @classmethod
     def parse(cls, lo: str, hi: str, base: int = 10) -> "HalfOpenInterval":
         return cls(ExactEndpoint.parse(lo, base), ExactEndpoint.parse(hi, base))
+
+    @cached_property
+    def window(self) -> tuple[int, int, int]:
+        """(L, lo_L, hi_L): the endpoints as L-digit integers, L their longer length.
+
+        For a term a of at least L digits, x = 0.a... lies in [lo, hi) exactly
+        when lo_L <= (leading L digits of a) < hi_L: the digits after the first
+        L add a value in (0, b^-L), which never reaches the next L-digit step.
+        Computed on first use and cached, like ``IntPoly.n_min``.
+        """
+        L = max(len(self.lo.digits), len(self.hi.digits), 1)
+        return L, self.lo.scaled(L), self.hi.scaled(L)
 
     def __str__(self) -> str:
         return f"[{self.lo},{self.hi})"

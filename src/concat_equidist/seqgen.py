@@ -3,11 +3,14 @@
 Two families are supported: the multiple-of-k tail 0.(kn)(k(n+1))..., whose
 k = 1 case is the Champernowne tail 0.(n)(n+1)(n+2)..., and the polynomial
 tail 0.f(n)f(n+1)... for an eventually increasing integer polynomial f.
-Each family also counts its terms up to a bound in closed form
-(``index_le``), which exact counting uses decade by decade.
+Each family streams its consecutive terms (``terms``), the one route by
+which tail digits and prefixes walk a sequence, and counts its terms up to a
+bound in closed form (``index_le``), which exact counting uses decade by
+decade.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -238,6 +241,11 @@ class MultipleTail:
         _check_index(self, n, offset)
         return self.k * (n + offset)
 
+    def terms(self, n: int) -> Iterator[int]:
+        """The consecutive terms a_n, a_{n+1}, ..., with the domain checked once."""
+        _check_index(self, n, 0)
+        return itertools.count(self.k * n, self.k)
+
     def index_le(self, m: int) -> int:
         """#{n >= n_min : a_n <= m}."""
         return max(m // self.k, 0)
@@ -265,6 +273,11 @@ class PolyTail:
     def term(self, n: int, offset: int = 0) -> int:
         _check_index(self, n, offset)
         return self.poly.eval(n + offset)
+
+    def terms(self, n: int) -> Iterator[int]:
+        """The consecutive terms a_n, a_{n+1}, ..., with the domain checked once."""
+        _check_index(self, n, 0)
+        return map(self.poly.eval, itertools.count(n))
 
     def index_le(self, m: int) -> int:
         """#{n >= n_min : a_n <= m}."""
@@ -315,12 +328,10 @@ def tail_digits(spec: TailSpec, n: int, p: int) -> DigitString:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    _check_index(spec, n, 0)
+    terms = spec.terms(n)
     out: list[int] = []
-    offset = 0
     while len(out) < p:
-        out.extend(int_to_digits(spec.term(n, offset), spec.base).digits)
-        offset += 1
+        out.extend(int_to_digits(next(terms), spec.base).digits)
     return DigitString(spec.base, tuple(out[:p]))
 
 
@@ -338,16 +349,14 @@ def tail_prefixes(spec: TailSpec, n: int, count: int, p: int) -> Iterator[int]:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    _check_index(spec, n, 0)
+    terms = spec.terms(n)
     base = spec.base
     length, bound = 1, base  # base**(length - 1) <= the next term < bound = base**length
     lengths: deque[int] = deque()
     window = used = 0
-    nxt = n
     for _ in range(count):
         while used < p:
-            a = spec.term(nxt)
-            nxt += 1
+            a = next(terms)
             while a >= bound:
                 bound *= base
                 length += 1

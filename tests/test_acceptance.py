@@ -18,8 +18,8 @@ from concat_equidist.asymptotics import (
     subsequence_points_linear,
     y_sequence,
 )
-from concat_equidist.counting import census, count_A, in_interval, leading_digit
-from concat_equidist.equidist import benford_report, log_fracparts, star_discrepancy, PointSet
+from concat_equidist.counting import count_A, in_interval
+from concat_equidist.equidist import benford_report, census, leading_digit, log_fracparts, star_discrepancy, PointSet
 from concat_equidist.exactnum import HalfOpenInterval
 from concat_equidist.seqgen import ChampernowneTail, IntPoly, MultipleTail, PolyTail, term
 

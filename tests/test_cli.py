@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -139,6 +140,39 @@ class TestBenford:
         _, meta = read_csv(out)
         assert meta["N"] == "15000"
         assert float(meta["max_abs_gap"]) <= 0.01
+
+    def test_pow2_terms_are_streamed(self, capsys):
+        # held in one list, 2^1 ... 2^8000 alone take about 4.5 MiB
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "benford", "--gen", "pow2", "--N", "8000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize(
+        "gen,message",
+        [(["--gen", "mult"], "--gen mult requires --k"), (["--gen", "poly"], "--gen poly requires --coeffs")],
+    )
+    def test_gen_requires_its_parameter(self, capsys, gen, message):
+        code, out, err = run(capsys, "benford", *gen, "--N", "10")
+        assert (code, out) == (1, "")
+        assert message in err
+
+    @pytest.mark.parametrize("N", ["0", "-5"])
+    @pytest.mark.parametrize("gen", [["naturals"], ["pow2"], ["mult", "--k", "3"], ["poly", "--coeffs", "0,0,1"]])
+    def test_no_terms_is_an_empty_stream(self, capsys, gen, N):
+        code, out, err = run(capsys, "benford", "--gen", *gen, "--N", N)
+        assert (code, out) == (1, "")
+        assert "empty term stream" in err
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_nonpositive_k_is_rejected_by_the_family(self, capsys, k):
+        code, out, err = run(capsys, "benford", "--gen", "mult", "--k", k, "--N", "10")
+        assert (code, out) == (1, "")
+        assert f"k must be >= 1, got {k}" in err
 
     def test_file_of_ones(self, capsys, tmp_path):
         path = tmp_path / "ones.txt"

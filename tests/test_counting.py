@@ -5,12 +5,11 @@ from concat_equidist.asymptotics import lemma1_main_term
 from concat_equidist.counting import (
     UndecidedMembershipError,
     _membership_stream,
-    census,
     count_A,
     default_max_digits,
     in_interval,
-    leading_digit,
 )
+from concat_equidist.equidist import census, leading_digit
 from concat_equidist.exactnum import (
     DigitString,
     ExactEndpoint,

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from concat_equidist.counting import census, leading_digit
 from concat_equidist.equidist import (
     BENFORD_FREQ,
     BenfordReport,
     PointSet,
     benford_report,
+    census,
+    leading_digit,
     log10_fracpart,
     log10_int,
     log_fracparts,

@@ -220,3 +220,20 @@ class TestHalfOpenInterval:
     def test_base_mismatch(self):
         with pytest.raises(ValueError):
             HalfOpenInterval(ExactEndpoint.parse("0.1", 10), ExactEndpoint.parse("0.2", 16))
+
+    @pytest.mark.parametrize(
+        "lo,hi,base,window",
+        [
+            ("0.1", "0.2", 10, (1, 1, 2)),
+            ("0.123", "0.1231", 10, (4, 1230, 1231)),
+            ("0", "0.1", 10, (1, 0, 1)),
+            ("0.9", "1", 10, (1, 9, 10)),
+            ("0", "1", 10, (1, 0, 10)),
+            ("0.101", "0.11", 2, (3, 5, 6)),
+        ],
+    )
+    def test_window(self, lo, hi, base, window):
+        interval = HalfOpenInterval.parse(lo, hi, base)
+        assert interval.window == window
+        assert interval.window is interval.window  # computed once per interval
+        assert interval == HalfOpenInterval.parse(lo, hi, base)  # the cache is not a field

@@ -10,9 +10,12 @@ tuples and the leading digits of every term were read with str().  The
 base-2 and base-16 ``discrepancy`` cases, the 12000-point and shifted-square
 ones and the ``benford --file`` and ``--k 0`` cases were recorded while
 discrepancy prefixes were still rebuilt per index from digit tuples and
-Benford read every term's digits twice.  Any refactor of these paths must
-reproduce them byte for byte.  To record them
-again after a deliberate output change, run
+Benford read every term's digits twice.  The ``tail`` and ``benford`` cases
+of polynomials with n_min > 1 and the negative-k ``benford`` case were
+recorded while ``benford --gen`` built its own list of terms and the tail
+functions evaluated each term through ``spec.term``, before the families
+streamed their terms.  Any refactor of these paths must reproduce them byte
+for byte.  To record them again after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 import contextlib
@@ -82,7 +85,7 @@ CASES = [
     # c*10^k terms, a 17-digit head of zeros with a later nonzero digit, and
     # terms at or above 10^256, whose heads are read without str()
     ("benford_file", ["benford", "--file", str(GOLDEN_DIR / "benford_terms.txt")], 0),
-    # a zero term is rejected before any output
+    # k = 0 is rejected before any output
     ("benford_mult_k0", ["benford", "--gen", "mult", "--k", "0", "--N", "10"], 1),
     # prefixes in bases 2 and 16, across the 4-to-5-digit boundary, and of a
     # polynomial tail with n_min > 1

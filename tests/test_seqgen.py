@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hypothesis import event, given, settings, strategies as st
@@ -171,6 +173,30 @@ class CountingTail:
     def term(self, n, offset=0):
         self.evaluated.append(n + offset)
         return self.spec.term(n, offset)
+
+    def terms(self, n):
+        for m, a in zip(itertools.count(n), self.spec.terms(n)):
+            self.evaluated.append(m)
+            yield a
+
+
+class TestTerms:
+    @settings(max_examples=300)
+    @given(prefix_specs(), st.one_of(st.integers(0, 50), st.integers(0, 10**30)), st.integers(0, 40))
+    def test_matches_term(self, spec, shift, c):
+        n = spec.n_min + shift
+        assert list(itertools.islice(spec.terms(n), c)) == [spec.term(m) for m in range(n, n + c)]
+
+    @settings(max_examples=100)
+    @given(prefix_specs(), st.integers(1, 50))
+    def test_below_n_min_raises_the_term_message(self, spec, below):
+        n = spec.n_min - below
+        with pytest.raises(DomainError) as from_term:
+            spec.term(n)
+        # raised when the stream is requested, before any term is read
+        with pytest.raises(DomainError) as from_terms:
+            spec.terms(n)
+        assert str(from_terms.value) == str(from_term.value)
 
 
 class TestTailPrefixes:
