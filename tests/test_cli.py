@@ -141,11 +141,13 @@ class TestBenford:
         assert meta["N"] == "15000"
         assert float(meta["max_abs_gap"]) <= 0.01
 
-    def test_pow2_terms_are_streamed(self, capsys):
-        # held in one list, 2^1 ... 2^8000 alone take about 4.5 MiB
+    @pytest.mark.parametrize("gen", [["pow2"], ["mult", "--k", str(10**1000)]], ids=["pow2", "mult-1001-digit-k"])
+    def test_terms_are_streamed(self, capsys, gen):
+        # held in one list, 2^1 ... 2^8000 take about 4.5 MiB and k, ..., 8000k
+        # for a 1001-digit k about 3.5 MiB; streamed, the peak stays near 0.7 MiB
         tracemalloc.start()
         try:
-            code, _, err = run(capsys, "benford", "--gen", "pow2", "--N", "8000")
+            code, _, err = run(capsys, "benford", "--gen", *gen, "--N", "8000")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -168,11 +168,7 @@ class CountingTail:
     """Wraps a tail and records every index whose term is evaluated."""
 
     def __init__(self, spec):
-        self.spec, self.base, self.n_min, self.evaluated = spec, spec.base, spec.n_min, []
-
-    def term(self, n, offset=0):
-        self.evaluated.append(n + offset)
-        return self.spec.term(n, offset)
+        self.spec, self.base, self.evaluated = spec, spec.base, []
 
     def terms(self, n):
         for m, a in zip(itertools.count(n), self.spec.terms(n)):
