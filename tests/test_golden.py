@@ -14,7 +14,10 @@ Benford read every term's digits twice.  The ``tail`` and ``benford`` cases
 of polynomials with n_min > 1 and the negative-k ``benford`` case were
 recorded while ``benford --gen`` built its own list of terms and the tail
 functions evaluated each term through ``spec.term``, before the families
-streamed their terms.  Any refactor of these paths must reproduce them byte
+streamed their terms.  The ``benford`` cases at 4095-4097 terms and of n^6,
+and the degree-5 ``discrepancy`` case, were recorded while ``benford_report``
+read one term at a time and polynomial terms were evaluated by Horner's rule
+per index.  Any refactor of these paths must reproduce them byte
 for byte.  To record them again after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -99,6 +102,17 @@ CASES = [
     # Benford terms of a polynomial from n_min = 458, and a negative multiplier
     ("benford_poly_n_min_458", ["benford", "--gen", "poly", "--coeffs=-420000,5,2", "--N", "2000"], 0),
     ("benford_mult_k_negative", ["benford", "--gen", "mult", "--k", "-3", "--N", "10"], 1),
+    # term counts one below, at and one above the Benford pass's batch of 4096
+    ("benford_naturals_4095", ["benford", "--gen", "naturals", "--N", "4095"], 0),
+    ("benford_naturals_4096", ["benford", "--gen", "naturals", "--N", "4096", *JSON], 0),
+    ("benford_naturals_4097", ["benford", "--gen", "naturals", "--N", "4097"], 0),
+    # n^6 passes 10^17 inside the family stream; a degree-5 tail's prefixes
+    ("benford_poly_degree6", ["benford", "--gen", "poly", "--coeffs=0,0,0,0,0,0,1", "--N", "2000"], 0),
+    (
+        "discrepancy_poly_degree5",
+        ["discrepancy", "--kind", "poly", "--coeffs=3,-7,0,2,0,1", "--N", "3000", "--weyl-h", "2"],
+        0,
+    ),
     # an endpoint that is a long prefix of x_1: membership stays undecided
     (
         "count_undecided",
