@@ -5,9 +5,10 @@ characterization "strong Benford iff {log10 a_i} is u.d. mod 1".
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -17,24 +18,33 @@ from .seqgen import IntPoly
 BENFORD_FREQ = tuple(math.log10(1 + 1 / c) for c in range(1, 10))
 
 
-@dataclass(frozen=True)
 class PointSet:
-    """A finite multiset of reals in [0, 1)."""
+    """A finite multiset of reals in [0, 1), held as one read-only float64 array.
 
-    values: tuple[float, ...]
+    The values are checked once, on construction; ``values`` gives them back
+    as a tuple of Python floats, -0.0 included.
+    """
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+    __slots__ = ("array",)
+
+    def __init__(self, values: Sequence[float] | np.ndarray) -> None:
+        v = np.array(values, dtype=np.float64)
         # one vectorised pass; NaN fails both comparisons, -0.0 passes
         if not np.all((v >= 0.0) & (v < 1.0)):
             raise ValueError("all points must lie in [0, 1)")
+        v.flags.writeable = False
+        self.array = v
 
     @classmethod
     def of(cls, values: Iterable[float]) -> "PointSet":
-        return cls(tuple(map(float, values)))
+        return cls(np.fromiter(values, dtype=np.float64))
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self.array.tolist())
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.array)
 
 
 @dataclass(frozen=True)
@@ -54,7 +64,7 @@ def star_discrepancy(points: PointSet) -> float:
     n = len(points)
     if n == 0:
         raise ValueError("empty point set")
-    v = np.sort(np.asarray(points.values))
+    v = np.sort(points.array)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - v), np.max(v - (i - 1) / n)))
 
@@ -69,13 +79,13 @@ def ud_deviation(points: PointSet, alpha: ExactEndpoint, beta: ExactEndpoint) ->
     b = float(beta.value())
     if not a < b:
         raise ValueError("require alpha < beta")
-    v = np.asarray(points.values)
+    v = points.array
     if len(v) == 0:
         raise ValueError("empty point set")
     if np.any(v < a) or np.any(v >= b):
         raise ValueError(f"point outside [{alpha}, {beta})")
     rescaled = np.minimum((v - a) / (b - a), np.nextafter(1.0, 0.0))
-    return star_discrepancy(PointSet.of(rescaled.tolist()))
+    return star_discrepancy(PointSet(rescaled))
 
 
 def weyl_sum(points: PointSet, h: int) -> float:
@@ -84,7 +94,7 @@ def weyl_sum(points: PointSet, h: int) -> float:
         raise ValueError("h must be nonzero")
     if len(points) == 0:
         raise ValueError("empty point set")
-    v = np.asarray(points.values)
+    v = points.array
     return float(abs(np.exp(2j * np.pi * h * v).mean()))
 
 
@@ -155,29 +165,70 @@ def census(terms: Iterable[int], base: int = 10) -> list[int]:
 
 def log_fracparts(terms: Iterable[int]) -> PointSet:
     """{log10 a_i} for a stream of positive integers."""
-    return PointSet.of(log10_fracpart(m) for m in terms)
+    return PointSet(_benford_parts(terms)[1])
 
 
 def benford_report(terms: Iterable[int]) -> BenfordReport:
     """Leading-digit frequencies vs the Benford reference, plus log-discrepancy.
 
-    One pass reads each term's decimal digits once and takes both its
+    One batched pass reads each term's decimal digits once and takes both its
     leading digit and {log10 a_i} from them; the results equal those of
     ``census`` and ``star_discrepancy(log_fracparts(terms))``.
     """
-    counts = [0] * 9
-    fracs = []
-    for m in terms:
-        digit, frac = _digit_and_fracpart(m)
-        counts[digit - 1] += 1
-        fracs.append(frac)
+    counts, fracs = _benford_parts(terms)
     n = len(fracs)
     if not n:
         raise ValueError("empty term stream")
     freq = tuple(c / n for c in counts)
     gap = max(abs(f - b) for f, b in zip(freq, BENFORD_FREQ))
-    disc = star_discrepancy(PointSet.of(fracs))
+    disc = star_discrepancy(PointSet(fracs))
     return BenfordReport(n, freq, BENFORD_FREQ, gap, disc)
+
+
+_BATCH = 4096  # terms per NumPy batch of the Benford pass
+_POW10 = 10 ** np.arange(HEAD_DIGITS + 1, dtype=np.int64)  # 10^0 ... 10^17
+_HEAD_BELOW = 10**HEAD_DIGITS
+
+
+def _mantissa(m: int) -> int:
+    """The digits of m >= 1 that ``_digit_and_fracpart`` reads, as an int below 10^18.
+
+    Below 10^17 that is m itself: ``_benford_parts`` strips its trailing
+    zeros.  From 10^17 on it is the 17-digit ``decimal_head``; when a later
+    digit is nonzero the head keeps its own trailing zeros, so a guard digit
+    1 is appended, which stripping stops at and ``_benford_parts`` removes.
+    """
+    if m < _HEAD_BELOW:
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        return m
+    _, head, exact = decimal_head(m)
+    return int(head) if exact else 10 * int(head) + 1
+
+
+def _benford_parts(terms: Iterable[int]) -> tuple[list[int], np.ndarray]:
+    """(leading-digit counts, {log10 a_i}) for a stream of positive integers.
+
+    Bitwise equal to ``_digit_and_fracpart`` term by term.  The stream is
+    read in batches of ``_BATCH`` terms, each reduced to its ``_mantissa``
+    as it is read, so no batch holds a big integer.  NumPy does the integer
+    work on each batch; the logarithms come from ``math.log10`` on the same
+    integers, because ``np.log10`` may round differently.
+    """
+    terms = iter(terms)
+    counts = np.zeros(10, dtype=np.int64)
+    parts = []
+    while (mant := np.fromiter(map(_mantissa, itertools.islice(terms, _BATCH)), dtype=np.int64)).size:
+        tens = np.flatnonzero(mant % 10 == 0)
+        while tens.size:
+            mant[tens] //= 10
+            tens = tens[mant[tens] % 10 == 0]
+        mant[mant >= _HEAD_BELOW] //= 10  # drop the guard digits
+        length = np.searchsorted(_POW10, mant, side="right")
+        counts += np.bincount(mant // _POW10[length - 1], minlength=10)
+        logs = np.fromiter(map(math.log10, mant.tolist()), dtype=np.float64, count=mant.size)
+        parts.append((logs - (length - 1)) % 1.0)
+    return counts[1:].tolist(), np.concatenate(parts) if parts else np.empty(0)
 
 
 def poly_log_ratio(poly: IntPoly, n: int, base: int = 10) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 MIN_BASE = 2
 MAX_BASE = 36
@@ -81,6 +81,14 @@ HEAD_DIGITS = 17  # enough for >= 12 correct fractional digits of log10
 STR_BELOW = 10**256
 
 
+@lru_cache(maxsize=8)
+def _pow10(e: int) -> int:
+    """10**e, kept for the few most recent e: terms of a growing stream, such
+    as consecutive powers of two, share e several times in a row, and
+    building 10**e costs about ten times the division by it."""
+    return 10**e
+
+
 def decimal_head(m: int) -> tuple[int, str, bool]:
     """(n, head, exact) for m >= 1: its decimal digit count n, its leading
     min(n, HEAD_DIGITS) digits as a string, and whether every later digit is 0.
@@ -93,7 +101,7 @@ def decimal_head(m: int) -> tuple[int, str, bool]:
         return len(s), s[:HEAD_DIGITS], not s[HEAD_DIGITS:].strip("0")
     # 0.30102999 < log10(2), so m has at least e + HEAD_DIGITS digits
     e = (m.bit_length() - 1) * 30102999 // 10**8 + 1 - HEAD_DIGITS
-    q, r = divmod(m, 10**e)
+    q, r = divmod(m, _pow10(e))
     s = str(q)
     return e + len(s), s[:HEAD_DIGITS], not r and not s[HEAD_DIGITS:].strip("0")
 

@@ -4,9 +4,11 @@ Two families are supported: the multiple-of-k tail 0.(kn)(k(n+1))..., whose
 k = 1 case is the Champernowne tail 0.(n)(n+1)(n+2)..., and the polynomial
 tail 0.f(n)f(n+1)... for an eventually increasing integer polynomial f.
 Each family streams its consecutive terms (``terms``), the one route by
-which tail digits and prefixes walk a sequence, and counts its terms up to a
-bound in closed form (``index_le``), which exact counting uses decade by
-decade.
+which tail digits, prefixes and the Benford pass walk a sequence, and counts
+its terms up to a bound in closed form (``index_le``), which exact counting
+uses decade by decade.  A polynomial's stream is a difference table: d
+nested running sums over the constant d-th difference, so each term costs d
+exact integer additions (Knuth, TAOCP vol. 2, §4.6.4).
 """
 from __future__ import annotations
 
@@ -275,9 +277,22 @@ class PolyTail:
         return self.poly.eval(n + offset)
 
     def terms(self, n: int) -> Iterator[int]:
-        """The consecutive terms a_n, a_{n+1}, ..., with the domain checked once."""
+        """The consecutive terms a_n, a_{n+1}, ..., with the domain checked once.
+
+        Tabulated by finite differences: f(n), ..., f(n + d) give the column
+        f(n), Δf(n), ..., Δ^d f(n), and since Δ^d f is the constant d! c_d,
+        each later term takes d integer additions instead of a Horner pass.
+        """
         _check_index(self, n, 0)
-        return map(self.poly.eval, itertools.count(n))
+        column = [self.poly.eval(n + i) for i in range(self.poly.degree + 1)]
+        for i in range(1, len(column)):
+            for j in range(len(column) - 1, i - 1, -1):
+                column[j] -= column[j - 1]
+        # Δ^i f(n), Δ^i f(n + 1), ... is the running sum of Δ^(i+1) f from Δ^i f(n)
+        stream: Iterator[int] = itertools.repeat(column[-1])
+        for start in reversed(column[:-1]):
+            stream = itertools.accumulate(stream, initial=start)
+        return stream
 
     def index_le(self, m: int) -> int:
         """#{n >= n_min : a_n <= m}."""

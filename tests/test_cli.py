@@ -141,10 +141,15 @@ class TestBenford:
         assert meta["N"] == "15000"
         assert float(meta["max_abs_gap"]) <= 0.01
 
-    @pytest.mark.parametrize("gen", [["pow2"], ["mult", "--k", str(10**1000)]], ids=["pow2", "mult-1001-digit-k"])
+    @pytest.mark.parametrize(
+        "gen",
+        [["pow2"], ["mult", "--k", str(10**1000)], ["poly", f"--coeffs={10**1000 + 7},3,1"]],
+        ids=["pow2", "mult-1001-digit-k", "poly-1001-digit-constant"],
+    )
     def test_terms_are_streamed(self, capsys, gen):
         # held in one list, 2^1 ... 2^8000 take about 4.5 MiB and k, ..., 8000k
-        # for a 1001-digit k about 3.5 MiB; streamed, the peak stays near 0.7 MiB
+        # for a 1001-digit k, or f(1), ..., f(8000) for a 1001-digit constant
+        # term, about 3.5 MiB; streamed, the peak stays near 0.7 MiB
         tracemalloc.start()
         try:
             code, _, err = run(capsys, "benford", "--gen", *gen, "--N", "8000")

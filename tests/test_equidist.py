@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from concat_equidist.equidist import (
+    _BATCH,
     BENFORD_FREQ,
     BenfordReport,
     PointSet,
+    _digit_and_fracpart,
     benford_report,
     census,
     leading_digit,
@@ -341,6 +344,84 @@ class TestFusedBenfordReport:
 
     def test_empty(self):
         assert _report_or_error([]) == ("empty term stream", "empty term stream")
+
+
+def per_term_report(terms):
+    """The report as it was built before the pass was batched: one
+    ``_digit_and_fracpart`` call per term."""
+    counts = [0] * 9
+    fracs = []
+    for m in terms:
+        digit, frac = _digit_and_fracpart(m)
+        counts[digit - 1] += 1
+        fracs.append(frac)
+    n = len(fracs)
+    freq = tuple(c / n for c in counts)
+    gap = max(abs(f - b) for f, b in zip(freq, BENFORD_FREQ))
+    return BenfordReport(n, freq, BENFORD_FREQ, gap, star_discrepancy(PointSet.of(fracs)))
+
+
+@st.composite
+def batch_terms(draw):
+    """One term of the kinds the batched pass treats apart."""
+    kind = draw(st.sampled_from(["small", "scaled", "nines", "wide", "huge_exact", "huge_zero_head"]))
+    if kind == "small":
+        return draw(st.integers(1, 10**6))
+    if kind == "scaled":  # c * 10^k: the trailing zeros are stripped
+        return draw(st.integers(1, 999)) * 10 ** draw(st.integers(0, 40))
+    if kind == "nines":  # 9-runs just below 10^15 ... 10^19
+        return 10 ** draw(st.integers(15, 19)) - draw(st.integers(1, 20))
+    if kind == "wide":  # 17 to 19 digits: read through the 17-digit head
+        return draw(st.integers(10**16, 10**19 - 1))
+    # past 10^256, where the head is read without str()
+    later = draw(st.integers(260, 400))
+    head = draw(st.integers(10**16, 10**17 - 1))
+    if kind == "huge_exact":
+        return head * 10**later
+    # a head ending in 0 followed by a nonzero digit: its zeros are kept
+    return (head // 10 * 10) * 10**later + draw(st.integers(1, 10**later - 1))
+
+
+@st.composite
+def batch_streams(draw):
+    """Streams one term long, around one batch and over several batches:
+    consecutive integers from a drawn start, every k-th replaced by a drawn term."""
+    n = draw(st.sampled_from([1, 2, _BATCH - 1, _BATCH, _BATCH + 1, 3 * _BATCH + 7]))
+    start = draw(st.one_of(
+        st.integers(1, 10**6),
+        st.integers(10**16 - 2 * _BATCH, 10**16 + 5),
+        st.integers(10**17 - 2 * _BATCH, 10**17 + 5),
+        st.integers(10**16, 10**19),
+    ))
+    pool = draw(st.lists(batch_terms(), min_size=1, max_size=12))
+    every = draw(st.integers(1, 5))
+    return [pool[i // every % len(pool)] if i % every == 0 else start + i for i in range(n)]
+
+
+class TestBatchedBenfordReport:
+    @settings(max_examples=120)
+    @given(batch_streams())
+    # a head whose log10 differs from that of the head with one more digit 1
+    @example([30299863170964240 * 10**300 + 1, 7])
+    def test_equals_per_term_oracle(self, terms):
+        # repr tells floats apart bit for bit and NumPy scalars from floats
+        assert repr(dataclasses.astuple(benford_report(iter(terms)))) == repr(
+            dataclasses.astuple(per_term_report(terms))
+        )
+
+    def test_log_fracparts_equal_per_term(self):
+        terms = [*range(1, _BATCH + 2), 10**16, 10**17 - 1, 2**900, 10**300, 1230 * 10**300 + 1]
+        assert log_fracparts(terms).values == tuple(_digit_and_fracpart(m)[1] for m in terms)
+
+    @pytest.mark.parametrize("position", [0, _BATCH - 1, _BATCH, _BATCH + 1])
+    def test_bad_term_stops_the_stream(self, position):
+        def stream():
+            yield from range(1, position + 1)
+            yield 0
+            raise AssertionError("read past the bad term")
+
+        with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+            benford_report(stream())
 
 
 class TestPolyLogRatio:

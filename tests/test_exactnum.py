@@ -1,5 +1,7 @@
-import pytest
+import sys
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from concat_equidist.exactnum import (
     HalfOpenInterval,
     PrefixOrder,
     compare_prefix,
+    decimal_head,
     digit_length,
     digits_to_int,
     int_to_digits,
@@ -237,3 +240,44 @@ class TestHalfOpenInterval:
         assert interval.window == window
         assert interval.window is interval.window  # computed once per interval
         assert interval == HalfOpenInterval.parse(lo, hi, base)  # the cache is not a field
+
+
+def str_decimal_head(m):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        s = str(m)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return len(s), s[:17], not s[17:].strip("0")
+
+
+# runs of terms that share a digit count, as consecutive powers of two do, and
+# c * 10^k, whose later digits are all zero
+head_runs = st.lists(
+    st.one_of(
+        st.integers(1, 6000).map(lambda b: 2**b),
+        st.tuples(st.integers(1, 10**20), st.integers(0, 3000)).map(lambda t: t[0] * 10 ** t[1]),
+        st.tuples(st.integers(250, 3000), st.integers(-5, 5)).map(lambda t: 10 ** t[0] + t[1]),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestDecimalHead:
+    """The powers of ten kept between calls never change an answer, whichever
+    order the terms come in."""
+
+    @settings(max_examples=150)
+    @given(head_runs, st.sampled_from(["increasing", "decreasing", "as drawn"]))
+    def test_equals_str_oracle_in_any_order(self, ms, order):
+        if order != "as drawn":
+            ms = sorted(ms, reverse=order == "decreasing")
+        ms = [m for m in ms for _ in range(3)]  # repeated terms hit the kept powers
+        assert [decimal_head(m) for m in ms] == [str_decimal_head(m) for m in ms]
+
+    def test_consecutive_powers_of_two(self):
+        ms = [2**b for b in range(850, 4000)]
+        assert [decimal_head(m) for m in ms] == [str_decimal_head(m) for m in ms]
+        assert [decimal_head(m) for m in reversed(ms)] == [str_decimal_head(m) for m in reversed(ms)]

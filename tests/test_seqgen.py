@@ -176,10 +176,23 @@ class CountingTail:
             yield a
 
 
+wide_polys = st.integers(1, 6).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.one_of(st.integers(-50, 50), st.integers(-10**30, 10**30)), min_size=d, max_size=d),
+        st.one_of(st.integers(1, 5), st.integers(1, 10**30)),
+    )
+).map(lambda t: PolyTail(IntPoly((*t[0], t[1]))))
+
+
 class TestTerms:
     @settings(max_examples=300)
-    @given(prefix_specs(), st.one_of(st.integers(0, 50), st.integers(0, 10**30)), st.integers(0, 40))
+    @given(
+        st.one_of(prefix_specs(), wide_polys),
+        st.one_of(st.integers(0, 50), st.integers(0, 10**30)),
+        st.integers(0, 40),
+    )
     def test_matches_term(self, spec, shift, c):
+        # polynomial streams are difference tables: check them against Horner
         n = spec.n_min + shift
         assert list(itertools.islice(spec.terms(n), c)) == [spec.term(m) for m in range(n, n + c)]
 
