@@ -218,7 +218,10 @@ def _benford_parts(terms: Iterable[int]) -> tuple[list[int], np.ndarray]:
     terms = iter(terms)
     counts = np.zeros(10, dtype=np.int64)
     parts = []
-    while (mant := np.fromiter(map(_mantissa, itertools.islice(terms, _BATCH)), dtype=np.int64)).size:
+    while True:
+        mant = np.fromiter(map(_mantissa, itertools.islice(terms, _BATCH)), dtype=np.int64)
+        if not mant.size:
+            break
         tens = np.flatnonzero(mant % 10 == 0)
         while tens.size:
             mant[tens] //= 10
