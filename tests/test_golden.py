@@ -17,7 +17,10 @@ functions evaluated each term through ``spec.term``, before the families
 streamed their terms.  The ``benford`` cases at 4095-4097 terms and of n^6,
 and the degree-5 ``discrepancy`` case, were recorded while ``benford_report``
 read one term at a time and polynomial terms were evaluated by Horner's rule
-per index.  Any refactor of these paths must reproduce them byte
+per index.  The ``discrepancy`` cases at 4095-4097 points, in bases 11
+and 12, of terms that pass 2^63 and at larger Weyl frequencies were
+recorded while every 18-digit prefix came from one sliding integer window,
+one Python operation per point.  Any refactor of these paths must reproduce them byte
 for byte.  To record them again after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -113,6 +116,19 @@ CASES = [
         ["discrepancy", "--kind", "poly", "--coeffs=3,-7,0,2,0,1", "--N", "3000", "--weyl-h", "2"],
         0,
     ),
+    # point counts one below, at and one above a block of 4096 prefixes
+    ("discrepancy_champ_4095", ["discrepancy", *CHAMP, "--N", "4095"], 0),
+    ("discrepancy_champ_4096", ["discrepancy", *CHAMP, "--N", "4096", *JSON], 0),
+    ("discrepancy_champ_4097", ["discrepancy", *CHAMP, "--N", "4097", "--weyl-h", "2"], 0),
+    # 11^18 is the last base power of 18 digits below 2^63, 12^18 the first above
+    ("discrepancy_champ_base11", ["discrepancy", *CHAMP, "--base", "11", "--N", "5000"], 0),
+    ("discrepancy_champ_base12", ["discrepancy", *CHAMP, "--base", "12", "--N", "5000", *JSON], 0),
+    # terms that pass 2^63 inside the stream: k*n from n = 10001, n^6 from n = 1449
+    ("discrepancy_mult_k15", ["discrepancy", "--kind", "mult", "--k", "922337203685477", "--N", "12000"], 0),
+    ("discrepancy_poly_degree6", ["discrepancy", "--kind", "poly", "--coeffs=0,0,0,0,0,0,1", "--N", "3000"], 0),
+    # a Weyl sum at a larger and a negative frequency
+    ("discrepancy_mult13_weyl_h", ["discrepancy", *MULT13, "--N", "6000", "--weyl-h", "1000", *JSON], 0),
+    ("discrepancy_square_weyl_h_negative", ["discrepancy", *SQUARE, "--N", "2500", "--weyl-h", "-7"], 0),
     # an endpoint that is a long prefix of x_1: membership stays undecided
     (
         "count_undecided",
