@@ -11,7 +11,6 @@ import csv
 import io
 import itertools
 import json
-import math
 import sys
 from typing import Sequence, TextIO
 
@@ -246,12 +245,7 @@ def cmd_discrepancy(args) -> int:
     _check_cap(args.N, DEFAULT_N_CAP, "N", args.unsafe_uncapped)
     alpha = ExactEndpoint.parse(args.alpha, spec.base)
     beta = ExactEndpoint.parse(args.beta, spec.base)
-    depth = 18
-    scale = spec.base**depth
-    # an 18-digit prefix such as 0.999...9 rounds to 1.0; keep every point below 1
-    below_one = math.nextafter(1.0, 0.0)
-    prefixes = seqgen.tail_prefixes(spec, spec.n_min, args.N, depth)
-    points = equidist.PointSet.of(min(prefix / scale, below_one) for prefix in prefixes)
+    points = equidist.tail_points(spec, spec.n_min, args.N)
     rows = [
         {
             "N": args.N,

@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .exactnum import HEAD_DIGITS, STR_BELOW, ExactEndpoint, decimal_head
-from .seqgen import IntPoly
+from .seqgen import IntPoly, TailSpec, _show, tail_prefixes
 
 BENFORD_FREQ = tuple(math.log10(1 + 1 / c) for c in range(1, 10))
 
@@ -56,6 +57,100 @@ class BenfordReport:
     log_discrepancy: float
 
 
+_INT64_END = 2**63
+
+
+def tail_points(spec: TailSpec, n: int, count: int, depth: int = 18) -> PointSet:
+    """x_n, ..., x_{n+count-1} as points, each read from its leading ``depth`` digits.
+
+    Point m is P_m / b^depth, kept below 1, where P_m is the integer of the
+    first ``depth`` digits of x_m that ``tail_prefixes`` yields.  When
+    b^depth < 2^63 the P_m are built in int64 blocks (``_prefix_blocks``);
+    larger bases read them from ``tail_prefixes``.  Either way each term is
+    read once.  Python's int / int rounds P_m / b^depth once, correctly;
+    converting P_m to float64 first would round twice.  An 18-digit prefix
+    such as 0.999...9 rounds to 1.0, hence the clamp.  A count below 1
+    gives an empty set.
+    """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    scale = spec.base**depth
+    if scale < _INT64_END:
+        blocks = _prefix_blocks(spec, n, count, depth)
+    else:
+        blocks = [tail_prefixes(spec, n, count, depth)]
+    parts = [np.fromiter(map(operator.truediv, block, itertools.repeat(scale)), dtype=np.float64) for block in blocks]
+    points = np.concatenate(parts) if parts else np.empty(0)
+    return PointSet(np.minimum(points, np.nextafter(1.0, 0.0), out=points))
+
+
+def _prefix_blocks(spec: TailSpec, n: int, count: int, depth: int) -> Iterator[list[int]]:
+    """The values of ``tail_prefixes(spec, n, count, depth)``, in lists of up to ``_BATCH``.
+
+    Needs b^depth < 2^63.  Each term enters as the int64 pair (L, h): its
+    digit length clipped to ``depth`` and its leading L digits.  A term of
+    ``depth`` digits or more ends every window that reaches it, so its
+    later digits never count.  With S the running sum of L, the prefix of
+    x_m is the sum over i of h_{m+i} * b^(depth - (S_{m+i+1} - S_m)) while
+    that exponent is positive, plus the next h floor-divided by b to its
+    negated exponent.  One vectorised step per window position adds a
+    term to every row still short of ``depth`` digits; all values stay
+    below b^depth.  The terms increase, so the window sums grow along a
+    block and the short rows are a leading slice.  A block reads its own
+    terms and then one term at a time until its last window is full, so
+    exactly the terms ``tail_prefixes`` reads are read, each once.
+    """
+    base = spec.base
+    powers = [1]
+    while powers[-1] * base < _INT64_END:
+        powers.append(powers[-1] * base)
+    pows = np.array(powers, dtype=np.int64)  # every power of the base below 2^63
+    terms = _int64_terms(spec.terms(n), base, depth)
+
+    def extend(head: np.ndarray, length: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        h = np.fromiter(itertools.islice(terms, k), dtype=np.int64)
+        L = np.searchsorted(pows, h, side="right")
+        over = np.flatnonzero(L > depth)
+        h[over] //= pows[L[over] - depth]
+        return np.concatenate((head, h)), np.concatenate((length, np.minimum(L, depth)))
+
+    head = length = np.empty(0, dtype=np.int64)
+    for start in range(0, count, _BATCH):
+        size = min(_BATCH, count - start)
+        head, length = extend(head, length, max(size - len(head), 0))
+        short = depth - int(length[size - 1 :].sum())
+        while short > 0:
+            head, length = extend(head, length, 1)
+            short -= int(length[-1])
+        S = np.concatenate(([0], np.cumsum(length)))
+        prefix = np.zeros(size, dtype=np.int64)
+        i, rows = 0, size
+        while rows:
+            used = S[i + 1 : i + 1 + rows] - S[:rows]
+            short = int(np.searchsorted(used, depth))
+            prefix[:short] += head[i : i + short] * pows[depth - used[:short]]
+            prefix[short:rows] += head[i + short : i + rows] // pows[used[short:] - depth]
+            i, rows = i + 1, short
+        yield prefix.tolist()
+        head, length = head[size:], length[size:]
+
+
+def _int64_terms(terms: Iterator[int], base: int, depth: int) -> Iterator[int]:
+    """The increasing ``terms``, each from 2^63 on cut to its leading ``depth`` digits."""
+    for a in terms:
+        if a >= _INT64_END:
+            break
+        yield a
+    else:
+        return
+    bound, divisor = base**depth, 1  # base**L and base**(L - depth) for L digits
+    for a in itertools.chain((a,), terms):
+        while a >= bound:
+            bound *= base
+            divisor *= base
+        yield a // divisor
+
+
 def star_discrepancy(points: PointSet) -> float:
     """Exact D*_N via order statistics, O(N log N).
 
@@ -94,8 +189,11 @@ def weyl_sum(points: PointSet, h: int) -> float:
         raise ValueError("h must be nonzero")
     if len(points) == 0:
         raise ValueError("empty point set")
-    v = points.array
-    return float(abs(np.exp(2j * np.pi * h * v).mean()))
+    try:
+        angle = 2j * np.pi * h
+    except OverflowError:
+        raise ValueError(f"h = {_show(h)} is too large to convert to float") from None
+    return float(abs(np.exp(angle * points.array).mean()))
 
 
 def log10_int(m: int) -> float:

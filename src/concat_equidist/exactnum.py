@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 MIN_BASE = 2
 MAX_BASE = 36
@@ -81,12 +81,25 @@ HEAD_DIGITS = 17  # enough for >= 12 correct fractional digits of log10
 STR_BELOW = 10**256
 
 
-@lru_cache(maxsize=8)
+_POW10_STEP = 16
+_last_pow10 = (0, 1)  # the e and 10**e of the last call
+
+
 def _pow10(e: int) -> int:
-    """10**e, kept for the few most recent e: terms of a growing stream, such
-    as consecutive powers of two, share e several times in a row, and
-    building 10**e costs about ten times the division by it."""
-    return 10**e
+    """10**e, built from the last power returned when e grew by at most ``_POW10_STEP``.
+
+    Terms of a growing stream, such as consecutive powers of two, share e
+    several times in a row or raise it by one.  Building 10**e afresh costs
+    about ten times the division by it; multiplying the last power by the
+    small 10**(e - last e) costs a few percent of that.  Any other e is
+    built afresh.
+    """
+    global _last_pow10
+    last_e, last = _last_pow10
+    if e != last_e:
+        last = last * 10 ** (e - last_e) if last_e < e <= last_e + _POW10_STEP else 10**e
+        _last_pow10 = (e, last)
+    return last
 
 
 def decimal_head(m: int) -> tuple[int, str, bool]:

@@ -248,6 +248,30 @@ class TestDiscrepancy:
         rows, _ = read_csv(out)
         assert rows[0]["star_discrepancy"] == "1"
 
+    def test_terms_are_streamed(self, capsys):
+        # held in one list, k, ..., 8000k for a 1001-digit k take about
+        # 3.5 MiB; streamed and cut to 18-digit heads, the peak stays near 0.7 MiB
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "discrepancy", "--kind", "mult", "--k", str(10**1000), "--N", "8000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("h,shown", [("1" + "0" * 400, "<1329-bit int>"), ("-" + "9" * 400, "-<1329-bit int>")])
+    def test_weyl_h_past_the_float_range_is_a_usage_error(self, capsys, h, shown):
+        code, out, err = run(capsys, "discrepancy", "--kind", "champ", "--N", "10", "--weyl-h", h)
+        assert (code, out) == (1, "")
+        assert err == f"error: h = {shown} is too large to convert to float\n"
+
+    def test_weyl_h_within_the_float_range_is_summed(self, capsys):
+        code, out, err = run(capsys, "discrepancy", "--kind", "champ", "--N", "10", "--weyl-h", "1" + "0" * 300)
+        assert code == 0, err
+        rows, _ = read_csv(out)
+        assert rows[0]["weyl_h"] == "1" + "0" * 300
+
 
 class TestModuleEntry:
     def _run_module(self, *args):

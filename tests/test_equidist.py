@@ -20,11 +20,20 @@ from concat_equidist.equidist import (
     log_fracparts,
     poly_log_ratio,
     star_discrepancy,
+    tail_points,
     ud_deviation,
     weyl_sum,
 )
 from concat_equidist.exactnum import ExactEndpoint
-from concat_equidist.seqgen import ChampernowneTail, IntPoly, tail_digits
+from concat_equidist.seqgen import (
+    ChampernowneTail,
+    DomainError,
+    IntPoly,
+    MultipleTail,
+    PolyTail,
+    tail_digits,
+    tail_prefixes,
+)
 
 LOG2 = math.log10(2)
 
@@ -150,6 +159,89 @@ class TestWeylSum:
     def test_rejects_h_zero(self):
         with pytest.raises(ValueError):
             weyl_sum(grid(10), 0)
+
+    @pytest.mark.parametrize("h,shown", [(10**400, "<1329-bit int>"), (-(2**1024), "-<1025-bit int>")])
+    def test_rejects_h_past_the_float_range_by_size(self, h, shown):
+        with pytest.raises(ValueError, match=f"^h = {shown} is too large to convert to float$"):
+            weyl_sum(grid(10), h)
+
+    def test_h_within_the_float_range_is_summed_as_before(self):
+        h = 10**300
+        assert weyl_sum(rotation(50), h) == float(abs(np.exp(2j * np.pi * h * rotation(50).array).mean()))
+
+
+def prefix_points(spec, n, count, depth=18):
+    """The reference points: each ``tail_prefixes`` integer divided in
+    Python, one point at a time, and clamped below 1."""
+    scale = spec.base**depth
+    below_one = math.nextafter(1.0, 0.0)
+    prefixes = tail_prefixes(spec, n, count, depth)
+    return np.fromiter((min(p / scale, below_one) for p in prefixes), dtype=np.float64)
+
+
+@st.composite
+def point_cases(draw):
+    """(spec, n, count, depth): a tail in base 2-36 (b^18 < 2^63 up to base
+    11), k up to 10^20, polynomials of degree 1-6 whose constant term mostly
+    pushes n_min above 1; a start often just below a change of term length;
+    counts around multiples of the block, zero and negative ones."""
+    base = draw(st.integers(2, 36))
+    kind = draw(st.sampled_from(["champ", "mult", "poly"]))
+    if kind == "champ":
+        spec = ChampernowneTail(base)
+    elif kind == "mult":
+        spec = MultipleTail(draw(st.one_of(st.integers(1, 50), st.integers(1, 10**20))), base)
+    else:
+        degree = draw(st.integers(1, 6))
+        constant = draw(st.integers(-60, 5))
+        middle = draw(st.lists(st.integers(-20, 20), min_size=degree - 1, max_size=degree - 1))
+        spec = PolyTail(IntPoly((constant, *middle, draw(st.integers(1, 4)))), base)
+    if draw(st.booleans()):
+        j = draw(st.integers(1, 30))
+        last_short = spec.n_min + spec.index_le(base**j - 1) - 1
+        n = max(spec.n_min, last_short - draw(st.integers(0, 5)))
+    else:
+        n = spec.n_min + draw(st.integers(0, 3000))
+    edges = [_BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH - 1, 2 * _BATCH, 2 * _BATCH + 1]
+    count = draw(st.one_of(st.sampled_from(edges), st.integers(-3, 60)))
+    return spec, n, count, draw(st.one_of(st.just(18), st.integers(1, 24)))
+
+
+class TestTailPoints:
+    @settings(max_examples=200)
+    @given(point_cases())
+    @example((ChampernowneTail(), 9990, 2 * _BATCH + 1, 18))  # four- to five-digit terms
+    @example((MultipleTail(922337203685477), 9990, _BATCH, 18))  # k*n passes 2^63 at n = 10001
+    @example((PolyTail(IntPoly((0, 0, 0, 0, 0, 0, 1))), 1440, 30, 18))  # n^6 passes 2^63 at n = 1449
+    @example((ChampernowneTail(11), 1, _BATCH + 1, 18))  # the largest base of int64 blocks
+    @example((ChampernowneTail(12), 1, 40, 18))  # the first base read from tail_prefixes
+    def test_bitwise_equal_to_prefix_division(self, case):
+        spec, n, count, depth = case
+        got = tail_points(spec, n, count, depth).array
+        want = prefix_points(spec, n, count, depth)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("base", [10, 12])
+    @pytest.mark.parametrize("count", [0, -1, -_BATCH])
+    def test_no_points_is_an_empty_point_set(self, base, count):
+        points = tail_points(ChampernowneTail(base), 1, count)
+        assert len(points) == len(prefix_points(ChampernowneTail(base), 1, count)) == 0
+        with pytest.raises(ValueError, match="^empty point set$"):
+            star_discrepancy(points)
+
+    def test_prefix_rounding_to_one_stays_below_one(self):
+        # x_1 = 0.999999999999999991999...: its 18-digit prefix rounds to 1.0
+        assert tail_points(MultipleTail(99999999999999999), 1, 1).values == (math.nextafter(1.0, 0.0),)
+
+    def test_rejects_nonpositive_depth(self):
+        with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
+            tail_points(ChampernowneTail(), 1, 5, 0)
+
+    @pytest.mark.parametrize("base", [10, 12])
+    def test_rejects_index_below_n_min(self, base):
+        spec = PolyTail(IntPoly((10, -10, 1)), base)
+        with pytest.raises(DomainError, match="below the sequence domain"):
+            tail_points(spec, spec.n_min - 1, 0)
 
 
 class TestLogFracparts:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from concat_equidist.exactnum import (
+    _POW10_STEP,
     DigitString,
     ExactEndpoint,
     HalfOpenInterval,
@@ -275,6 +276,12 @@ class TestDecimalHead:
         if order != "as drawn":
             ms = sorted(ms, reverse=order == "decreasing")
         ms = [m for m in ms for _ in range(3)]  # repeated terms hit the kept powers
+        assert [decimal_head(m) for m in ms] == [str_decimal_head(m) for m in ms]
+
+    @pytest.mark.parametrize("step", [1, _POW10_STEP, _POW10_STEP + 1])
+    def test_digit_counts_growing_by_a_step(self, step):
+        # a power within _POW10_STEP of the last is built from it, a farther one afresh
+        ms = [7 * 10 ** (300 + step * i) + i for i in range(40)]
         assert [decimal_head(m) for m in ms] == [str_decimal_head(m) for m in ms]
 
     def test_consecutive_powers_of_two(self):

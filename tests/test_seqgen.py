@@ -4,6 +4,7 @@ import pytest
 
 from hypothesis import event, given, settings, strategies as st
 
+from concat_equidist.equidist import _BATCH, tail_points
 from concat_equidist.exactnum import digits_to_int, int_to_digits
 from concat_equidist.seqgen import (
     ChampernowneTail,
@@ -229,6 +230,18 @@ class TestTailPrefixes:
             digits += len(int_to_digits(spec.term(stop), spec.base))
             stop += 1
         assert counted.evaluated == list(range(n, stop if count else n))
+
+    @settings(max_examples=100)
+    @given(prefix_cases(), st.sampled_from([None, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1]))
+    def test_points_read_the_terms_of_the_prefixes_once(self, case, block_count):
+        # in int64 blocks (b^p < 2^63) or through tail_prefixes, the points
+        # evaluate each term once, and exactly the terms the prefixes need
+        spec, n, count, p = case
+        count = count if block_count is None else block_count
+        by_prefixes, by_points = CountingTail(spec), CountingTail(spec)
+        list(tail_prefixes(by_prefixes, n, count, p))
+        assert len(tail_points(by_points, n, count, p)) == count
+        assert by_points.evaluated == by_prefixes.evaluated
 
     def test_champ_crossing_into_five_digits(self):
         got = list(tail_prefixes(ChampernowneTail(), 9998, 3, 18))
