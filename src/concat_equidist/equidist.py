@@ -118,10 +118,10 @@ def _prefix_blocks(spec: TailSpec, n: int, count: int, depth: int) -> Iterator[l
     for start in range(0, count, _BATCH):
         size = min(_BATCH, count - start)
         head, length = extend(head, length, max(size - len(head), 0))
-        short = depth - int(length[size - 1 :].sum())
-        while short > 0:
+        missing = depth - int(length[size - 1 :].sum())  # digits the last window lacks
+        while missing > 0:
             head, length = extend(head, length, 1)
-            short -= int(length[-1])
+            missing -= int(length[-1])
         S = np.concatenate(([0], np.cumsum(length)))
         prefix = np.zeros(size, dtype=np.int64)
         i, rows = 0, size
