@@ -17,22 +17,6 @@ from .asymptotics import (
     y_sequence,
 )
 from .counting import CountResult, UndecidedMembershipError, count_A, in_interval
-from .equidist import (
-    BENFORD_FREQ,
-    BenfordReport,
-    PointSet,
-    benford_report,
-    census,
-    leading_digit,
-    log10_fracpart,
-    log10_int,
-    log_fracparts,
-    poly_log_ratio,
-    star_discrepancy,
-    tail_points,
-    ud_deviation,
-    weyl_sum,
-)
 from .exactnum import (
     DigitString,
     ExactEndpoint,
@@ -108,3 +92,32 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The diagnostics need NumPy, which takes most of the package's import time;
+# their names are resolved on first use (PEP 562).
+_EQUIDIST_NAMES = frozenset(
+    {
+        "BENFORD_FREQ",
+        "BenfordReport",
+        "PointSet",
+        "benford_report",
+        "census",
+        "leading_digit",
+        "log10_fracpart",
+        "log10_int",
+        "log_fracparts",
+        "poly_log_ratio",
+        "star_discrepancy",
+        "tail_points",
+        "ud_deviation",
+        "weyl_sum",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _EQUIDIST_NAMES:
+        from . import equidist
+
+        return getattr(equidist, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,8 +21,8 @@ class ScanRecord:
     N: int
     count: int
     ratio: float
-    main_term: float
-    residual: float
+    main_term: float | int  # an exact int where a float would overflow
+    residual: float | int
 
 
 @dataclass(frozen=True)
@@ -159,19 +159,29 @@ def ratio_scan(
         kind = "poly-d"
         constants = limit_constants(spec.poly.degree)
 
-        def main(j: int) -> float:
-            return lemma2_main_term(spec.poly, j)
+        def main_and_residual(j: int, count: int) -> tuple[float, float]:
+            mt = lemma2_main_term(spec.poly, j)
+            return mt, count - mt
 
     else:
         kind = "linear-k"
         constants = limit_constants(1)
 
-        def main(j: int) -> float:
-            return float(lemma1_main_term(spec.k, j))
+        def main_and_residual(j: int, count: int) -> tuple[float | int, float | int]:
+            # the residual is an exact integer difference, rounded once
+            mt = lemma1_main_term(spec.k, j)
+            return _float_or_int(mt), _float_or_int(count - mt)
 
     records = []
     for j, N in points:
         res = count_A(spec, interval, N)
-        mt = main(j)
-        records.append(ScanRecord(j, N, res.count, res.ratio, mt, res.count - mt))
+        records.append(ScanRecord(j, N, res.count, res.ratio, *main_and_residual(j, res.count)))
     return RatioScanReport(kind, tuple(records), constants)
+
+
+def _float_or_int(x: int) -> float | int:
+    """float(x), or x itself past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return x

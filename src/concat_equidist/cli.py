@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
 import sys
-from typing import Sequence, TextIO
+from typing import Sequence
 
-from . import asymptotics, counting, equidist, seqgen
+from . import asymptotics, counting, seqgen
 from .counting import UndecidedMembershipError
 from .exactnum import ExactEndpoint, HalfOpenInterval
 from .seqgen import ChampernowneTail, DomainError, IntPoly, MultipleTail, PolyTail, TailSpec
@@ -192,6 +193,8 @@ def _read_terms_file(path: str) -> list[int]:
 
 
 def cmd_benford(args) -> int:
+    from . import equidist  # NumPy loads only for the commands that use it
+
     if args.file:
         terms = _read_terms_file(args.file)
     elif args.gen:
@@ -241,6 +244,8 @@ def cmd_limits(args) -> int:
 
 
 def cmd_discrepancy(args) -> int:
+    from . import equidist
+
     spec = _build_spec(args)
     _check_cap(args.N, DEFAULT_N_CAP, "N", args.unsafe_uncapped)
     alpha = ExactEndpoint.parse(args.alpha, spec.base)
@@ -272,7 +277,13 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--unsafe-uncapped", action="store_true", help="lift the N/jmax safety caps")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built on the first call and shared by every later one.
+
+    Sharing is safe: ``parse_args`` returns a fresh namespace each time, and
+    ``_Parser.error`` raises before anything is stored.
+    """
     parser = _Parser(prog="concat-equidist", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .exactnum import HEAD_DIGITS, STR_BELOW, ExactEndpoint, decimal_head
-from .seqgen import IntPoly, TailSpec, _show, tail_prefixes
+from .seqgen import IntPoly, TailSpec, tail_prefixes
 
 BENFORD_FREQ = tuple(math.log10(1 + 1 / c) for c in range(1, 10))
 
@@ -192,7 +192,10 @@ def weyl_sum(points: PointSet, h: int) -> float:
     try:
         angle = 2j * np.pi * h
     except OverflowError:
-        raise ValueError(f"h = {_show(h)} is too large to convert to float") from None
+        angle = complex(0, math.inf)
+    if not math.isfinite(angle.imag):  # h or 2 pi h past the float range
+        sign = "-" if h < 0 else ""
+        raise ValueError(f"h = {sign}<{abs(h).bit_length()}-bit int> is too large to convert to float")
     return float(abs(np.exp(angle * points.array).mean()))
 
 

@@ -305,13 +305,25 @@ TailSpec = Union[MultipleTail, PolyTail]
 
 
 def poly_floor_inverse(poly: IntPoly, m: int) -> int:
-    """The unique n >= n_min with f(n) <= m < f(n+1), by exact binary search."""
-    lo = poly.n_min
-    if m < poly.eval(lo):
-        raise ValueError(f"m = {m} below f(n_min) = {poly.eval(lo)}")
-    hi = lo + 1
-    while poly.eval(hi) <= m:
-        hi = 2 * hi - lo + 1
+    """The unique n >= n_min with f(n) <= m < f(n+1), by exact search.
+
+    The search starts at r = max(n_min, iroot(m // c_d, d)), which is within
+    about |c_{d-1}| / (d c_d) + 1 of the answer for large m.  From r it
+    gallops down until f(lo) <= m, or up until f(hi) > m, and bisects the
+    bracket.  The result is certified by f(lo) <= m < f(lo + 1) whatever the
+    start, and a call costs O(log gap) Horner passes, not O(bits of m).
+    """
+    n_min = poly.n_min
+    lo = hi = max(n_min, _iroot(max(m, 0) // poly.coeffs[-1], poly.degree))
+    step = 1
+    while (value := poly.eval(lo)) > m:
+        if lo == n_min:
+            raise ValueError(f"m = {m} below f(n_min) = {value}")
+        lo, hi, step = max(n_min, lo - step), lo, 2 * step
+    if hi == lo:  # f(r) <= m
+        hi = lo + 1
+        while poly.eval(hi) <= m:
+            lo, hi, step = hi, hi + step, 2 * step
     # invariant: f(lo) <= m < f(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -320,6 +332,27 @@ def poly_floor_inverse(poly: IntPoly, m: int) -> int:
         else:
             hi = mid
     return lo
+
+
+def _iroot(x: int, d: int) -> int:
+    """floor(x^(1/d)) for x >= 0 and d >= 1, exactly.
+
+    ``math.isqrt`` for d = 2; otherwise Newton's iteration on integers,
+    r <- ((d-1) r + x // r^(d-1)) // d, from the overestimate 2^ceil(bits/d).
+    It decreases strictly until it reaches the root, and stops at the first
+    step that does not (Brent & Zimmermann, Modern Computer Arithmetic,
+    §1.5).
+    """
+    if d == 1 or x < 2:
+        return x
+    if d == 2:
+        return math.isqrt(x)
+    r = 1 << -(-x.bit_length() // d)
+    while True:
+        s = ((d - 1) * r + x // r ** (d - 1)) // d
+        if s >= r:
+            return r
+        r = s
 
 
 def _check_index(spec: TailSpec, n: int, offset: int) -> None:

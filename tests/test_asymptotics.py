@@ -2,6 +2,7 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 from concat_equidist.asymptotics import (
     Y_LIMIT,
@@ -17,10 +18,47 @@ from concat_equidist.asymptotics import (
     y_sequence,
 )
 from concat_equidist.exactnum import HalfOpenInterval
-from concat_equidist.seqgen import ChampernowneTail, IntPoly, MultipleTail, PolyTail
+from concat_equidist.seqgen import ChampernowneTail, IntPoly, MultipleTail, PolyTail, _iroot
 
 I12 = HalfOpenInterval.parse("0.1", "0.2")
 NSQ = IntPoly((0, 0, 1))
+
+
+def gallop_floor_inverse(poly, m):
+    """Oracle: g(m) by galloping up from n_min and bisecting, O(bits of m) Horner passes."""
+    lo = poly.n_min
+    if m < poly.eval(lo):
+        raise ValueError(f"m = {m} below f(n_min) = {poly.eval(lo)}")
+    hi = lo + 1
+    while poly.eval(hi) <= m:
+        hi = 2 * hi - lo + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if poly.eval(mid) <= m:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@st.composite
+def polys(draw):
+    """Degree 1-6, coefficients up to 10^30 in size; many have n_min > 1."""
+    d = draw(st.integers(1, 6))
+    lower = draw(st.lists(st.integers(-(10**30), 10**30), min_size=d, max_size=d))
+    return IntPoly((*lower, draw(st.integers(1, 10**30))))
+
+
+@st.composite
+def floor_inverse_cases(draw):
+    """(poly, m) with f(n_min) <= m, m up to 10^200 or at f(n) - 1, f(n), f(n) + 1."""
+    poly = draw(polys())
+    low = poly.eval(poly.n_min)
+    if draw(st.booleans()):
+        return poly, draw(st.integers(low, max(low, 10**200)))
+    top = poly.n_min + _iroot(10**200 // poly.coeffs[-1], poly.degree)
+    m = poly.eval(draw(st.integers(poly.n_min, top))) + draw(st.sampled_from((-1, 0, 1)))
+    return poly, max(m, low)
 
 
 class TestLemma1MainTerm:
@@ -93,6 +131,47 @@ class TestPolyFloorInverse:
             while poly.eval(n + 1) <= m:
                 n += 1
             assert poly_floor_inverse(poly, m) == n
+
+    @given(floor_inverse_cases())
+    @settings(max_examples=300)
+    @example((IntPoly((10, -10, 1)), 11))  # n_min = 9, f(9) = 1: m just past f(n_min)
+    @example((IntPoly((-420000, 5, 2)), 2 * 10**200))  # n_min = 458
+    @example((IntPoly((-(10**30), 1)), 10**30 + 1))  # n_min = 10^30 + 1, the root guess is 0
+    def test_matches_the_galloping_oracle(self, case):
+        poly, m = case
+        event(f"n_min > 1: {poly.n_min > 1}")
+        assert poly_floor_inverse(poly, m) == gallop_floor_inverse(poly, m)
+
+    @given(st.integers(0, 10**300), st.integers(1, 8))
+    @example(2**300 - 1, 3)
+    @example(10**200, 7)
+    def test_integer_root_brackets(self, x, d):
+        r = _iroot(x, d)
+        assert r >= 0 and r**d <= x < (r + 1) ** d
+
+    @pytest.mark.parametrize(
+        "coeffs", [(0, 1), (3, 1), (0, 0, 1), (0, 10, 1), (5, -3, 1), (1, 0, 0, 2), (3, -7, 0, 2, 0, 1), (2, 9, 3)]
+    )
+    def test_horner_passes_do_not_grow_with_the_digits_of_m(self, coeffs, monkeypatch):
+        # |c_{d-1}| / c_d <= 10 here, so the root of m // c_d starts within a
+        # few places of g(m); galloping up from n_min took O(bits of m) passes
+        poly = IntPoly(coeffs)
+        poly.n_min
+        calls = 0
+        horner = IntPoly.eval
+
+        def counted(self, n):
+            nonlocal calls
+            calls += 1
+            return horner(self, n)
+
+        monkeypatch.setattr(IntPoly, "eval", counted)
+        for e in (100, 200, 400):
+            for m in (10**e - 1, 10**e, 10**e + 1, 7 * 10**e // 3):
+                calls = 0
+                n = poly_floor_inverse(poly, m)
+                assert calls <= 12, (e, m, calls)
+                assert horner(poly, n) <= m < horner(poly, n + 1)
 
 
 class TestInverseEpsilon:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import concat_equidist
+from concat_equidist.asymptotics import lemma1_main_term
 from concat_equidist.cli import main, read_csv
 
 
@@ -108,6 +109,28 @@ class TestScan:
     def test_jmax_cap(self, capsys):
         code, _, err = run(capsys, "scan", "--kind", "mult", "--k", "1", "--jmax", "7")
         assert code == 1 and "cap" in err
+
+    @pytest.mark.parametrize("lo,hi", [("0.1", "0.2"), ("0.5", "0.6")])
+    def test_linear_scan_past_the_float_range(self, capsys, lo, hi):
+        # the Lemma 1 main term passes the float range at j = 310; from there
+        # it prints as an exact integer, and so does a residual that large
+        code, out, err = run(
+            capsys, "scan", "--kind", "mult", "--k", "7", "--lo", lo, "--hi", hi, "--jmax", "320", "--unsafe-uncapped"
+        )
+        assert (code, err) == (0, "")
+        rows, _ = read_csv(out)
+        for row in rows:
+            main_term = lemma1_main_term(7, int(row["j"]))
+            residual = int(row["count"]) - main_term
+            if main_term < 2**1024:
+                assert float(row["main_term"]) == pytest.approx(main_term, rel=1e-11)
+            else:
+                assert row["main_term"] == str(main_term)
+            if abs(residual) < 2**1024:
+                assert float(row["residual"]) == pytest.approx(residual, rel=1e-11)
+            else:
+                assert row["residual"] == str(residual)
+        assert rows[-1]["main_term"] == str(lemma1_main_term(7, 320))
 
     def test_uncapped_override(self, capsys):
         code, out, _ = run(
@@ -260,7 +283,16 @@ class TestDiscrepancy:
         assert code == 0, err
         assert peak < 2 * 2**20
 
-    @pytest.mark.parametrize("h,shown", [("1" + "0" * 400, "<1329-bit int>"), ("-" + "9" * 400, "-<1329-bit int>")])
+    @pytest.mark.parametrize(
+        "h,shown",
+        [
+            ("1" + "0" * 400, "<1329-bit int>"),
+            ("-" + "9" * 400, "-<1329-bit int>"),
+            # h is a float, but 2 pi h is not
+            ("1" + "0" * 308, "<1024-bit int>"),
+            ("-3" + "0" * 307, "-<1022-bit int>"),
+        ],
+    )
     def test_weyl_h_past_the_float_range_is_a_usage_error(self, capsys, h, shown):
         code, out, err = run(capsys, "discrepancy", "--kind", "champ", "--N", "10", "--weyl-h", h)
         assert (code, out) == (1, "")
@@ -271,6 +303,25 @@ class TestDiscrepancy:
         assert code == 0, err
         rows, _ = read_csv(out)
         assert rows[0]["weyl_h"] == "1" + "0" * 300
+
+
+class TestStartup:
+    def test_numpy_loads_only_for_the_diagnostics(self):
+        script = """
+import contextlib, io, json, sys
+import concat_equidist.cli as cli
+built_at_import = cli.build_parser.cache_info().currsize
+cli.build_parser()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["scan", "--kind", "mult", "--k", "3"]), cli.main(["count", "--kind", "champ", "--N", "100"])]
+before = "numpy" in sys.modules
+from concat_equidist import benford_report, PointSet
+print(json.dumps([built_at_import, codes, before, benford_report([1, 2]).N, len(PointSet.of([0.5]))]))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(concat_equidist.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, [0, 0], False, 2, 1]
 
 
 class TestModuleEntry:

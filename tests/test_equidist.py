@@ -160,13 +160,20 @@ class TestWeylSum:
         with pytest.raises(ValueError):
             weyl_sum(grid(10), 0)
 
-    @pytest.mark.parametrize("h,shown", [(10**400, "<1329-bit int>"), (-(2**1024), "-<1025-bit int>")])
+    @pytest.mark.parametrize(
+        "h,shown",
+        [(10**400, "<1329-bit int>"), (-(2**1024), "-<1025-bit int>"), (10**308, "<1024-bit int>"), (-(2**1022), "-<1023-bit int>")],
+    )
     def test_rejects_h_past_the_float_range_by_size(self, h, shown):
         with pytest.raises(ValueError, match=f"^h = {shown} is too large to convert to float$"):
             weyl_sum(grid(10), h)
 
     def test_h_within_the_float_range_is_summed_as_before(self):
         h = 10**300
+        assert weyl_sum(rotation(50), h) == float(abs(np.exp(2j * np.pi * h * rotation(50).array).mean()))
+
+    @pytest.mark.parametrize("h", [2 * 10**307, -(2**1020)])
+    def test_h_with_a_finite_angle_is_summed_as_before(self, h):
         assert weyl_sum(rotation(50), h) == float(abs(np.exp(2j * np.pi * h * rotation(50).array).mean()))
 
 

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from concat_equidist.cli import main
+from concat_equidist.cli import build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -152,6 +152,31 @@ def test_golden_output(name, argv, exit_code, capsys):
     code, out = _run(argv, capsys)
     assert code == exit_code
     assert out.encode("utf-8") == _path(name, argv).read_bytes()
+
+
+def test_one_parser_serves_every_call(capsys):
+    """``main`` reuses one parser: every case, run forward and then in reverse
+    in one process, with a ``--k`` case and failing argument lists between
+    the passes, still gives its golden bytes, so no call leaks state into the
+    next."""
+    assert build_parser() is build_parser()
+    by_name = {name: (argv, exit_code) for name, argv, exit_code in CASES}
+
+    def check(name):
+        argv, exit_code = by_name[name]
+        code, out = _run(argv, capsys)
+        assert (code, out.encode("utf-8")) == (exit_code, _path(name, argv).read_bytes()), name
+
+    names = list(by_name)
+    for name in names:
+        check(name)
+    assert _run(["count", "--kind", "mult", "--k", "5", "--N", "ten"], capsys)[0] == 1
+    check("scan_mult13")
+    # its --k must not reach the next call, which lacks one
+    assert main(["count", "--kind", "mult", "--N", "10"]) == 1
+    assert capsys.readouterr() == ("", "error: --kind mult requires --k\n")
+    for name in reversed(names):
+        check(name)
 
 
 def _record() -> None:
