@@ -20,7 +20,9 @@ read one term at a time and polynomial terms were evaluated by Horner's rule
 per index.  The ``discrepancy`` cases at 4095-4097 points, in bases 11
 and 12, of terms that pass 2^63 and at larger Weyl frequencies were
 recorded while every 18-digit prefix came from one sliding integer window,
-one Python operation per point.  Any refactor of these paths must reproduce them byte
+one Python operation per point.  The ``benford`` cases whose terms reach
+10^17 at n = 5000 were recorded while every Benford term was cut to its
+mantissa by its own Python call.  Any refactor of these paths must reproduce them byte
 for byte.  To record them again after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -111,6 +113,10 @@ CASES = [
     ("benford_naturals_4097", ["benford", "--gen", "naturals", "--N", "4097"], 0),
     # n^6 passes 10^17 inside the family stream; a degree-5 tail's prefixes
     ("benford_poly_degree6", ["benford", "--gen", "poly", "--coeffs=0,0,0,0,0,0,1", "--N", "2000"], 0),
+    # terms reach 10^17 at n = 5000, inside the second batch: k*n exactly,
+    # and 4*10^9 n^2 + 1 one past it
+    ("benford_mult_k14", ["benford", "--gen", "mult", "--k", "20000000000000", "--N", "6000"], 0),
+    ("benford_poly_past_1e17", ["benford", "--gen", "poly", "--coeffs=1,0,4000000000", "--N", "6000", *JSON], 0),
     (
         "discrepancy_poly_degree5",
         ["discrepancy", "--kind", "poly", "--coeffs=3,-7,0,2,0,1", "--N", "3000", "--weyl-h", "2"],
