@@ -65,6 +65,7 @@ __all__ = [
     "count_A",
     "digit_length",
     "digits_to_int",
+    "family_benford_report",
     "in_interval",
     "int_to_digits",
     "inverse_epsilon",
@@ -102,6 +103,7 @@ _EQUIDIST_NAMES = frozenset(
         "PointSet",
         "benford_report",
         "census",
+        "family_benford_report",
         "leading_digit",
         "log10_fracpart",
         "log10_int",

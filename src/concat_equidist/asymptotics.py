@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .counting import count_A
 from .exactnum import HalfOpenInterval
 from .seqgen import IntPoly, PolyTail, TailSpec, poly_floor_inverse
+
+if TYPE_CHECKING:
+    from decimal import Decimal  # imported where used, past the float range
 
 
 @dataclass(frozen=True)
@@ -21,8 +25,8 @@ class ScanRecord:
     N: int
     count: int
     ratio: float
-    main_term: float | int  # an exact int where a float would overflow
-    residual: float | int
+    main_term: float | int | Decimal  # an exact int (Lemma 1) or a Decimal (Lemma 2) past the float range
+    residual: float | int | Decimal
 
 
 @dataclass(frozen=True)
@@ -82,13 +86,32 @@ def inverse_epsilon(poly: IntPoly, m: int) -> float:
     return poly_floor_inverse(poly, m) - (m / poly.coeffs[-1]) ** (1.0 / d)
 
 
-def lemma2_main_term(poly: IntPoly, J: int) -> float:
-    """((2^(1/d)-1)/c_d^(1/d)) * sum_{i=1..J} 10^(i/d)."""
+def lemma2_main_term(poly: IntPoly, J: int) -> float | Decimal:
+    """((2^(1/d)-1)/c_d^(1/d)) * sum_{i=1..J} 10^(i/d).
+
+    A float wherever the float sum is finite.  Past the float range it is a
+    Decimal of J/d + 20 significant digits, from the geometric sum
+    r (r^J - 1)/(r - 1) with r = 10^(1/d); it becomes a float again if it
+    fits one.
+    """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
     d = poly.degree
-    factor = (2.0 ** (1.0 / d) - 1.0) / poly.coeffs[-1] ** (1.0 / d)
-    return factor * sum(10.0 ** (i / d) for i in range(1, J + 1))
+    try:
+        factor = (2.0 ** (1.0 / d) - 1.0) / poly.coeffs[-1] ** (1.0 / d)
+        main = factor * sum(10.0 ** (i / d) for i in range(1, J + 1))
+    except OverflowError:
+        main = math.inf
+    if math.isfinite(main):
+        return main
+    from decimal import Decimal, localcontext  # only past the float range
+
+    with localcontext() as ctx:
+        ctx.prec = J // d + 20
+        root = 1 / Decimal(d)
+        r = 10 ** root
+        factor = (2**root - 1) / Decimal(poly.coeffs[-1]) ** root
+        return _float_or_decimal(factor * r * (r**J - 1) / (r - 1))
 
 
 def limit_constants(d: int) -> LimitConstants:
@@ -129,7 +152,7 @@ def subsequence_points_poly(poly: IntPoly, J_max: int) -> list[tuple[int, int]]:
         raise ValueError(f"J_max must be >= 1, got {J_max}")
     points = []
     for J in range(1, J_max + 1):
-        if 2 * 10**J < poly.eval(poly.n_min):
+        if 2 * 10**J < poly.n_min_value:
             continue
         n_last = poly_floor_inverse(poly, 2 * 10**J)
         points.append((J, n_last - poly.n_min + 1))
@@ -159,9 +182,16 @@ def ratio_scan(
         kind = "poly-d"
         constants = limit_constants(spec.poly.degree)
 
-        def main_and_residual(j: int, count: int) -> tuple[float, float]:
+        def main_and_residual(j: int, count: int) -> tuple[float | Decimal, float | Decimal]:
             mt = lemma2_main_term(spec.poly, j)
-            return mt, count - mt
+            if isinstance(mt, float):
+                try:
+                    return mt, count - mt
+                except OverflowError:  # count past the float range
+                    pass
+            from decimal import Decimal
+
+            return mt, _float_or_decimal(count - Decimal(mt))
 
     else:
         kind = "linear-k"
@@ -177,6 +207,12 @@ def ratio_scan(
         res = count_A(spec, interval, N)
         records.append(ScanRecord(j, N, res.count, res.ratio, *main_and_residual(j, res.count)))
     return RatioScanReport(kind, tuple(records), constants)
+
+
+def _float_or_decimal(x: Decimal) -> float | Decimal:
+    """float(x), or x itself past the float range."""
+    f = float(x)
+    return f if math.isfinite(f) else x
 
 
 def _float_or_int(x: int) -> float | int:

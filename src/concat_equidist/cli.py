@@ -10,7 +10,6 @@ import argparse
 import csv
 import functools
 import io
-import itertools
 import json
 import sys
 from typing import Sequence
@@ -40,15 +39,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
+    if isinstance(x, (int, str)):
+        return str(x)
+    return f"{x:.12g}"  # a float, or a Decimal past the float range
 
 
 def _jsonify(x):
     if isinstance(x, float):
         return float(f"{x:.12g}")
-    return x
+    if isinstance(x, (int, str)):
+        return x
+    # a Decimal past the float range: its 12 significant digits written as an
+    # integer, since JSON readers take exponents past 1e308 as infinity
+    return int(type(x)(f"{x:.12g}"))
 
 
 def _build_spec(args) -> TailSpec:
@@ -196,20 +199,18 @@ def cmd_benford(args) -> int:
     from . import equidist  # NumPy loads only for the commands that use it
 
     if args.file:
-        terms = _read_terms_file(args.file)
+        report = equidist.benford_report(_read_terms_file(args.file))
     elif args.gen:
         if args.N is None:
             raise UsageError("--gen requires --N")
         _check_cap(args.N, DEFAULT_N_CAP, "N", args.unsafe_uncapped)
-        count = max(args.N, 0)  # islice rejects a negative stop; no terms is "empty term stream"
         if args.gen == "pow2":
-            terms = (1 << n for n in range(1, count + 1))
+            report = equidist.benford_report(1 << n for n in range(1, args.N + 1))
         else:
             spec = _build_spec(args)
-            terms = itertools.islice(spec.terms(spec.n_min), count)
+            report = equidist.family_benford_report(spec, spec.n_min, args.N)
     else:
         raise UsageError("benford requires --gen or --file")
-    report = equidist.benford_report(terms)
     rows = [
         {
             "digit": c + 1,

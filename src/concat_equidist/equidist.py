@@ -9,7 +9,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,6 +58,34 @@ class BenfordReport:
 
 
 _INT64_END = 2**63
+_BATCH = 4096  # terms or points per NumPy batch
+
+
+def _int64_reader(
+    spec: TailSpec, n: int, bound: int, cut: Callable[[Iterator[int]], Iterator[int]]
+) -> Callable[[int], np.ndarray]:
+    """read(j): the next j terms of ``spec.terms(n)`` as an int64 array.
+
+    The terms increase from n_min, so one ``index_le(bound - 1)`` call counts
+    those below ``bound`` (at most 2^63), and ``np.fromiter`` reads them with
+    no Python step per term.  Every later term passes through ``cut``, which
+    maps the rest of the stream lazily to values that fit in int64.
+    """
+    terms = spec.terms(n)
+    below = max(spec.n_min + spec.index_le(bound - 1) - n, 0)
+    rest = cut(terms)
+
+    def read(j: int) -> np.ndarray:
+        nonlocal below
+        run = min(j, below)
+        below -= run
+        head = np.fromiter(itertools.islice(terms, run), dtype=np.int64, count=run)
+        if run == j:
+            return head
+        tail = np.fromiter(itertools.islice(rest, j - run), dtype=np.int64, count=j - run)
+        return np.concatenate((head, tail))
+
+    return read
 
 
 def tail_points(spec: TailSpec, n: int, count: int, depth: int = 18) -> PointSet:
@@ -65,27 +93,56 @@ def tail_points(spec: TailSpec, n: int, count: int, depth: int = 18) -> PointSet
 
     Point m is P_m / b^depth, kept below 1, where P_m is the integer of the
     first ``depth`` digits of x_m that ``tail_prefixes`` yields.  When
-    b^depth < 2^63 the P_m are built in int64 blocks (``_prefix_blocks``);
-    larger bases read them from ``tail_prefixes``.  Either way each term is
-    read once.  Python's int / int rounds P_m / b^depth once, correctly;
-    converting P_m to float64 first would round twice.  An 18-digit prefix
-    such as 0.999...9 rounds to 1.0, hence the clamp.  A count below 1
-    gives an empty set.
+    b^depth < 2^63 the P_m are built in int64 blocks (``_prefix_blocks``)
+    and divided in NumPy (``_quotients``); larger bases read them from
+    ``tail_prefixes`` and divide them in Python.  Either way each term is
+    read once, and each point is Python's P_m / b^depth, rounded once,
+    correctly; converting P_m to float64 first would round twice.  An
+    18-digit prefix such as 0.999...9 rounds to 1.0, hence the clamp.  A
+    count below 1 gives an empty set.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     scale = spec.base**depth
     if scale < _INT64_END:
-        blocks = _prefix_blocks(spec, n, count, depth)
+        parts = [_quotients(block, scale) for block in _prefix_blocks(spec, n, count, depth)]
     else:
-        blocks = [tail_prefixes(spec, n, count, depth)]
-    parts = [np.fromiter(map(operator.truediv, block, itertools.repeat(scale)), dtype=np.float64) for block in blocks]
+        parts = [_python_quotients(tail_prefixes(spec, n, count, depth), scale)]
     points = np.concatenate(parts) if parts else np.empty(0)
     return PointSet(np.minimum(points, np.nextafter(1.0, 0.0), out=points))
 
 
-def _prefix_blocks(spec: TailSpec, n: int, count: int, depth: int) -> Iterator[list[int]]:
-    """The values of ``tail_prefixes(spec, n, count, depth)``, in lists of up to ``_BATCH``.
+# np.longdouble holds every int64 exactly: x87 extended or IEEE quad, not a plain double
+_EXTENDED = np.finfo(np.longdouble).nmant >= 63
+
+
+def _quotients(prefix: np.ndarray, scale: int) -> np.ndarray:
+    """prefix / scale as float64 for int64 values, each bitwise Python's int / int.
+
+    Python rounds the exact quotient once.  Here it is rounded to
+    ``np.longdouble``, where both operands are exact, and then to float64.
+    The second rounding can differ from a single one only when the first
+    lands exactly on a float64 midpoint: otherwise no midpoint lies between
+    the exact and the extended quotient, so both round to the same float64.
+    Those few points, and every point where ``np.longdouble`` is only a
+    double, are divided by Python.
+    """
+    if not _EXTENDED:
+        return _python_quotients(prefix.tolist(), scale)
+    exact = prefix.astype(np.longdouble) / np.longdouble(scale)
+    q = exact.astype(np.float64)
+    toward = np.nextafter(q, np.where(exact > q, np.inf, -np.inf))  # the float64 neighbour on exact's side
+    tie = np.flatnonzero(exact == (q.astype(np.longdouble) + toward) / 2)  # both sums are exact
+    q[tie] = _python_quotients(prefix[tie].tolist(), scale)
+    return q
+
+
+def _python_quotients(prefix: Iterable[int], scale: int) -> np.ndarray:
+    return np.fromiter(map(operator.truediv, prefix, itertools.repeat(scale)), dtype=np.float64)
+
+
+def _prefix_blocks(spec: TailSpec, n: int, count: int, depth: int) -> Iterator[np.ndarray]:
+    """The values of ``tail_prefixes(spec, n, count, depth)``, in int64 arrays of up to ``_BATCH``.
 
     Needs b^depth < 2^63.  Each term enters as the int64 pair (L, h): its
     digit length clipped to ``depth`` and its leading L digits.  A term of
@@ -98,17 +155,19 @@ def _prefix_blocks(spec: TailSpec, n: int, count: int, depth: int) -> Iterator[l
     below b^depth.  The terms increase, so the window sums grow along a
     block and the short rows are a leading slice.  A block reads its own
     terms and then one term at a time until its last window is full, so
-    exactly the terms ``tail_prefixes`` reads are read, each once.
+    exactly the terms ``tail_prefixes`` reads are read, each once.  The
+    terms below 2^63 are read as int64 runs (``_int64_reader``); later ones
+    are cut to their leading ``depth`` digits in Python as they are read.
     """
     base = spec.base
     powers = [1]
     while powers[-1] * base < _INT64_END:
         powers.append(powers[-1] * base)
     pows = np.array(powers, dtype=np.int64)  # every power of the base below 2^63
-    terms = _int64_terms(spec.terms(n), base, depth)
+    read = _int64_reader(spec, n, _INT64_END, lambda rest: _leading_digits(rest, base, depth))
 
     def extend(head: np.ndarray, length: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        h = np.fromiter(itertools.islice(terms, k), dtype=np.int64)
+        h = read(k)
         L = np.searchsorted(pows, h, side="right")
         over = np.flatnonzero(L > depth)
         h[over] //= pows[L[over] - depth]
@@ -131,20 +190,14 @@ def _prefix_blocks(spec: TailSpec, n: int, count: int, depth: int) -> Iterator[l
             prefix[:short] += head[i : i + short] * pows[depth - used[:short]]
             prefix[short:rows] += head[i + short : i + rows] // pows[used[short:] - depth]
             i, rows = i + 1, short
-        yield prefix.tolist()
+        yield prefix
         head, length = head[size:], length[size:]
 
 
-def _int64_terms(terms: Iterator[int], base: int, depth: int) -> Iterator[int]:
-    """The increasing ``terms``, each from 2^63 on cut to its leading ``depth`` digits."""
-    for a in terms:
-        if a >= _INT64_END:
-            break
-        yield a
-    else:
-        return
+def _leading_digits(terms: Iterator[int], base: int, depth: int) -> Iterator[int]:
+    """The increasing ``terms``, each longer than ``depth`` digits cut to its leading ``depth``."""
     bound, divisor = base**depth, 1  # base**L and base**(L - depth) for L digits
-    for a in itertools.chain((a,), terms):
+    for a in terms:
         while a >= bound:
             bound *= base
             divisor *= base
@@ -266,7 +319,7 @@ def census(terms: Iterable[int], base: int = 10) -> list[int]:
 
 def log_fracparts(terms: Iterable[int]) -> PointSet:
     """{log10 a_i} for a stream of positive integers."""
-    return PointSet(_benford_parts(terms)[1])
+    return PointSet(_benford_parts(_mantissa_batches(terms))[1])
 
 
 def benford_report(terms: Iterable[int]) -> BenfordReport:
@@ -276,7 +329,21 @@ def benford_report(terms: Iterable[int]) -> BenfordReport:
     leading digit and {log10 a_i} from them; the results equal those of
     ``census`` and ``star_discrepancy(log_fracparts(terms))``.
     """
-    counts, fracs = _benford_parts(terms)
+    return _report(*_benford_parts(_mantissa_batches(terms)))
+
+
+def family_benford_report(spec: TailSpec, n: int, count: int) -> BenfordReport:
+    """``benford_report`` of the terms a_n, ..., a_{n+count-1} of a family, bitwise.
+
+    The terms below 10^17 are their own mantissas, so they are read as
+    int64 runs (``_int64_reader``) with no Python step per term; only later
+    terms are cut to their ``_mantissa`` one by one.
+    """
+    read = _int64_reader(spec, n, _HEAD_BELOW, lambda rest: map(_mantissa, rest))
+    return _report(*_benford_parts(read(min(_BATCH, count - start)) for start in range(0, count, _BATCH)))
+
+
+def _report(counts: list[int], fracs: np.ndarray) -> BenfordReport:
     n = len(fracs)
     if not n:
         raise ValueError("empty term stream")
@@ -286,7 +353,6 @@ def benford_report(terms: Iterable[int]) -> BenfordReport:
     return BenfordReport(n, freq, BENFORD_FREQ, gap, disc)
 
 
-_BATCH = 4096  # terms per NumPy batch of the Benford pass
 _POW10 = 10 ** np.arange(HEAD_DIGITS + 1, dtype=np.int64)  # 10^0 ... 10^17
 _HEAD_BELOW = 10**HEAD_DIGITS
 
@@ -307,22 +373,24 @@ def _mantissa(m: int) -> int:
     return int(head) if exact else 10 * int(head) + 1
 
 
-def _benford_parts(terms: Iterable[int]) -> tuple[list[int], np.ndarray]:
-    """(leading-digit counts, {log10 a_i}) for a stream of positive integers.
-
-    Bitwise equal to ``_digit_and_fracpart`` term by term.  The stream is
-    read in batches of ``_BATCH`` terms, each reduced to its ``_mantissa``
-    as it is read, so no batch holds a big integer.  NumPy does the integer
-    work on each batch; the logarithms come from ``math.log10`` on the same
-    integers, because ``np.log10`` may round differently.
-    """
+def _mantissa_batches(terms: Iterable[int]) -> Iterator[np.ndarray]:
+    """The ``_mantissa`` of each term, read lazily in int64 batches of up to ``_BATCH``."""
     terms = iter(terms)
+    while (mant := np.fromiter(map(_mantissa, itertools.islice(terms, _BATCH)), dtype=np.int64)).size:
+        yield mant
+
+
+def _benford_parts(batches: Iterable[np.ndarray]) -> tuple[list[int], np.ndarray]:
+    """(leading-digit counts, {log10 a_i}) from int64 batches of ``_mantissa`` values.
+
+    Bitwise equal to ``_digit_and_fracpart`` term by term.  No batch holds a
+    big integer.  NumPy does the integer work on each batch; the logarithms
+    come from ``math.log10`` on the same integers, because ``np.log10`` may
+    round differently.
+    """
     counts = np.zeros(10, dtype=np.int64)
     parts = []
-    while True:
-        mant = np.fromiter(map(_mantissa, itertools.islice(terms, _BATCH)), dtype=np.int64)
-        if not mant.size:
-            break
+    for mant in batches:
         tens = np.flatnonzero(mant % 10 == 0)
         while tens.size:
             mant[tens] //= 10

@@ -87,6 +87,11 @@ class IntPoly:
         delta = [s - c for s, c in zip(shifted[:-1], self.coeffs)]
         return 1 + max(_last_nonpositive(delta), _last_nonpositive(self.coeffs))
 
+    @cached_property
+    def n_min_value(self) -> int:
+        """f(n_min), the least value f takes on [n_min, infinity)."""
+        return self.eval(self.n_min)
+
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.coeffs)
 
@@ -296,7 +301,7 @@ class PolyTail:
 
     def index_le(self, m: int) -> int:
         """#{n >= n_min : a_n <= m}."""
-        if m < self.poly.eval(self.n_min):
+        if m < self.poly.n_min_value:
             return 0
         return poly_floor_inverse(self.poly, m) - self.n_min + 1
 

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import mpmath
 import pytest
@@ -210,6 +211,39 @@ class TestLemma2MainTerm:
     def test_rejects_bad_J(self):
         with pytest.raises(ValueError):
             lemma2_main_term(NSQ, 0)
+
+    def test_float_up_to_the_float_range_then_decimal(self):
+        # for f(n) = n the main term is (10^(J+1) - 10) / 9, a float up to
+        # J = 308; from J = 309 the Decimal is that integer exactly
+        assert isinstance(lemma2_main_term(IntPoly((0, 1)), 308), float)
+        for J in (309, 400):
+            main = lemma2_main_term(IntPoly((0, 1)), J)
+            assert isinstance(main, Decimal)
+            assert main == (10 ** (J + 1) - 10) // 9
+
+    def test_decimal_against_mpmath(self):
+        with mpmath.workdps(400):
+            oracle = (mpmath.cbrt(2) - 1) / mpmath.cbrt(2) * sum(
+                mpmath.power(10, mpmath.mpf(i) / 3) for i in range(1, 1001)
+            )
+            main = lemma2_main_term(IntPoly((1, 0, 0, 2)), 1000)
+            assert abs(mpmath.mpf(str(main)) / oracle - 1) < mpmath.mpf(10) ** -300
+
+    def test_leading_coefficient_past_the_float_range(self):
+        # c_d^(1/d) overflows as a float, the main term itself does not
+        main = lemma2_main_term(IntPoly((0, 10**400)), 500)
+        assert isinstance(main, float)
+        assert main == pytest.approx((10**501 - 10) // 9 / 10**400, rel=1e-15)
+
+    def test_scan_residuals_past_the_float_range(self):
+        # f(n) = n: from J = 309 on the main term is a Decimal and count - main
+        # is the exact residual 1, as a float
+        spec = PolyTail(IntPoly((0, 1)))
+        points = [(J, 2 * 10**J) for J in range(305, 313)]
+        for r in ratio_scan(spec, HalfOpenInterval.parse("0.1", "0.2"), points).records:
+            assert r.ratio == r.count / r.N
+            if r.j >= 309:
+                assert isinstance(r.main_term, Decimal) and r.residual == 1.0
 
 
 class TestLimitConstants:

@@ -132,6 +132,22 @@ class TestScan:
                 assert row["residual"] == str(residual)
         assert rows[-1]["main_term"] == str(lemma1_main_term(7, 320))
 
+    def test_poly_scan_past_the_float_range(self, capsys):
+        # from J = 309 the Lemma 2 main term passes the float range; it prints
+        # with 12 significant digits in CSV and as their integer in JSON
+        argv = ["scan", "--kind", "poly", "--coeffs", "0,1", "--Jmax", "400", "--unsafe-uncapped"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        rows, _ = read_csv(out)
+        assert [row["j"] for row in rows] == [str(j) for j in range(1, 401)]
+        for row in rows:
+            assert row["ratio"] == f"{int(row['count']) / int(row['N']):.12g}"
+        assert (rows[-1]["main_term"], rows[-1]["residual"]) == ("1.11111111111e+400", "1")
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        last = json.loads(out)["records"][-1]
+        assert (last["main_term"], last["residual"]) == (111111111111 * 10**389, 1.0)
+
     def test_uncapped_override(self, capsys):
         code, out, _ = run(
             capsys, "scan", "--kind", "poly", "--coeffs", "0,0,1", "--jmax", "9", "--unsafe-uncapped"

@@ -1,19 +1,26 @@
 import dataclasses
+import itertools
 import math
 import sys
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from concat_equidist import equidist
 from concat_equidist.equidist import (
     _BATCH,
+    _EXTENDED,
     BENFORD_FREQ,
     BenfordReport,
     PointSet,
     _digit_and_fracpart,
+    _quotients,
     benford_report,
     census,
+    family_benford_report,
     leading_digit,
     log10_fracpart,
     log10_int,
@@ -249,6 +256,48 @@ class TestTailPoints:
         spec = PolyTail(IntPoly((10, -10, 1)), base)
         with pytest.raises(DomainError, match="below the sequence domain"):
             tail_points(spec, spec.n_min - 1, 0)
+
+
+@st.composite
+def quotient_cases(draw):
+    """(prefixes, scale): scale = b^depth < 2^63 for a base 2-11, and int64
+    prefixes below it: 0, scale - 1 (which rounds to 1.0 for depth 18),
+    anything, and prefixes next to P / scale = a float64 midpoint, where
+    rounding twice can go wrong."""
+    base = draw(st.integers(2, 11))
+    depth = draw(st.integers(1, max(d for d in range(1, 64) if base**d < 2**63)))
+    scale = base**depth
+    near = st.builds(
+        lambda q, delta: int((Fraction(q) + Fraction(math.nextafter(q, 1.0))) / 2 * scale) + delta,
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.integers(-2, 2),
+    )
+    prefix = st.one_of(st.just(0), st.just(scale - 1), st.integers(0, scale - 1), near)
+    values = draw(st.lists(prefix, min_size=1, max_size=50))
+    return [min(max(v, 0), scale - 1) for v in values], scale
+
+
+class TestQuotients:
+    """``_quotients`` against Python's correctly rounded int / int."""
+
+    @pytest.mark.parametrize("extended", [_EXTENDED, False], ids=["this-host", "python-route"])
+    @settings(max_examples=300)
+    @given(quotient_cases())
+    # the extended quotient is a float64 midpoint, the exact one lies above it
+    @example(([677830477250592367, 10**18 - 1, 0], 10**18))
+    def test_bitwise_equal_to_python_division(self, extended, case):
+        prefixes, scale = case
+        with mock.patch.object(equidist, "_EXTENDED", extended):
+            got = _quotients(np.array(prefixes, dtype=np.int64), scale)
+        want = np.array([p / scale for p in prefixes])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.skipif(not _EXTENDED, reason="np.longdouble is a double here")
+    def test_a_midpoint_is_divided_again(self):
+        # rounding the extended quotient straight to float64 would be one ulp low
+        p, scale = 677830477250592367, 10**18
+        assert float(np.longdouble(p) / np.longdouble(scale)) < p / scale
+        assert _quotients(np.array([p], dtype=np.int64), scale)[0] == p / scale
 
 
 class TestLogFracparts:
@@ -521,6 +570,55 @@ class TestBatchedBenfordReport:
 
         with pytest.raises(ValueError, match="m must be >= 1, got 0"):
             benford_report(stream())
+
+
+@st.composite
+def cut_cases(draw):
+    """(spec, n, count): a family started so that its first term from 10^17
+    on, the first one ``_mantissa`` cuts, is term 4095, 4096 or 4097 of the
+    stream, or one place off; counts end before, at and after it."""
+    if draw(st.booleans()):
+        spec = MultipleTail(draw(st.one_of(st.integers(1, 50), st.integers(1, 2 * 10**13))))
+    else:
+        coeffs = (draw(st.integers(-5, 10**9)), draw(st.integers(-3, 3)), draw(st.integers(1, 4 * 10**9)))
+        spec = PolyTail(IntPoly(coeffs))
+    cut = draw(st.sampled_from([_BATCH - 1, _BATCH, _BATCH + 1])) + draw(st.integers(-1, 1))
+    n = max(spec.n_min, spec.n_min + spec.index_le(10**17 - 1) - cut)
+    count = draw(st.one_of(st.sampled_from([cut - 1, cut, cut + 1, 2 * _BATCH + 1]), st.integers(-2, 3)))
+    return spec, n, count
+
+
+class TestFamilyBenfordReport:
+    @settings(max_examples=60)
+    @given(cut_cases())
+    @example((MultipleTail(20000000000000), 1, 6000))  # k*n = 10^17 at n = 5000
+    @example((PolyTail(IntPoly((1, 0, 4000000000))), 1, 6000))  # f(5000) = 10^17 + 1
+    def test_bitwise_equal_to_the_report_of_the_terms(self, case):
+        spec, n, count = case
+        terms = list(itertools.islice(spec.terms(n), max(count, 0)))
+        assert _report_or_error_of(lambda: family_benford_report(spec, n, count)) == _report_or_error_of(
+            lambda: benford_report(terms)
+        )
+
+    def test_naturals_across_the_cut(self):
+        n = 10**17 - _BATCH
+        terms = range(n, n + 2 * _BATCH + 1)
+        assert repr(dataclasses.astuple(family_benford_report(ChampernowneTail(), n, len(terms)))) == repr(
+            dataclasses.astuple(per_term_report(terms))
+        )
+
+    def test_rejects_index_below_n_min(self):
+        spec = PolyTail(IntPoly((10, -10, 1)))
+        with pytest.raises(DomainError, match="below the sequence domain"):
+            family_benford_report(spec, spec.n_min - 1, 10)
+
+
+def _report_or_error_of(build):
+    # repr tells floats apart bit for bit and NumPy scalars from floats
+    try:
+        return repr(dataclasses.astuple(build()))
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestPolyLogRatio:

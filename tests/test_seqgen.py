@@ -4,7 +4,7 @@ import pytest
 
 from hypothesis import event, given, settings, strategies as st
 
-from concat_equidist.equidist import _BATCH, tail_points
+from concat_equidist.equidist import _BATCH, family_benford_report, tail_points
 from concat_equidist.exactnum import digits_to_int, int_to_digits
 from concat_equidist.seqgen import (
     ChampernowneTail,
@@ -166,10 +166,15 @@ def prefix_cases(draw):
 
 
 class CountingTail:
-    """Wraps a tail and records every index whose term is evaluated."""
+    """Wraps a tail and records every index whose term is evaluated.
+
+    ``n_min`` and ``index_le`` are forwarded, so a reader that certifies
+    int64 runs by ``index_le`` still reads every term through ``terms``.
+    """
 
     def __init__(self, spec):
         self.spec, self.base, self.evaluated = spec, spec.base, []
+        self.n_min, self.index_le = spec.n_min, spec.index_le
 
     def terms(self, n):
         for m, a in zip(itertools.count(n), self.spec.terms(n)):
@@ -243,6 +248,21 @@ class TestTailPrefixes:
         assert len(tail_points(by_points, n, count, p)) == count
         assert by_points.evaluated == by_prefixes.evaluated
 
+    @pytest.mark.parametrize(
+        "spec,n,count",
+        [
+            (ChampernowneTail(), 1, _BATCH + 1),
+            (ChampernowneTail(), 10**17 - _BATCH, _BATCH + 1),  # the last term is 10^17
+            (MultipleTail(20000000000000), 1, 6000),  # k*n = 10^17 at n = 5000
+            (PolyTail(IntPoly((1, 0, 4000000000))), 1, 6000),  # f(5000) = 10^17 + 1
+            (PolyTail(IntPoly((10, -10, 1))), 9, 10),
+        ],
+    )
+    def test_family_benford_reads_each_term_once(self, spec, n, count):
+        counted = CountingTail(spec)
+        assert family_benford_report(counted, n, count).N == count
+        assert counted.evaluated == list(range(n, n + count))
+
     def test_champ_crossing_into_five_digits(self):
         got = list(tail_prefixes(ChampernowneTail(), 9998, 3, 18))
         assert got == [999899991000010001, 999910000100011000, 100001000110002100]
@@ -313,6 +333,13 @@ class TestIntPoly:
         assert poly.eval(m + 1) > poly.eval(m)
         # certification is tight: the index just below violates a condition
         assert poly.eval(m - 1) < 1 or poly.eval(m) <= poly.eval(m - 1)
+
+    def test_n_min_value_is_evaluated_once(self, monkeypatch):
+        poly = IntPoly((10, -10, 1))
+        assert poly.n_min_value == poly.eval(poly.n_min) == 1
+        monkeypatch.setattr(IntPoly, "eval", lambda self, n: pytest.fail("f(n_min) evaluated again"))
+        assert poly.n_min_value == 1
+        assert PolyTail(poly).index_le(0) == 0
 
     @pytest.mark.parametrize("coeffs", [(0, 0, 1), (10, -10, 1), (0, -5, 0, 2), (-100, 1)])
     def test_n_min_certifies_monotone_growth(self, coeffs):
