@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 from .counting import count_A
 from .exactnum import HalfOpenInterval
-from .seqgen import IntPoly, PolyTail, TailSpec, poly_floor_inverse
+from .seqgen import IntPoly, PolyTail, TailSpec, _iroot, poly_floor_inverse
 
 if TYPE_CHECKING:
     from decimal import Decimal  # imported where used, past the float range
@@ -81,9 +81,14 @@ def subsequence_points_linear(k: int, j_max: int) -> list[tuple[int, int]]:
 
 
 def inverse_epsilon(poly: IntPoly, m: int) -> float:
-    """g(m) - (m/c_d)^(1/d): the bounded correction of the floor inverse."""
+    """g(m) - (m/c_d)^(1/d): the bounded correction of the floor inverse.
+
+    The root is taken on integers with 64 fractional bits, so m may be of
+    any size; the difference is rounded to a float once.
+    """
     d = poly.degree
-    return poly_floor_inverse(poly, m) - (m / poly.coeffs[-1]) ** (1.0 / d)
+    root = _iroot((m << 64 * d) // poly.coeffs[-1], d)  # floor((m/c_d)^(1/d) * 2^64)
+    return ((poly_floor_inverse(poly, m) << 64) - root) / 2**64
 
 
 def lemma2_main_term(poly: IntPoly, J: int) -> float | Decimal:

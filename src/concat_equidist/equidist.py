@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .exactnum import HEAD_DIGITS, STR_BELOW, ExactEndpoint, decimal_head
+from .exactnum import HEAD_DIGITS, ExactEndpoint, decimal_head
 from .seqgen import IntPoly, TailSpec, tail_prefixes
 
 BENFORD_FREQ = tuple(math.log10(1 + 1 / c) for c in range(1, 10))
@@ -272,17 +272,13 @@ def log10_fracpart(m: int) -> float:
 def _digit_and_fracpart(m: int) -> tuple[int, float]:
     """(leading decimal digit of m, {log10 m}) from one read of m's digits.
 
-    Below STR_BELOW the digits come from str(m), above from ``decimal_head``;
-    the 17-digit head is stripped of trailing zeros only when every later
-    digit is 0 as well.
+    The digits come from ``decimal_head``; the 17-digit head is stripped of
+    trailing zeros only when every later digit is 0 as well.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if m < STR_BELOW:  # str() is exact here and saves a call per term
-        s = str(m).rstrip("0")
-    else:
-        _, head, exact = decimal_head(m)
-        s = head.rstrip("0") if exact else head
+    _, head, exact = decimal_head(m)
+    s = head.rstrip("0") if exact else head
     if s == "1":
         return 1, 0.0
     mant = s[:HEAD_DIGITS]

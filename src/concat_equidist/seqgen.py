@@ -8,7 +8,10 @@ which tail digits, prefixes and the Benford pass walk a sequence, and counts
 its terms up to a bound in closed form (``index_le``), which exact counting
 uses decade by decade.  A polynomial's stream is a difference table: d
 nested running sums over the constant d-th difference, so each term costs d
-exact integer additions (Knuth, TAOCP vol. 2, §4.6.4).
+exact integer additions (Knuth, TAOCP vol. 2, §4.6.4).  The same differences
+certify its domain n >= n_min: between two sign changes of Δh on the
+integers, h is monotone, so from the constant difference up to f each
+level's sign changes follow from integer searches (``IntPoly.n_min``).
 """
 from __future__ import annotations
 
@@ -16,8 +19,8 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Sequence, Union
+from functools import cached_property, partial
+from typing import Callable, Iterator, Sequence, Union
 
 from .exactnum import DigitString, _check_base, int_to_digits
 
@@ -71,21 +74,22 @@ class IntPoly:
         """Least n >= 1 with f strictly increasing and >= 1 on [n, infinity).
 
         With Δf(n) = f(n+1) - f(n), n_min = 1 + max{m >= 1 : Δf(m) <= 0 or
-        f(m) <= 0}, or 1 if that set is empty.  Each half is the largest
-        integer m >= 1 with h(m) <= 0 for h = Δf and h = f.  One Taylor
-        shift settles the common case where f(x + 1) has no coefficient sign
-        change; otherwise exact integer root isolation decides each half
-        (``_last_nonpositive``).  The cost depends on the degree and the
-        coefficients' bit length, not on n_min.
+        f(m) <= 0}, or 1 if that set is empty.  From the constant d-th
+        difference up to Δf, the sign changes of each difference on the
+        integers split them into runs on which the next one is monotone, and
+        a search within each run gives that one's sign changes
+        (``_sign_changes``).  From the last change of Δf on, f increases, and
+        one more search finds where it reaches 1.  Integers only; the cost
+        depends on the degree and the coefficients' bit length, not on n_min.
         """
-        shifted = _shift1(self.coeffs)  # f(x + 1)
-        if min(shifted) >= 0:
-            # By Descartes' rule f > 0 on (1, infinity); Δf(x + 1) = f(x + 2) -
-            # f(x + 1) has coefficients >= 0 and Δf(1) > 0, so only f(1) =
-            # shifted[0] can fail.
-            return 1 if shifted[0] else 2
-        delta = [s - c for s, c in zip(shifted[:-1], self.coeffs)]
-        return 1 + max(_last_nonpositive(delta), _last_nonpositive(self.coeffs))
+        table = [list(self.coeffs)]
+        while len(table[-1]) > 1:
+            table.append(_difference(table[-1]))
+        turns: list[int] = []  # Δ^d f is a positive constant
+        for h in reversed(table[1:-1]):  # Δ^(d-1) f, ..., Δf
+            turns = _sign_changes(h, turns)
+        start = turns[-1] if turns else 1
+        return _first_above(self.eval, 0, start, start)
 
     @cached_property
     def n_min_value(self) -> int:
@@ -106,7 +110,7 @@ def _show(x: object) -> str:
     return repr(x)
 
 
-# --- exact real-root certificates for integer polynomials -------------------
+# --- monotone runs of integer polynomials ----------------------------------
 # Coefficient lists are constant term first, like IntPoly.coeffs.
 
 
@@ -117,117 +121,66 @@ def _horner(h: Sequence[int], x: int) -> int:
     return value
 
 
-def _shift1(h: Sequence[int]) -> list[int]:
-    """Coefficients of h(x + 1) (Taylor shift by 1, O(d^2) additions)."""
+def _difference(h: Sequence[int]) -> list[int]:
+    """Coefficients of Δh(x) = h(x + 1) - h(x), by a Taylor shift (O(d^2) additions)."""
     a = list(h)
     for i in range(len(a) - 1):
         for j in range(len(a) - 2, i - 1, -1):
             a[j] += a[j + 1]
-    return a
+    return [s - c for s, c in zip(a[:-1], h)]
 
 
-def _last_nonpositive(h: Sequence[int]) -> int:
-    """Largest integer m >= 1 with h(m) <= 0, or 0 if h > 0 on [1, infinity).
+def _sign_changes(h: Sequence[int], turns: list[int]) -> list[int]:
+    """The integers m >= 2 where h(m - 1) > 0 and h(m) > 0 differ, ascending.
 
-    h must have a positive leading coefficient.  Degree 0 and 1 are closed
-    forms.  Otherwise the integers of (0, B], with h > 0 on [B, infinity),
-    are bisected right half first, skipping every interval that holds no
-    real root of h by Sturm's theorem and stopping at the first index where
-    h <= 0.
+    ``turns`` are the same for Δh.  Between consecutive turns Δh stays > 0
+    or stays <= 0, so h is monotone on the integers of each run [a, b] and
+    changes sign at most once there; when h(a) and h(b) differ, a search
+    down from b finds it.  Past the last turn Δh > 0 and h increases, so a
+    search up from that turn finds where h becomes positive for good.  h
+    must have a positive leading coefficient.
     """
-    if len(h) == 1:
-        return 0
-    if len(h) == 2:
-        return max(-h[0] // h[1], 0)
-    sturm = _sturm_sequence(h)
-    if len(sturm[-1]) > 1:  # repeated roots: count the distinct roots of h / gcd(h, h')
-        sturm = _sturm_sequence(_exact_quotient(h, sturm[-1]))
-    top = _root_bound(h)
-    # invariant: every integer above the popped interval (a, b] has h > 0
-    stack = [(0, _sign_variations(sturm, 0), top, _sign_variations(sturm, top))]
-    while stack:
-        a, var_a, b, var_b = stack.pop()
-        if _horner(h, b) <= 0:
-            return b
-        # var_a - var_b = number of distinct roots in (a, b]; none means h > 0 there
-        if var_a == var_b or b - a == 1:
-            continue
-        mid = (a + b) // 2
-        var_mid = _sign_variations(sturm, mid)
-        stack.append((a, var_a, mid, var_mid))
-        stack.append((mid, var_mid, b, var_b))
-    return 0
+    value = partial(_horner, h)
+    changes = []
+    a, positive = 1, value(1) > 0
+    for b in turns:
+        if positive != (positive_b := value(b) > 0):
+            if positive_b:
+                changes.append(_first_above(value, 0, a, b))
+            else:  # h decreases on [a, b]: -h > -1 marks h <= 0
+                changes.append(_first_above(lambda n: -value(n), -1, a, b))
+        a, positive = b, positive_b
+    if not positive:
+        changes.append(_first_above(value, 0, a, a))
+    return changes
 
 
-def _root_bound(h: Sequence[int]) -> int:
-    """An integer B >= 2 with h > 0 on [B, infinity).
+def _first_above(value: Callable[[int], int], m: int, floor: int, start: int) -> int:
+    """The least n >= floor with value(n) > m, for value non-decreasing from floor on.
 
-    Kioustelidis' bound: every positive root is below 2 max (-c_{d-i}/c_d)^(1/i)
-    over the negative coefficients; each i-th root is rounded up to a power
-    of two.
+    From start >= floor it gallops down while value > m, or else up while
+    value <= m, doubling the step, and bisects the bracket: O(log |n - start|)
+    evaluations whatever the size of n.  If value(start) > m, only
+    [floor, start] is read, so value need only be non-decreasing there.
     """
-    d, lead = len(h) - 1, h[-1]
-    half = 1
-    for i in range(1, d + 1):
-        if h[d - i] < 0:
-            ratio = -(h[d - i] // lead)  # ceil(-c_{d-i} / c_d) >= 1
-            half = max(half, 1 << -(-ratio.bit_length() // i))
-    return 2 * half
-
-
-def _sturm_sequence(h: Sequence[int]) -> list[list[int]]:
-    """h, h', -rem(h, h'), ...: a Sturm sequence, each member scaled by a positive constant.
-
-    The last member is a constant when h is square-free and gcd(h, h') otherwise.
-    """
-    seq = [list(h), [i * c for i, c in enumerate(h)][1:]]
-    while len(seq[-1]) > 1:
-        r = _negated_remainder(seq[-2], seq[-1])
-        if not r:
-            break
-        seq.append(r)
-    return seq
-
-
-def _negated_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """-(k * a mod b) for an integer k > 0, divided by its content; [] if b divides a."""
-    a = list(a)
-    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
-    while len(a) >= len(b):
-        q, shift = sign * a[-1], len(a) - len(b)
-        a = [scale * c for c in a]
-        for j, c in enumerate(b):
-            a[shift + j] -= q * c
-        while a and a[-1] == 0:
-            a.pop()
-    content = math.gcd(*a)
-    return [-c // content for c in a] if a else []
-
-
-def _exact_quotient(h: Sequence[int], g: Sequence[int]) -> list[int]:
-    """h / g for a g dividing h, scaled to be primitive with a positive leading
-    coefficient; integral by Gauss's lemma."""
-    content = math.gcd(*g) * (1 if g[-1] > 0 else -1)
-    g = [c // content for c in g]
-    rem = list(h)
-    quotient = [0] * (len(h) - len(g) + 1)
-    for k in range(len(quotient) - 1, -1, -1):
-        quotient[k] = rem[k + len(g) - 1] // g[-1]
-        for j, c in enumerate(g):
-            rem[k + j] -= quotient[k] * c
-    return quotient
-
-
-def _sign_variations(seq: list[list[int]], x: int) -> int:
-    """Sign changes, zeros skipped, along the values of ``seq`` at x."""
-    count, last = 0, 0
-    for p in seq:
-        v = _horner(p, x)
-        if v:
-            if last and (v > 0) != (last > 0):
-                count += 1
-            last = v
-    return count
+    lo = hi = start
+    step = 1
+    while value(lo) > m:
+        if lo == floor:
+            return floor
+        lo, hi, step = max(floor, lo - step), lo, 2 * step
+    if hi == lo:  # value(start) <= m
+        hi = lo + 1
+        while value(hi) <= m:
+            lo, hi, step = hi, hi + step, 2 * step
+    # invariant: value(lo) <= m < value(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if value(mid) <= m:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 @dataclass(frozen=True)
@@ -313,30 +266,17 @@ def poly_floor_inverse(poly: IntPoly, m: int) -> int:
     """The unique n >= n_min with f(n) <= m < f(n+1), by exact search.
 
     The search starts at r = max(n_min, iroot(m // c_d, d)), which is within
-    about |c_{d-1}| / (d c_d) + 1 of the answer for large m.  From r it
-    gallops down until f(lo) <= m, or up until f(hi) > m, and bisects the
-    bracket.  The result is certified by f(lo) <= m < f(lo + 1) whatever the
-    start, and a call costs O(log gap) Horner passes, not O(bits of m).
+    about |c_{d-1}| / (d c_d) + 1 of the answer for large m, and gallops
+    from there (``_first_above``).  The result is certified by f(n) <= m <
+    f(n + 1) whatever the start, and a call costs O(log gap) Horner passes,
+    not O(bits of m).
     """
     n_min = poly.n_min
-    lo = hi = max(n_min, _iroot(max(m, 0) // poly.coeffs[-1], poly.degree))
-    step = 1
-    while (value := poly.eval(lo)) > m:
-        if lo == n_min:
-            raise ValueError(f"m = {m} below f(n_min) = {value}")
-        lo, hi, step = max(n_min, lo - step), lo, 2 * step
-    if hi == lo:  # f(r) <= m
-        hi = lo + 1
-        while poly.eval(hi) <= m:
-            lo, hi, step = hi, hi + step, 2 * step
-    # invariant: f(lo) <= m < f(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if poly.eval(mid) <= m:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    start = max(n_min, _iroot(max(m, 0) // poly.coeffs[-1], poly.degree))
+    above = _first_above(poly.eval, m, n_min, start)
+    if above == n_min:
+        raise ValueError(f"m = {m} below f(n_min) = {poly.n_min_value}")
+    return above - 1
 
 
 def _iroot(x: int, d: int) -> int:

@@ -190,6 +190,11 @@ class TestInverseEpsilon:
         eps = inverse_epsilon(IntPoly((3, 1)), 10**6)
         assert abs(eps - (-3.0)) < 1e-9
 
+    def test_m_past_the_float_range(self):
+        # m / c_d as a float overflowed past about 1.8e308
+        assert inverse_epsilon(IntPoly((0, 1)), 10**400) == 0.0
+        assert inverse_epsilon(IntPoly((0, 10, 1)), 10**400) == -5.0
+
 
 class TestLemma2MainTerm:
     def test_linear_degree(self):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -38,12 +39,132 @@ def walk_n_min(poly):
     return start
 
 
+def _horner(h, x):
+    value = 0
+    for c in reversed(h):
+        value = value * x + c
+    return value
+
+
+def sturm_n_min(poly):
+    """Oracle: n_min by exact real-root isolation of Δf and f, with Sturm
+    sequences below Kioustelidis' root bound.  The cost grows with the
+    coefficients' bit length, so it reaches where ``walk_n_min`` cannot."""
+    shifted = list(poly.coeffs)  # f(x + 1), by a Taylor shift
+    for i in range(len(shifted) - 1):
+        for j in range(len(shifted) - 2, i - 1, -1):
+            shifted[j] += shifted[j + 1]
+    delta = [s - c for s, c in zip(shifted[:-1], poly.coeffs)]
+    return 1 + max(_last_nonpositive(delta), _last_nonpositive(poly.coeffs))
+
+
+def _last_nonpositive(h):
+    """Largest integer m >= 1 with h(m) <= 0, or 0 if h > 0 on [1, infinity),
+    for h with a positive leading coefficient: the integers of (0, B] are
+    bisected right half first, skipping every interval that holds no real
+    root of h by Sturm's theorem."""
+    if len(h) == 1:
+        return 0
+    if len(h) == 2:
+        return max(-h[0] // h[1], 0)
+    sturm = _sturm_sequence(h)
+    if len(sturm[-1]) > 1:  # repeated roots: count the distinct roots of h / gcd(h, h')
+        sturm = _sturm_sequence(_exact_quotient(h, sturm[-1]))
+    top = _root_bound(h)
+    # invariant: every integer above the popped interval (a, b] has h > 0
+    stack = [(0, _sign_variations(sturm, 0), top, _sign_variations(sturm, top))]
+    while stack:
+        a, var_a, b, var_b = stack.pop()
+        if _horner(h, b) <= 0:
+            return b
+        # var_a - var_b = number of distinct roots in (a, b]
+        if var_a == var_b or b - a == 1:
+            continue
+        mid = (a + b) // 2
+        var_mid = _sign_variations(sturm, mid)
+        stack.append((a, var_a, mid, var_mid))
+        stack.append((mid, var_mid, b, var_b))
+    return 0
+
+
+def _root_bound(h):
+    """B >= 2 with h > 0 on [B, infinity): every positive root is below
+    2 max (-c_{d-i}/c_d)^(1/i) over the negative coefficients (Kioustelidis)."""
+    d, lead = len(h) - 1, h[-1]
+    half = 1
+    for i in range(1, d + 1):
+        if h[d - i] < 0:
+            ratio = -(h[d - i] // lead)
+            half = max(half, 1 << -(-ratio.bit_length() // i))
+    return 2 * half
+
+
+def _sturm_sequence(h):
+    """h, h', -rem(h, h'), ..., each scaled by a positive constant; the last
+    member is gcd(h, h') up to a constant."""
+    seq = [list(h), [i * c for i, c in enumerate(h)][1:]]
+    while len(seq[-1]) > 1:
+        r = _negated_remainder(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append(r)
+    return seq
+
+
+def _negated_remainder(a, b):
+    """-(k * a mod b) for an integer k > 0, divided by its content; [] if b divides a."""
+    a = list(a)
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(a) >= len(b):
+        q, shift = sign * a[-1], len(a) - len(b)
+        a = [scale * c for c in a]
+        for j, c in enumerate(b):
+            a[shift + j] -= q * c
+        while a and a[-1] == 0:
+            a.pop()
+    content = math.gcd(*a)
+    return [-c // content for c in a] if a else []
+
+
+def _exact_quotient(h, g):
+    """h / g for a g dividing h, primitive with a positive leading coefficient."""
+    content = math.gcd(*g) * (1 if g[-1] > 0 else -1)
+    g = [c // content for c in g]
+    rem = list(h)
+    quotient = [0] * (len(h) - len(g) + 1)
+    for k in range(len(quotient) - 1, -1, -1):
+        quotient[k] = rem[k + len(g) - 1] // g[-1]
+        for j, c in enumerate(g):
+            rem[k + j] -= quotient[k] * c
+    return quotient
+
+
+def _sign_variations(seq, x):
+    """Sign changes, zeros skipped, along the values of ``seq`` at x."""
+    count, last = 0, 0
+    for p in seq:
+        v = _horner(p, x)
+        if v:
+            if last and (v > 0) != (last > 0):
+                count += 1
+            last = v
+    return count
+
+
 def _times(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def _from_roots(c, roots):
+    """The coefficients of c * prod(x - r) over the roots."""
+    coeffs = [c]
+    for r in roots:
+        coeffs = _times(coeffs, [-r, 1])
+    return tuple(coeffs)
 
 
 random_polys = st.integers(1, 4).flatmap(
@@ -65,6 +186,25 @@ def factored_polys(draw):
         coeffs = _times(coeffs, [r * r + s, -2 * r, 1])
     coeffs[0] += draw(st.integers(-3, 3))
     return IntPoly(tuple(coeffs))
+
+
+def wide_polys(max_degree):
+    """Degree 1 to max_degree, with small coefficients mixed with ones up to 10^30 in size."""
+    return st.integers(1, max_degree).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.one_of(st.integers(-50, 50), st.integers(-10**30, 10**30)), min_size=d, max_size=d),
+            st.one_of(st.integers(1, 5), st.integers(1, 10**30)),
+        )
+    ).map(lambda t: IntPoly((*t[0], t[1])))
+
+
+@st.composite
+def rooted_polys(draw):
+    """(c * prod(x - r_i), roots) with 1-10 distinct integer roots up to 10^30 in size."""
+    roots = draw(
+        st.lists(st.one_of(st.integers(-50, 50), st.integers(-10**30, 10**30)), min_size=1, max_size=10, unique=True)
+    )
+    return IntPoly(_from_roots(draw(st.integers(1, 10**6)), roots)), roots
 
 
 def concat_oracle(values, p):
@@ -182,18 +322,10 @@ class CountingTail:
             yield a
 
 
-wide_polys = st.integers(1, 6).flatmap(
-    lambda d: st.tuples(
-        st.lists(st.one_of(st.integers(-50, 50), st.integers(-10**30, 10**30)), min_size=d, max_size=d),
-        st.one_of(st.integers(1, 5), st.integers(1, 10**30)),
-    )
-).map(lambda t: PolyTail(IntPoly((*t[0], t[1]))))
-
-
 class TestTerms:
     @settings(max_examples=300)
     @given(
-        st.one_of(prefix_specs(), wide_polys),
+        st.one_of(prefix_specs(), wide_polys(6).map(PolyTail)),
         st.one_of(st.integers(0, 50), st.integers(0, 10**30)),
         st.integers(0, 40),
     )
@@ -361,6 +493,18 @@ class TestIntPoly:
         event(f"binding: f >= 1 {f_binds}, f increasing {growth_binds}")
         assert f_binds or growth_binds
 
+    @settings(max_examples=300)
+    @given(wide_polys(8))
+    def test_n_min_matches_sturm_isolation(self, poly):
+        assert poly.n_min == sturm_n_min(poly)
+
+    @settings(max_examples=300)
+    @given(rooted_polys())
+    def test_n_min_lies_just_past_the_largest_of_distinct_real_roots(self, case):
+        # all roots real and simple: past the largest, f > 0 and f' > 0 (Rolle)
+        poly, roots = case
+        assert poly.n_min == max(max(roots) + 1, 1)
+
     @pytest.mark.parametrize(
         "coeffs,n_min",
         [
@@ -371,8 +515,12 @@ class TestIntPoly:
             ((123456789012345678, -5, 0, 1), 1),
             ((-10**18, 0, 0, 1), 10**6 + 1),  # f(10^6) = 0
             ((-(10**18) + 1, 0, 0, 1), 10**6),  # f(10^6) = 1
+            (_from_roots(3, [10**6 * i for i in range(-20, 20)]), 19 * 10**6 + 1),
         ],
-        ids=["1e7+n^2", "18-digit-linear", "n^2-1e40", "n^2-1e400", "cubic+18-digit", "n^3-1e18", "n^3-1e18+1"],
+        ids=[
+            "1e7+n^2", "18-digit-linear", "n^2-1e40", "n^2-1e400", "cubic+18-digit", "n^3-1e18", "n^3-1e18+1",
+            "degree-40",
+        ],
     )
     def test_n_min_cost_is_bounded_by_digits(self, coeffs, n_min, deadline):
         # walk_n_min takes seconds to forever on these; the deadline keeps a
