@@ -22,7 +22,12 @@ and 12, of terms that pass 2^63 and at larger Weyl frequencies were
 recorded while every 18-digit prefix came from one sliding integer window,
 one Python operation per point.  The ``benford`` cases whose terms reach
 10^17 at n = 5000 were recorded while every Benford term was cut to its
-mantissa by its own Python call.  Any refactor of these paths must reproduce them byte
+mantissa by its own Python call.  The ``benford`` cases of 10^5
+naturals, of k = 99999999999999999, of terms crossing 10^17 and of a file
+of ties and near-powers of ten, and the ``discrepancy`` case crossing 2^63
+at n = 808, were recorded while every Benford logarithm came from
+``math.log10`` term by term and family terms were read into NumPy one
+Python int at a time.  Any refactor of these paths must reproduce them byte
 for byte.  To record them again after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -117,6 +122,15 @@ CASES = [
     # and 4*10^9 n^2 + 1 one past it
     ("benford_mult_k14", ["benford", "--gen", "mult", "--k", "20000000000000", "--N", "6000"], 0),
     ("benford_poly_past_1e17", ["benford", "--gen", "poly", "--coeffs=1,0,4000000000", "--N", "6000", *JSON], 0),
+    # recorded while every Benford logarithm came from math.log10 per term:
+    # naturals ending at 10^5; every term past 10^17 with {log10 a_n} near
+    # the 0/1 wrap; terms that cross 10^17 at n = 1000; an int64 block of
+    # tail terms that crosses 2^63 at n = 808; and ties and near-powers of ten
+    ("benford_naturals_100000", ["benford", "--gen", "naturals", "--N", "100000"], 0),
+    ("benford_mult_k17", ["benford", "--gen", "mult", "--k", "99999999999999999", "--N", "2000", *JSON], 0),
+    ("benford_poly_cross_1e17", ["benford", "--gen", "poly", "--coeffs=99999999999999000,1", "--N", "3000"], 0),
+    ("discrepancy_poly_cross_2e63", ["discrepancy", "--kind", "poly", "--coeffs=9223372036854775000,1", "--N", "3000"], 0),
+    ("benford_ties", ["benford", "--file", str(GOLDEN_DIR / "benford_ties.txt")], 0),
     (
         "discrepancy_poly_degree5",
         ["discrepancy", "--kind", "poly", "--coeffs=3,-7,0,2,0,1", "--N", "3000", "--weyl-h", "2"],
