@@ -177,6 +177,10 @@ def cmd_scan(args) -> int:
 
 
 def _read_terms_file(path: str) -> list[int]:
+    """The positive integers of a file, one per line; blank lines are skipped.
+
+    A term is a run of ASCII digits, not all 0, of any length.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -187,12 +191,27 @@ def _read_terms_file(path: str) -> list[int]:
         stripped = line.strip()
         if not stripped:
             continue
-        if not stripped.isdigit() or int(stripped) < 1:
+        if not (stripped.isascii() and stripped.isdigit() and stripped.strip("0")):
             raise UsageError(f"{path}: line {lineno}: not a positive integer: {stripped!r}")
-        terms.append(int(stripped))
+        terms.append(_decimal_int(stripped))
     if not terms:
         raise UsageError(f"{path}: no terms found")
     return terms
+
+
+def _decimal_int(digits: str) -> int:
+    """int(digits) for an ASCII digit string of any length.
+
+    ``int`` refuses strings past ``sys.get_int_max_str_digits()`` digits
+    (4300 by default), a limit set for the whole process, which stays as it
+    is: longer strings are split in halves, down to lengths ``int`` never
+    checks, and the halves joined.
+    """
+    if len(digits) <= sys.int_info.str_digits_check_threshold:
+        return int(digits)
+    half = len(digits) // 2
+    low = digits[half:]
+    return _decimal_int(digits[:half]) * 10 ** len(low) + _decimal_int(low)
 
 
 def cmd_benford(args) -> int:

@@ -67,25 +67,43 @@ def _int64_reader(
     """read(j): the next j terms of ``spec.terms(n)`` as an int64 array.
 
     The terms increase from n_min, so one ``index_le(bound - 1)`` call counts
-    those below ``bound`` (at most 2^63), and ``np.fromiter`` reads them with
-    no Python step per term.  Every later term passes through ``cut``, which
-    maps the rest of the stream lazily to values that fit in int64.
+    those below ``bound`` (at most 2^63), and ``_term_block`` builds them
+    from the family's difference column with no Python step per term.  The
+    terms from there on come from ``spec.terms`` through ``cut``, which maps
+    them lazily to values that fit in int64.
     """
-    terms = spec.terms(n)
+    column = spec.differences(n)
     below = max(spec.n_min + spec.index_le(bound - 1) - n, 0)
-    rest = cut(terms)
+    rest = cut(spec.terms(n + below))
 
     def read(j: int) -> np.ndarray:
         nonlocal below
         run = min(j, below)
         below -= run
-        head = np.fromiter(itertools.islice(terms, run), dtype=np.int64, count=run)
+        head = _term_block(column, run)
         if run == j:
             return head
         tail = np.fromiter(itertools.islice(rest, j - run), dtype=np.int64, count=j - run)
         return np.concatenate((head, tail))
 
     return read
+
+
+def _term_block(column: list[int], size: int) -> np.ndarray:
+    """The next ``size`` terms of a difference ``column`` as int64, advancing the column past them.
+
+    Each entry of the column (a_m, Δa_m, ..., with a constant last entry)
+    runs as the sum of the one after it, so one ``np.cumsum`` per entry
+    gives the terms.  The sums wrap mod 2^64, as does the column kept
+    between blocks: that is exact for every term read, since each lies in
+    [1, 2^63), whatever the size of the differences on the way.
+    """
+    run = np.full(size + 1, column[-1] % 2**64, dtype=np.uint64)
+    for j in range(len(column) - 2, -1, -1):
+        run[1:] = run[:size]  # NumPy copies overlapping slices safely
+        run[0] = column[j] % 2**64
+        column[j] = int(np.cumsum(run, out=run)[size])
+    return run[:size].view(np.int64)
 
 
 def tail_points(spec: TailSpec, n: int, count: int, depth: int = 18) -> PointSet:
@@ -209,12 +227,22 @@ def star_discrepancy(points: PointSet) -> float:
 
     D*_N = max_i max(i/N - v_(i), v_(i) - (i-1)/N) over the sorted points.
     """
-    n = len(points)
-    if n == 0:
+    if len(points) == 0:
         raise ValueError("empty point set")
-    v = np.sort(points.array)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - v), np.max(v - (i - 1) / n)))
+    rise, fall = _star_terms(np.sort(points.array))
+    return float(max(rise.max(), fall.max()))
+
+
+def _star_terms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The terms i/N - v_(i) and v_(i) - (i-1)/N of D*_N, for the sorted points v."""
+    n = len(v)
+    rise = np.arange(1, n + 1, dtype=np.float64)
+    rise /= n
+    rise -= v
+    fall = np.arange(n, dtype=np.float64)
+    fall /= n
+    np.subtract(v, fall, out=fall)
+    return rise, fall
 
 
 def ud_deviation(points: PointSet, alpha: ExactEndpoint, beta: ExactEndpoint) -> float:
@@ -315,38 +343,48 @@ def census(terms: Iterable[int], base: int = 10) -> list[int]:
 
 def log_fracparts(terms: Iterable[int]) -> PointSet:
     """{log10 a_i} for a stream of positive integers."""
-    return PointSet(_benford_parts(_mantissa_batches(terms))[1])
+    return PointSet(_exact_parts(_mantissas(terms)))
 
 
 def benford_report(terms: Iterable[int]) -> BenfordReport:
     """Leading-digit frequencies vs the Benford reference, plus log-discrepancy.
 
-    One batched pass reads each term's decimal digits once and takes both its
-    leading digit and {log10 a_i} from them; the results equal those of
-    ``census`` and ``star_discrepancy(log_fracparts(terms))``.
+    One pass reads each term's decimal digits once, cut to an int64
+    ``_mantissa``.  NumPy takes the leading digits and the logarithms from
+    those, with ``math.log10`` only where it can decide D*
+    (``_certified_parts``).  The results equal those of ``census`` and
+    ``star_discrepancy(log_fracparts(terms))``, bit for bit.
     """
-    return _report(*_benford_parts(_mantissa_batches(terms)))
+    return _report(_mantissas(terms))
 
 
 def family_benford_report(spec: TailSpec, n: int, count: int) -> BenfordReport:
     """``benford_report`` of the terms a_n, ..., a_{n+count-1} of a family, bitwise.
 
-    The terms below 10^17 are their own mantissas, so they are read as
-    int64 runs (``_int64_reader``) with no Python step per term; only later
-    terms are cut to their ``_mantissa`` one by one.
+    The terms below 10^17 are their own mantissas, so they are built in
+    int64 blocks (``_int64_reader``) with no Python step per term; only
+    later terms are cut to their ``_mantissa`` one by one.  The digit counts
+    come from ``index_le`` by decade (``_decade_census``), exact at any
+    count.
     """
-    read = _int64_reader(spec, n, _HEAD_BELOW, lambda rest: map(_mantissa, rest))
-    return _report(*_benford_parts(read(min(_BATCH, count - start)) for start in range(0, count, _BATCH)))
+    return _report(_family_mantissas(spec, n, count), _decade_census(spec, n, count))
 
 
-def _report(counts: list[int], fracs: np.ndarray) -> BenfordReport:
-    n = len(fracs)
+def _report(mant: np.ndarray, counts: list[int] | None = None) -> BenfordReport:
+    """The report of the terms with these ``_mantissa`` values.
+
+    ``counts`` are their leading-digit counts when the caller knows them;
+    otherwise they are read from ``mant``.
+    """
+    n = len(mant)
     if not n:
         raise ValueError("empty term stream")
+    if counts is None:
+        length = np.searchsorted(_POW10, mant, side="right")
+        counts = np.bincount(mant // _POW10[length - 1], minlength=10)[1:].tolist()
     freq = tuple(c / n for c in counts)
     gap = max(abs(f - b) for f, b in zip(freq, BENFORD_FREQ))
-    disc = star_discrepancy(PointSet(fracs))
-    return BenfordReport(n, freq, BENFORD_FREQ, gap, disc)
+    return BenfordReport(n, freq, BENFORD_FREQ, gap, star_discrepancy(PointSet(_certified_parts(mant))))
 
 
 _POW10 = 10 ** np.arange(HEAD_DIGITS + 1, dtype=np.int64)  # 10^0 ... 10^17
@@ -356,10 +394,10 @@ _HEAD_BELOW = 10**HEAD_DIGITS
 def _mantissa(m: int) -> int:
     """The digits of m >= 1 that ``_digit_and_fracpart`` reads, as an int below 10^18.
 
-    Below 10^17 that is m itself: ``_benford_parts`` strips its trailing
+    Below 10^17 that is m itself: ``_exact_parts`` strips its trailing
     zeros.  From 10^17 on it is the 17-digit ``decimal_head``; when a later
     digit is nonzero the head keeps its own trailing zeros, so a guard digit
-    1 is appended, which stripping stops at and ``_benford_parts`` removes.
+    1 is appended, which stripping stops at and ``_exact_parts`` removes.
     """
     if m < _HEAD_BELOW:
         if m < 1:
@@ -369,34 +407,112 @@ def _mantissa(m: int) -> int:
     return int(head) if exact else 10 * int(head) + 1
 
 
-def _mantissa_batches(terms: Iterable[int]) -> Iterator[np.ndarray]:
-    """The ``_mantissa`` of each term, read lazily in int64 batches of up to ``_BATCH``."""
-    terms = iter(terms)
-    while (mant := np.fromiter(map(_mantissa, itertools.islice(terms, _BATCH)), dtype=np.int64)).size:
-        yield mant
+def _mantissas(terms: Iterable[int]) -> np.ndarray:
+    """The ``_mantissa`` of each term as one int64 array, read lazily up to the first bad term."""
+    return np.fromiter(map(_mantissa, terms), dtype=np.int64)
 
 
-def _benford_parts(batches: Iterable[np.ndarray]) -> tuple[list[int], np.ndarray]:
-    """(leading-digit counts, {log10 a_i}) from int64 batches of ``_mantissa`` values.
+def _family_mantissas(spec: TailSpec, n: int, count: int) -> np.ndarray:
+    """The ``_mantissa`` values of a_n, ..., a_{n+count-1}, read in blocks of up to ``_BATCH``."""
+    read = _int64_reader(spec, n, _HEAD_BELOW, lambda rest: map(_mantissa, rest))
+    mant = np.empty(max(count, 0), dtype=np.int64)
+    for start in range(0, count, _BATCH):
+        mant[start : start + _BATCH] = read(min(_BATCH, count - start))
+    return mant
 
-    Bitwise equal to ``_digit_and_fracpart`` term by term.  No batch holds a
-    big integer.  NumPy does the integer work on each batch; the logarithms
-    come from ``math.log10`` on the same integers, because ``np.log10`` may
-    round differently.
+
+def _decade_census(spec: TailSpec, n: int, count: int) -> list[int]:
+    """Leading-digit counts of a_n, ..., a_{n+count-1}, from ``index_le`` alone.
+
+    The terms increase, so how many of them lie below x is an ``index_le``
+    difference, and digit c leads those in [c 10^j, (c + 1) 10^j).  At most
+    nine calls per decade, from the decade of a_n until every term is
+    counted: exact for any count, in time proportional to the number of
+    decades.
     """
-    counts = np.zeros(10, dtype=np.int64)
-    parts = []
-    for mant in batches:
-        tens = np.flatnonzero(mant % 10 == 0)
-        while tens.size:
-            mant[tens] //= 10
-            tens = tens[mant[tens] % 10 == 0]
-        mant[mant >= _HEAD_BELOW] //= 10  # drop the guard digits
-        length = np.searchsorted(_POW10, mant, side="right")
-        counts += np.bincount(mant // _POW10[length - 1], minlength=10)
-        logs = np.fromiter(map(math.log10, mant.tolist()), dtype=np.float64, count=mant.size)
-        parts.append((logs - (length - 1)) % 1.0)
-    return counts[1:].tolist(), np.concatenate(parts) if parts else np.empty(0)
+    counts = [0] * 9
+    if count < 1:
+        return counts
+    skip = n - spec.n_min  # family terms before a_n
+
+    def below(x: int) -> int:
+        return min(max(spec.index_le(x - 1) - skip, 0), count)
+
+    power = 10 ** (decimal_head(spec.term(n))[0] - 1)
+    low = 0
+    while low < count:
+        for c in range(9):
+            high = below((c + 2) * power)
+            counts[c] += high - low
+            low = high
+            if low == count:
+                break
+        power *= 10
+    return counts
+
+
+def _exact_parts(mant: np.ndarray) -> np.ndarray:
+    """{log10 a_i} from int64 ``_mantissa`` values, bitwise ``_digit_and_fracpart`` term by term.
+
+    NumPy strips the trailing zeros (in place) and the guard digits; the
+    logarithms come from ``math.log10`` on the same integers, one call per
+    value, because ``np.log10`` may round differently.
+    """
+    tens = np.flatnonzero(mant % 10 == 0)
+    while tens.size:
+        mant[tens] //= 10
+        tens = tens[mant[tens] % 10 == 0]
+    mant[mant >= _HEAD_BELOW] //= 10  # drop the guard digits
+    length = np.searchsorted(_POW10, mant, side="right")
+    logs = np.fromiter(map(math.log10, mant.tolist()), dtype=np.float64, count=mant.size)
+    return (logs - (length - 1)) % 1.0
+
+
+# A bound on |frac(np.log10(x)) - exact part| for a _mantissa x < 10^18,
+# away from the wrap at 0 and 1.  NumPy validates its float64 log10 to 1 ulp
+# and glibc documents 2 ulp for math.log10; below 18 an ulp is at most
+# 2^-48.  Rounding x to float64 and the guard digit move the logarithm by
+# less than 2^-52, and taking off the integer part is exact (Sterbenz's
+# lemma).  So the two differ by under 3 * 2^-48 + 2^-52; 2^-40 is over 80
+# times that.
+_EPS = 2.0**-40
+
+
+def _certified_parts(mant: np.ndarray) -> np.ndarray:
+    """{log10 a_i} whose star discrepancy is bitwise that of ``_exact_parts(mant)``.
+
+    w = frac(np.log10(mant)) is within _EPS of the exact part, except near
+    the wrap at 0 and 1: points within _EPS of it take their exact parts.
+    Sorting then moves no rank by more than _EPS, so only a rank whose D*
+    term lies within 4 _EPS of the largest can attain D*, and its exact
+    value is that of one of the points within 2 _EPS of its own: those take
+    their exact parts too.  Now every such rank holds its exact value, and
+    no other rank comes near, so ``star_discrepancy`` gives the exact D*.
+    Each point is made exact at most once.
+    """
+    w = np.log10(mant)
+    w -= np.floor(w)
+    exact = np.zeros(len(w), dtype=bool)
+
+    def patch(idx: np.ndarray) -> None:
+        idx = idx[~exact[idx]]
+        if idx.size:
+            w[idx] = _exact_parts(mant[idx])
+            exact[idx] = True
+
+    patch(np.flatnonzero((w < _EPS) | (w > 1 - _EPS)))
+    v = np.sort(w)
+    rise, fall = _star_terms(v)
+    near_top = max(rise.max(), fall.max()) - 4 * _EPS
+    ranks = v[(rise >= near_top) | (fall >= near_top)]  # ascending
+    del v, rise, fall
+    # a point lies within 2 _EPS of a rank value iff it does of the least
+    # rank value r with r + 2 _EPS >= the point
+    top = ranks + 2 * _EPS
+    near = np.flatnonzero((w >= ranks[0] - 2 * _EPS) & (w <= top[-1]))
+    least = ranks[np.searchsorted(top, w[near])]
+    patch(near[least - 2 * _EPS <= w[near]])
+    return w
 
 
 def poly_log_ratio(poly: IntPoly, n: int, base: int = 10) -> float:

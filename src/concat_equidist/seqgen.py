@@ -4,14 +4,17 @@ Two families are supported: the multiple-of-k tail 0.(kn)(k(n+1))..., whose
 k = 1 case is the Champernowne tail 0.(n)(n+1)(n+2)..., and the polynomial
 tail 0.f(n)f(n+1)... for an eventually increasing integer polynomial f.
 Each family streams its consecutive terms (``terms``), the one route by
-which tail digits, prefixes and the Benford pass walk a sequence, and counts
-its terms up to a bound in closed form (``index_le``), which exact counting
-uses decade by decade.  A polynomial's stream is a difference table: d
-nested running sums over the constant d-th difference, so each term costs d
-exact integer additions (Knuth, TAOCP vol. 2, §4.6.4).  The same differences
-certify its domain n >= n_min: between two sign changes of Δh on the
-integers, h is monotone, so from the constant difference up to f each
-level's sign changes follow from integer searches (``IntPoly.n_min``).
+which tail digits, prefixes and the Benford pass walk a sequence in Python,
+gives the difference column that stream starts from (``differences``), from
+which the diagnostics build int64 blocks of terms in NumPy, and counts its
+terms up to a bound in closed form (``index_le``), which exact counting and
+the Benford census use decade by decade.  A polynomial's stream is a
+difference table: d nested running sums over the constant d-th difference,
+so each term costs d exact integer additions (Knuth, TAOCP vol. 2, §4.6.4).
+The same differences certify its domain n >= n_min: between two sign
+changes of Δh on the integers, h is monotone, so from the constant
+difference up to f each level's sign changes follow from integer searches
+(``IntPoly.n_min``).
 """
 from __future__ import annotations
 
@@ -206,6 +209,11 @@ class MultipleTail:
         _check_index(self, n, 0)
         return itertools.count(self.k * n, self.k)
 
+    def differences(self, n: int) -> list[int]:
+        """[a_n, k]: the terms from a_n on are the running sums of the constant k."""
+        _check_index(self, n, 0)
+        return [self.k * n, self.k]
+
     def index_le(self, m: int) -> int:
         """#{n >= n_min : a_n <= m}."""
         return max(m // self.k, 0)
@@ -237,20 +245,28 @@ class PolyTail:
     def terms(self, n: int) -> Iterator[int]:
         """The consecutive terms a_n, a_{n+1}, ..., with the domain checked once.
 
-        Tabulated by finite differences: f(n), ..., f(n + d) give the column
-        f(n), Δf(n), ..., Δ^d f(n), and since Δ^d f is the constant d! c_d,
-        each later term takes d integer additions instead of a Horner pass.
+        Tabulated by finite differences (``differences``): each later term
+        takes d integer additions instead of a Horner pass.
+        """
+        column = self.differences(n)
+        # Δ^i f(n), Δ^i f(n + 1), ... is the running sum of Δ^(i+1) f from Δ^i f(n)
+        stream: Iterator[int] = itertools.repeat(column[-1])
+        for start in reversed(column[:-1]):
+            stream = itertools.accumulate(stream, initial=start)
+        return stream
+
+    def differences(self, n: int) -> list[int]:
+        """The column f(n), Δf(n), ..., Δ^d f(n), with the domain checked.
+
+        It comes from f(n), ..., f(n + d) by d passes of differences; its
+        last entry is the constant d! c_d.
         """
         _check_index(self, n, 0)
         column = [self.poly.eval(n + i) for i in range(self.poly.degree + 1)]
         for i in range(1, len(column)):
             for j in range(len(column) - 1, i - 1, -1):
                 column[j] -= column[j - 1]
-        # Δ^i f(n), Δ^i f(n + 1), ... is the running sum of Δ^(i+1) f from Δ^i f(n)
-        stream: Iterator[int] = itertools.repeat(column[-1])
-        for start in reversed(column[:-1]):
-            stream = itertools.accumulate(stream, initial=start)
-        return stream
+        return column
 
     def index_le(self, m: int) -> int:
         """#{n >= n_min : a_n <= m}."""

@@ -244,6 +244,58 @@ class TestBenford:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("line", ["²", "٣", "1²", "0", "000", "-5", "+5", "1e3"])
+    def test_file_line_not_a_positive_ascii_integer(self, capsys, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"12\n{line}\n19\n", encoding="utf-8")
+        code, out, err = run(capsys, "benford", "--file", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: line 2: not a positive integer: {line!r}\n"
+
+    def test_file_terms_past_the_str_limit(self, capsys, tmp_path):
+        # 2^14284 and above have more than 4300 digits, the default limit of int(str)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            terms = [2**14284, 3**20000 + 7, 10**9000, 12]
+            text = "".join(f"{t}\n" for t in terms)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        path = tmp_path / "long.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "benford", "--file", str(path))
+        assert code == 0, err
+        assert sys.get_int_max_str_digits() == limit
+        report = concat_equidist.benford_report(terms)
+        rows, meta = read_csv(out)
+        assert [r["observed_freq"] for r in rows] == [f"{f:.12g}" for f in report.digit_freq]
+        assert meta == {
+            "N": "4",
+            "max_abs_gap": f"{report.max_abs_gap:.12g}",
+            "log_discrepancy": f"{report.log_discrepancy:.12g}",
+        }
+
+    @pytest.mark.parametrize(
+        "argv,parent_peak_mib",
+        [
+            (["benford", "--gen", "naturals", "--N", "85000"], 3.96),
+            (["discrepancy", "--kind", "champ", "--N", "27500"], 1.54),
+        ],
+        ids=["benford-naturals-85000", "discrepancy-champ-27500"],
+    )
+    def test_peak_memory_stays_below_the_whole_array_build(self, capsys, argv, parent_peak_mib):
+        # the tracemalloc peaks of these jobs while Benford logarithms were
+        # taken term by term and family terms read one Python int at a time
+        run(capsys, *argv)
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak <= parent_peak_mib * 2**20
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "benford", "--file", str(tmp_path / "nope.txt"))
         assert code == 1

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -13,6 +14,9 @@ from concat_equidist import equidist
 from concat_equidist.equidist import (
     _BATCH,
     _EXTENDED,
+    _decade_census,
+    _int64_reader,
+    _mantissa,
     BENFORD_FREQ,
     BenfordReport,
     PointSet,
@@ -70,7 +74,22 @@ def champ_values(n_max, depth=18):
     return PointSet.of(vals)
 
 
+def formula_star_discrepancy(points):
+    """D*_N as ``star_discrepancy`` wrote it before it shared its terms with
+    the Benford pass: integer ranks, divided as whole arrays."""
+    v = np.sort(points.array)
+    n = len(v)
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - v), np.max(v - (i - 1) / n)))
+
+
 class TestStarDiscrepancy:
+    @settings(max_examples=200)
+    @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=300), st.integers(0, 3))
+    def test_bitwise_equal_to_the_formula(self, values, repeat):
+        points = PointSet(values * (1 + repeat))
+        assert repr(star_discrepancy(points)) == repr(formula_star_discrepancy(points))
+
     @pytest.mark.parametrize("n", [10, 100, 1000])
     def test_uniform_grid(self, n):
         assert star_discrepancy(grid(n)) == pytest.approx(1 / n, abs=1e-12)
@@ -611,6 +630,210 @@ class TestFamilyBenfordReport:
         spec = PolyTail(IntPoly((10, -10, 1)))
         with pytest.raises(DomainError, match="below the sequence domain"):
             family_benford_report(spec, spec.n_min - 1, 10)
+
+
+def log10_per_term_report(terms):
+    """The report as it was built while every logarithm came from
+    ``math.log10``, one call per term: mantissas in batches of ``_BATCH``,
+    their trailing zeros and guard digits stripped, every leading digit
+    counted by ``bincount``, and D* from ``formula_star_discrepancy``."""
+    pow10 = 10 ** np.arange(18, dtype=np.int64)
+    counts = np.zeros(10, dtype=np.int64)
+    parts = []
+    terms = iter(terms)
+    while (mant := np.fromiter(map(_mantissa, itertools.islice(terms, _BATCH)), dtype=np.int64)).size:
+        tens = np.flatnonzero(mant % 10 == 0)
+        while tens.size:
+            mant[tens] //= 10
+            tens = tens[mant[tens] % 10 == 0]
+        mant[mant >= 10**17] //= 10
+        length = np.searchsorted(pow10, mant, side="right")
+        counts += np.bincount(mant // pow10[length - 1], minlength=10)
+        logs = np.fromiter(map(math.log10, mant.tolist()), dtype=np.float64, count=mant.size)
+        parts.append((logs - (length - 1)) % 1.0)
+    if not parts:
+        raise ValueError("empty term stream")
+    fracs = np.concatenate(parts)
+    n = len(fracs)
+    freq = tuple(c / n for c in counts[1:].tolist())
+    gap = max(abs(f - b) for f, b in zip(freq, BENFORD_FREQ))
+    return BenfordReport(n, freq, BENFORD_FREQ, gap, formula_star_discrepancy(PointSet(fracs)))
+
+
+@st.composite
+def near_powers(draw):
+    """10^k - 1, 10^k, 10^k + 1 and their neighbours up to 10^19, whose
+    {log10} sit at the 0/1 wrap, or 17-19 digit terms around them."""
+    k = draw(st.integers(0, 19))
+    return max(1, 10**k + draw(st.integers(-3, 3)))
+
+
+@st.composite
+def tie_streams(draw):
+    """Streams of 1 to 2 * _BATCH + 1 terms, most of them repeats of a small
+    pool (near-powers of ten, 17-19 digit and huge terms), the others
+    consecutive integers from a drawn start."""
+    pool = draw(st.lists(st.one_of(near_powers(), batch_terms()), min_size=1, max_size=6))
+    n = draw(st.sampled_from([1, 2, 3, 50, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1]))
+    start = draw(st.one_of(st.integers(1, 10**6), st.integers(10**17 - _BATCH, 10**19)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    share = draw(st.sampled_from([0.5, 0.9, 1.0]))
+    return [rng.choice(pool) if rng.random() < share else start + i for i in range(n)]
+
+
+@st.composite
+def family_cases(draw):
+    """(spec, n, count): k up to 10^17, or polynomials of degree 1-6 whose
+    constant term mostly pushes n_min above 1; a start at n_min, anywhere,
+    or so that 10^17 is crossed within the first two batches."""
+    if draw(st.booleans()):
+        spec = MultipleTail(draw(st.one_of(st.integers(1, 50), st.integers(1, 10**17))))
+    else:
+        degree = draw(st.integers(1, 6))
+        middle = draw(st.lists(st.integers(-20, 20), min_size=degree - 1, max_size=degree - 1))
+        spec = PolyTail(IntPoly((draw(st.integers(-10**6, 10)), *middle, draw(st.integers(1, 10**9)))))
+    where = draw(st.sampled_from(["n_min", "anywhere", "cross"]))
+    if where == "cross":
+        cross = spec.n_min + spec.index_le(10**17 - 1)
+        n = max(spec.n_min, cross - draw(st.integers(0, 2 * _BATCH + 1)))
+    else:
+        n = spec.n_min + (draw(st.integers(0, 10**6)) if where == "anywhere" else 0)
+    count = draw(st.sampled_from([1, 2, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1]))
+    return spec, n, count
+
+
+class TestCertifiedLogDiscrepancy:
+    """Reports whose D* is taken from np.log10 parts, made exact only where
+    the ranks could tell, against the report of one math.log10 call per term."""
+
+    @settings(max_examples=150)
+    @given(st.one_of(tie_streams(), batch_streams()))
+    @example([10**17 - 1] * 3 + [10**17 + 1] * 2)  # both wrap: 17 nines round to 17.0
+    @example([99999999999999999, 10000000000000001] * (_BATCH // 2 + 1))
+    @example([7] * 100)  # every point ties: each rank's window holds all of them
+    @example([int(10 ** (16 + i / 1000)) for i in range(1000)])  # a grid: every rank is near D*
+    def test_streams_equal_the_per_term_oracle(self, terms):
+        assert repr(dataclasses.astuple(benford_report(iter(terms)))) == repr(
+            dataclasses.astuple(log10_per_term_report(terms))
+        )
+
+    @settings(max_examples=80)
+    @given(family_cases())
+    @example((ChampernowneTail(), 1, 85_000))
+    @example((MultipleTail(99999999999999999), 1, 2000))  # every term past 10^17, near the wrap
+    @example((PolyTail(IntPoly((99999999999999000, 1))), 1, 3000))  # crosses 10^17 at n = 1000
+    def test_families_equal_the_per_term_oracle(self, case):
+        spec, n, count = case
+        assert repr(dataclasses.astuple(family_benford_report(spec, n, count))) == repr(
+            dataclasses.astuple(log10_per_term_report(itertools.islice(spec.terms(n), count)))
+        )
+
+    @pytest.mark.parametrize(
+        "build,most",
+        [
+            (lambda: family_benford_report(ChampernowneTail(), 1, 85_000), 64),
+            (lambda: benford_report(range(1, 85_001)), 64),
+            (lambda: benford_report([123456789] * 5000), 5000),
+            (lambda: benford_report([10**17 - 1] * 3000 + [99999999999999999 * 10**40] * 3000), 6000),
+        ],
+        ids=["family-naturals", "naturals", "all-ties", "ties-at-the-wrap"],
+    )
+    def test_math_log10_calls(self, build, most):
+        with mock.patch.object(math, "log10", wraps=math.log10) as log10:
+            build()
+        assert log10.call_count <= most
+
+
+@st.composite
+def census_cases(draw):
+    """(spec, n, count): families from n_min or a later start, with counts
+    from 1 to past a batch and starts just below a power of ten."""
+    if draw(st.booleans()):
+        spec = MultipleTail(draw(st.one_of(st.integers(1, 50), st.integers(1, 10**20))))
+    else:
+        degree = draw(st.integers(1, 6))
+        coeffs = draw(st.lists(st.integers(-(10**6), 10**6), min_size=degree, max_size=degree))
+        spec = PolyTail(IntPoly((*coeffs, draw(st.integers(1, 10**6)))))
+    if draw(st.booleans()):
+        j = draw(st.integers(1, 40))
+        n = max(spec.n_min, spec.n_min + spec.index_le(10**j - 1) - draw(st.integers(0, 5)))
+    else:
+        n = spec.n_min + draw(st.integers(0, 10**5))
+    return spec, n, draw(st.one_of(st.integers(-2, 60), st.sampled_from([_BATCH, 3 * _BATCH])))
+
+
+class TestDecadeCensus:
+    @settings(max_examples=200)
+    @given(census_cases())
+    @example((ChampernowneTail(), 1, 100_000))  # ends at 10^5
+    @example((PolyTail(IntPoly((10, -10, 1))), 20, 500))  # a start above n_min = 9
+    def test_equals_bincount_of_the_leading_digits(self, case):
+        spec, n, count = case
+        digits = [leading_digit(a) for a in itertools.islice(spec.terms(n), max(count, 0))]
+        assert _decade_census(spec, n, count) == np.bincount(digits, minlength=10)[1:].tolist()
+
+    def test_any_count_in_few_index_le_calls(self):
+        spec = PolyTail(IntPoly((1, 0, 0, 2)))
+        with mock.patch.object(PolyTail, "index_le", autospec=True, side_effect=PolyTail.index_le) as index_le:
+            counts = _decade_census(spec, 1, 10**30)
+        assert sum(counts) == 10**30
+        assert index_le.call_count <= 9 * 91
+
+
+def from_roots(roots, lead, shift):
+    """Coefficients, constant first, of lead * prod(x - r) + shift."""
+    coeffs = [lead]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    coeffs[0] += shift
+    return tuple(coeffs)
+
+
+@st.composite
+def block_cases(draw):
+    """(spec, n, bound, sizes): k up to 10^17, or a polynomial of degree 1-6
+    with coefficients up to 10^30, mostly built from roots up to 10^5 so
+    that n_min > 1 and its differences pass int64 while its terms are still
+    small; a start at n_min or so that the run reaches the bound 2^63 or
+    10^17 within its reads; read sizes around a block and single terms."""
+    bound = draw(st.sampled_from([2**63, 10**17]))
+    kind = draw(st.sampled_from(["mult", "poly", "roots"]))
+    if kind == "mult":
+        spec = MultipleTail(draw(st.one_of(st.integers(1, 50), st.integers(1, 10**17))))
+    elif kind == "poly":
+        degree = draw(st.integers(1, 6))
+        coeffs = draw(st.lists(st.integers(-(10**30), 10**30), min_size=degree, max_size=degree))
+        spec = PolyTail(IntPoly((*coeffs, draw(st.integers(1, 10**30)))))
+    else:
+        roots = draw(st.lists(st.integers(-(10**5), 10**5), min_size=1, max_size=6))
+        spec = PolyTail(IntPoly(from_roots(roots, draw(st.integers(1, 1000)), draw(st.integers(-50, 50)))))
+    size = st.sampled_from([1, 2, 7, _BATCH - 1, _BATCH, _BATCH + 1])
+    sizes = draw(st.lists(size, min_size=1, max_size=5))
+    n = spec.n_min
+    if draw(st.booleans()):
+        n = max(n, n + spec.index_le(bound - 1) - draw(st.integers(0, sum(sizes) + 2)))
+    return spec, n, bound, sizes
+
+
+class TestInt64Reader:
+    @settings(max_examples=200)
+    @given(block_cases())
+    @example((PolyTail(IntPoly((9223372036854775000, 1))), 1, 2**63, [_BATCH]))  # 2^63 at n = 808
+    @example((MultipleTail(10**17), 1, 10**17, [1, 1]))  # the first term is the bound
+    @example((PolyTail(IntPoly(from_roots([10**5] * 6, 1, 1))), 10**5, 2**63, [_BATCH, 7]))
+    def test_blocks_equal_the_term_stream(self, case):
+        spec, n, bound, sizes = case
+        read = _int64_reader(spec, n, bound, lambda rest: (-(a % 1000) - 1 for a in rest))
+        got = np.concatenate([read(j) for j in sizes])
+        terms = itertools.islice(spec.terms(n), sum(sizes))
+        want = [a if a < bound else -(a % 1000) - 1 for a in terms]
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
+    def test_rejects_index_below_n_min(self):
+        spec = PolyTail(IntPoly((10, -10, 1)))
+        with pytest.raises(DomainError, match="below the sequence domain"):
+            _int64_reader(spec, spec.n_min - 1, 2**63, iter)
 
 
 def _report_or_error_of(build):

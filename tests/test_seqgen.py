@@ -306,15 +306,21 @@ def prefix_cases(draw):
 
 
 class CountingTail:
-    """Wraps a tail and records every index whose term is evaluated.
+    """Wraps a tail and records every index whose term is read from ``terms``,
+    and every index at which a difference column is asked for.
 
-    ``n_min`` and ``index_le`` are forwarded, so a reader that certifies
-    int64 runs by ``index_le`` still reads every term through ``terms``.
+    ``n_min``, ``index_le`` and ``term`` are forwarded, so a reader that
+    builds its int64 runs from ``differences`` reads every later term
+    through ``terms``.
     """
 
     def __init__(self, spec):
-        self.spec, self.base, self.evaluated = spec, spec.base, []
-        self.n_min, self.index_le = spec.n_min, spec.index_le
+        self.spec, self.base, self.evaluated, self.columns = spec, spec.base, [], []
+        self.n_min, self.index_le, self.term = spec.n_min, spec.index_le, spec.term
+
+    def differences(self, n):
+        self.columns.append(n)
+        return self.spec.differences(n)
 
     def terms(self, n):
         for m, a in zip(itertools.count(n), self.spec.terms(n)):
@@ -372,13 +378,20 @@ class TestTailPrefixes:
     @given(prefix_cases(), st.sampled_from([None, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1]))
     def test_points_read_the_terms_of_the_prefixes_once(self, case, block_count):
         # in int64 blocks (b^p < 2^63) or through tail_prefixes, the points
-        # evaluate each term once, and exactly the terms the prefixes need
+        # evaluate each term once, and exactly the terms the prefixes need:
+        # blocks build the terms below 2^63 from one difference column and
+        # read only the later ones from the stream
         spec, n, count, p = case
         count = count if block_count is None else block_count
         by_prefixes, by_points = CountingTail(spec), CountingTail(spec)
         list(tail_prefixes(by_prefixes, n, count, p))
         assert len(tail_points(by_points, n, count, p)) == count
-        assert by_points.evaluated == by_prefixes.evaluated
+        if spec.base**p < 2**63:
+            assert by_points.columns == [n]
+            assert by_points.evaluated == [m for m in by_prefixes.evaluated if spec.term(m) >= 2**63]
+        else:
+            assert by_points.columns == []
+            assert by_points.evaluated == by_prefixes.evaluated
 
     @pytest.mark.parametrize(
         "spec,n,count",
@@ -391,9 +404,12 @@ class TestTailPrefixes:
         ],
     )
     def test_family_benford_reads_each_term_once(self, spec, n, count):
+        # the terms below 10^17 are built in int64 blocks from one difference
+        # column at n; every later one is read once from the stream
         counted = CountingTail(spec)
         assert family_benford_report(counted, n, count).N == count
-        assert counted.evaluated == list(range(n, n + count))
+        assert counted.columns == [n]
+        assert counted.evaluated == [m for m in range(n, n + count) if spec.term(m) >= 10**17]
 
     def test_champ_crossing_into_five_digits(self):
         got = list(tail_prefixes(ChampernowneTail(), 9998, 3, 18))
