@@ -59,6 +59,7 @@ class BenfordReport:
 
 _INT64_END = 2**63
 _BATCH = 4096  # terms or points per NumPy batch
+_AHEAD = 64  # the fewest terms below the bound built at once
 
 
 def _int64_reader(
@@ -68,19 +69,24 @@ def _int64_reader(
 
     The terms increase from n_min, so one ``index_le(bound - 1)`` call counts
     those below ``bound`` (at most 2^63), and ``_term_block`` builds them
-    from the family's difference column with no Python step per term.  The
-    terms from there on come from ``spec.terms`` through ``cut``, which maps
-    them lazily to values that fit in int64.
+    from the family's difference column with no Python step per term, at
+    least ``_AHEAD`` at a time, so that reads of single terms share one
+    NumPy pass.  The terms from there on come from ``spec.terms`` through
+    ``cut``, which maps them lazily to values that fit in int64.
     """
     column = spec.differences(n)
     below = max(spec.n_min + spec.index_le(bound - 1) - n, 0)
+    built = np.empty(0, dtype=np.int64)  # terms below the bound built but not yet read
     rest = cut(spec.terms(n + below))
 
     def read(j: int) -> np.ndarray:
-        nonlocal below
+        nonlocal below, built
         run = min(j, below)
+        if run > len(built):
+            more = _term_block(column, min(max(run - len(built), _AHEAD), below - len(built)))
+            built = np.concatenate((built, more)) if len(built) else more
+        head, built = built[:run], built[run:]
         below -= run
-        head = _term_block(column, run)
         if run == j:
             return head
         tail = np.fromiter(itertools.islice(rest, j - run), dtype=np.int64, count=j - run)

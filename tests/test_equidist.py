@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from concat_equidist import equidist
 from concat_equidist.equidist import (
+    _AHEAD,
     _BATCH,
     _EXTENDED,
     _decade_census,
@@ -795,7 +796,8 @@ def block_cases(draw):
     with coefficients up to 10^30, mostly built from roots up to 10^5 so
     that n_min > 1 and its differences pass int64 while its terms are still
     small; a start at n_min or so that the run reaches the bound 2^63 or
-    10^17 within its reads; read sizes around a block and single terms."""
+    10^17 within its reads; read sizes around a block, single terms and
+    one more than ``_AHEAD``."""
     bound = draw(st.sampled_from([2**63, 10**17]))
     kind = draw(st.sampled_from(["mult", "poly", "roots"]))
     if kind == "mult":
@@ -807,7 +809,7 @@ def block_cases(draw):
     else:
         roots = draw(st.lists(st.integers(-(10**5), 10**5), min_size=1, max_size=6))
         spec = PolyTail(IntPoly(from_roots(roots, draw(st.integers(1, 1000)), draw(st.integers(-50, 50)))))
-    size = st.sampled_from([1, 2, 7, _BATCH - 1, _BATCH, _BATCH + 1])
+    size = st.sampled_from([1, 2, 7, _AHEAD + 1, _BATCH - 1, _BATCH, _BATCH + 1])
     sizes = draw(st.lists(size, min_size=1, max_size=5))
     n = spec.n_min
     if draw(st.booleans()):
