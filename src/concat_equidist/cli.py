@@ -205,9 +205,11 @@ def _decimal_int(digits: str) -> int:
     ``int`` refuses strings past ``sys.get_int_max_str_digits()`` digits
     (4300 by default), a limit set for the whole process, which stays as it
     is: longer strings are split in halves, down to lengths ``int`` never
-    checks, and the halves joined.
+    checks, and the halves joined.  Pythons without the limit (before
+    3.10.7) convert any length at once.
     """
-    if len(digits) <= sys.int_info.str_digits_check_threshold:
+    threshold = getattr(sys.int_info, "str_digits_check_threshold", None)
+    if threshold is None or len(digits) <= threshold:
         return int(digits)
     half = len(digits) // 2
     low = digits[half:]

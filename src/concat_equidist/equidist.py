@@ -59,7 +59,11 @@ class BenfordReport:
 
 _INT64_END = 2**63
 _BATCH = 4096  # terms or points per NumPy batch
-_AHEAD = 64  # the fewest terms below the bound built at once
+# The fewest family terms built at once, so that the single-term reads that
+# end each block of _prefix_blocks share one NumPy pass.  A floor of _BATCH
+# would do that too, but a 300-term read would then build 4096 terms, at
+# 16-45 us more per read for degrees 1-3 (timeit, 2-vCPU host).
+_AHEAD = 64
 
 
 def _int64_reader(
@@ -369,25 +373,19 @@ def family_benford_report(spec: TailSpec, n: int, count: int) -> BenfordReport:
 
     The terms below 10^17 are their own mantissas, so they are built in
     int64 blocks (``_int64_reader``) with no Python step per term; only
-    later terms are cut to their ``_mantissa`` one by one.  The digit counts
-    come from ``index_le`` by decade (``_decade_census``), exact at any
-    count.
+    later terms are cut to their ``_mantissa`` one by one.
     """
-    return _report(_family_mantissas(spec, n, count), _decade_census(spec, n, count))
+    return _report(_family_mantissas(spec, n, count))
 
 
-def _report(mant: np.ndarray, counts: list[int] | None = None) -> BenfordReport:
-    """The report of the terms with these ``_mantissa`` values.
-
-    ``counts`` are their leading-digit counts when the caller knows them;
-    otherwise they are read from ``mant``.
-    """
+def _report(mant: np.ndarray) -> BenfordReport:
+    """The report of the terms with these ``_mantissa`` values."""
     n = len(mant)
     if not n:
         raise ValueError("empty term stream")
-    if counts is None:
-        length = np.searchsorted(_POW10, mant, side="right")
-        counts = np.bincount(mant // _POW10[length - 1], minlength=10)[1:].tolist()
+    length = np.searchsorted(_POW10, mant, side="right")
+    counts = np.bincount(mant // _POW10[length - 1], minlength=10)[1:].tolist()
+    del length  # free before the N-float arrays of the certification
     freq = tuple(c / n for c in counts)
     gap = max(abs(f - b) for f, b in zip(freq, BENFORD_FREQ))
     return BenfordReport(n, freq, BENFORD_FREQ, gap, star_discrepancy(PointSet(_certified_parts(mant))))
@@ -425,36 +423,6 @@ def _family_mantissas(spec: TailSpec, n: int, count: int) -> np.ndarray:
     for start in range(0, count, _BATCH):
         mant[start : start + _BATCH] = read(min(_BATCH, count - start))
     return mant
-
-
-def _decade_census(spec: TailSpec, n: int, count: int) -> list[int]:
-    """Leading-digit counts of a_n, ..., a_{n+count-1}, from ``index_le`` alone.
-
-    The terms increase, so how many of them lie below x is an ``index_le``
-    difference, and digit c leads those in [c 10^j, (c + 1) 10^j).  At most
-    nine calls per decade, from the decade of a_n until every term is
-    counted: exact for any count, in time proportional to the number of
-    decades.
-    """
-    counts = [0] * 9
-    if count < 1:
-        return counts
-    skip = n - spec.n_min  # family terms before a_n
-
-    def below(x: int) -> int:
-        return min(max(spec.index_le(x - 1) - skip, 0), count)
-
-    power = 10 ** (decimal_head(spec.term(n))[0] - 1)
-    low = 0
-    while low < count:
-        for c in range(9):
-            high = below((c + 2) * power)
-            counts[c] += high - low
-            low = high
-            if low == count:
-                break
-        power *= 10
-    return counts
 
 
 def _exact_parts(mant: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -274,6 +276,24 @@ class TestBenford:
             "max_abs_gap": f"{report.max_abs_gap:.12g}",
             "log_discrepancy": f"{report.log_discrepancy:.12g}",
         }
+
+    def test_decimal_int_without_the_str_limit(self):
+        # Pythons before 3.10.7 have no str-to-int limit and no
+        # sys.int_info.str_digits_check_threshold: one int() call converts
+        from concat_equidist import cli
+
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            digits = "7" * 9000
+            with mock.patch.object(cli.sys, "int_info", SimpleNamespace()), mock.patch.object(
+                cli, "_decimal_int", wraps=cli._decimal_int
+            ) as decimal_int:
+                value = cli._decimal_int(digits)
+            assert value == int(digits)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert decimal_int.call_count == 1
 
     @pytest.mark.parametrize(
         "argv,parent_peak_mib",

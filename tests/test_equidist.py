@@ -15,7 +15,6 @@ from concat_equidist.equidist import (
     _AHEAD,
     _BATCH,
     _EXTENDED,
-    _decade_census,
     _int64_reader,
     _mantissa,
     BENFORD_FREQ,
@@ -743,42 +742,6 @@ class TestCertifiedLogDiscrepancy:
         with mock.patch.object(math, "log10", wraps=math.log10) as log10:
             build()
         assert log10.call_count <= most
-
-
-@st.composite
-def census_cases(draw):
-    """(spec, n, count): families from n_min or a later start, with counts
-    from 1 to past a batch and starts just below a power of ten."""
-    if draw(st.booleans()):
-        spec = MultipleTail(draw(st.one_of(st.integers(1, 50), st.integers(1, 10**20))))
-    else:
-        degree = draw(st.integers(1, 6))
-        coeffs = draw(st.lists(st.integers(-(10**6), 10**6), min_size=degree, max_size=degree))
-        spec = PolyTail(IntPoly((*coeffs, draw(st.integers(1, 10**6)))))
-    if draw(st.booleans()):
-        j = draw(st.integers(1, 40))
-        n = max(spec.n_min, spec.n_min + spec.index_le(10**j - 1) - draw(st.integers(0, 5)))
-    else:
-        n = spec.n_min + draw(st.integers(0, 10**5))
-    return spec, n, draw(st.one_of(st.integers(-2, 60), st.sampled_from([_BATCH, 3 * _BATCH])))
-
-
-class TestDecadeCensus:
-    @settings(max_examples=200)
-    @given(census_cases())
-    @example((ChampernowneTail(), 1, 100_000))  # ends at 10^5
-    @example((PolyTail(IntPoly((10, -10, 1))), 20, 500))  # a start above n_min = 9
-    def test_equals_bincount_of_the_leading_digits(self, case):
-        spec, n, count = case
-        digits = [leading_digit(a) for a in itertools.islice(spec.terms(n), max(count, 0))]
-        assert _decade_census(spec, n, count) == np.bincount(digits, minlength=10)[1:].tolist()
-
-    def test_any_count_in_few_index_le_calls(self):
-        spec = PolyTail(IntPoly((1, 0, 0, 2)))
-        with mock.patch.object(PolyTail, "index_le", autospec=True, side_effect=PolyTail.index_le) as index_le:
-            counts = _decade_census(spec, 1, 10**30)
-        assert sum(counts) == 10**30
-        assert index_le.call_count <= 9 * 91
 
 
 def from_roots(roots, lead, shift):
