@@ -7,14 +7,13 @@ Each family streams its consecutive terms (``terms``), the one route by
 which tail digits, prefixes and the Benford pass walk a sequence in Python,
 gives the difference column that stream starts from (``differences``), from
 which the diagnostics build int64 blocks of terms in NumPy, and counts its
-terms up to a bound in closed form (``index_le``), which exact counting and
-the Benford census use decade by decade.  A polynomial's stream is a
-difference table: d nested running sums over the constant d-th difference,
-so each term costs d exact integer additions (Knuth, TAOCP vol. 2, §4.6.4).
-The same differences certify its domain n >= n_min: between two sign
-changes of Δh on the integers, h is monotone, so from the constant
-difference up to f each level's sign changes follow from integer searches
-(``IntPoly.n_min``).
+terms up to a bound in closed form (``index_le``), which exact counting
+uses decade by decade.  A polynomial's stream is a difference table: d
+nested running sums over the constant d-th difference, so each term costs d
+exact integer additions (Knuth, TAOCP vol. 2, §4.6.4).  The same differences
+certify its domain n >= n_min: between two sign changes of Δh on the
+integers, h is monotone, so from the constant difference up to f each
+level's sign changes follow from integer searches (``IntPoly.n_min``).
 """
 from __future__ import annotations
 

@@ -309,14 +309,14 @@ class CountingTail:
     """Wraps a tail and records every index whose term is read from ``terms``,
     and every index at which a difference column is asked for.
 
-    ``n_min``, ``index_le`` and ``term`` are forwarded, so a reader that
-    builds its int64 runs from ``differences`` reads every later term
-    through ``terms``.
+    ``n_min`` and ``index_le`` are forwarded, so a reader that builds its
+    int64 runs from ``differences`` reads every later term through
+    ``terms``.
     """
 
     def __init__(self, spec):
         self.spec, self.base, self.evaluated, self.columns = spec, spec.base, [], []
-        self.n_min, self.index_le, self.term = spec.n_min, spec.index_le, spec.term
+        self.n_min, self.index_le = spec.n_min, spec.index_le
 
     def differences(self, n):
         self.columns.append(n)
