@@ -39,59 +39,6 @@ from .seqgen import (
     term,
 )
 
-__all__ = [
-    "BENFORD_FREQ",
-    "BenfordReport",
-    "ChampernowneTail",
-    "CountResult",
-    "DigitString",
-    "DomainError",
-    "ExactEndpoint",
-    "HalfOpenInterval",
-    "IntPoly",
-    "LimitConstants",
-    "MultipleTail",
-    "PointSet",
-    "PolyTail",
-    "PrefixOrder",
-    "RatioScanReport",
-    "ScanRecord",
-    "TailSpec",
-    "UndecidedMembershipError",
-    "Y_LIMIT",
-    "benford_report",
-    "census",
-    "compare_prefix",
-    "count_A",
-    "digit_length",
-    "digits_to_int",
-    "family_benford_report",
-    "in_interval",
-    "int_to_digits",
-    "inverse_epsilon",
-    "leading_digit",
-    "lemma1_main_term",
-    "lemma2_main_term",
-    "limit_constants",
-    "log10_fracpart",
-    "log10_int",
-    "log_fracparts",
-    "poly_floor_inverse",
-    "poly_log_ratio",
-    "ratio_scan",
-    "scan_points",
-    "star_discrepancy",
-    "subsequence_points_linear",
-    "subsequence_points_poly",
-    "tail_digits",
-    "tail_points",
-    "tail_prefixes",
-    "term",
-    "ud_deviation",
-    "weyl_sum",
-    "y_sequence",
-]
-
 __version__ = "0.1.0"
 
 # The diagnostics need NumPy, which takes most of the package's import time;
@@ -114,6 +61,21 @@ _EQUIDIST_NAMES = frozenset(
         "ud_deviation",
         "weyl_sum",
     }
+)
+
+# every name imported above, and the lazy ones
+__all__ = sorted(
+    [
+        "ChampernowneTail", "CountResult", "DigitString", "DomainError", "ExactEndpoint",
+        "HalfOpenInterval", "IntPoly", "LimitConstants", "MultipleTail", "PolyTail",
+        "PrefixOrder", "RatioScanReport", "ScanRecord", "TailSpec", "UndecidedMembershipError",
+        "Y_LIMIT", "compare_prefix", "count_A", "digit_length", "digits_to_int", "in_interval",
+        "int_to_digits", "inverse_epsilon", "lemma1_main_term", "lemma2_main_term",
+        "limit_constants", "poly_floor_inverse", "ratio_scan", "scan_points",
+        "subsequence_points_linear", "subsequence_points_poly", "tail_digits", "tail_prefixes",
+        "term", "y_sequence",
+        *_EQUIDIST_NAMES,
+    ]
 )
 
 

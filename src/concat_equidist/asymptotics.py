@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .counting import count_A
-from .exactnum import HalfOpenInterval
+from .exactnum import HalfOpenInterval, _show
 from .seqgen import IntPoly, PolyTail, TailSpec, _iroot, poly_floor_inverse
 
 if TYPE_CHECKING:
-    from decimal import Decimal  # imported where used, past the float range
+    from decimal import Decimal  # imported where used, past 2^53
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class ScanRecord:
     count: int
     ratio: float
     main_term: float | int | Decimal  # an exact int (Lemma 1) or a Decimal (Lemma 2) past the float range
-    residual: float | int | Decimal
+    residual: float | int | Decimal  # the same, for a residual past the float range
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,8 @@ def inverse_epsilon(poly: IntPoly, m: int) -> float:
 def lemma2_main_term(poly: IntPoly, J: int) -> float | Decimal:
     """((2^(1/d)-1)/c_d^(1/d)) * sum_{i=1..J} 10^(i/d).
 
-    A float wherever the float sum is finite.  Past the float range it is a
-    Decimal of J/d + 20 significant digits, from the geometric sum
-    r (r^J - 1)/(r - 1) with r = 10^(1/d); it becomes a float again if it
-    fits one.
+    A float wherever the float sum is finite.  Past the float range it is
+    ``_lemma2_decimal`` rounded once, and a Decimal if that is no float.
     """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
@@ -107,16 +105,25 @@ def lemma2_main_term(poly: IntPoly, J: int) -> float | Decimal:
         main = factor * sum(10.0 ** (i / d) for i in range(1, J + 1))
     except OverflowError:
         main = math.inf
-    if math.isfinite(main):
-        return main
-    from decimal import Decimal, localcontext  # only past the float range
+    return main if math.isfinite(main) else _rounded(_lemma2_decimal(poly, J))
 
+
+def _lemma2_decimal(poly: IntPoly, J: int) -> Decimal:
+    """The Lemma 2 main term as a Decimal of J/d + 20 significant digits.
+
+    It comes from the geometric sum r (r^J - 1)/(r - 1) with r = 10^(1/d).
+    The term is below 2 * 10^(J/d), so at least 18 of the digits lie after
+    the point, where the float sum has none left once it passes 2^53.
+    """
+    from decimal import Decimal, localcontext
+
+    d = poly.degree
     with localcontext() as ctx:
         ctx.prec = J // d + 20
         root = 1 / Decimal(d)
         r = 10 ** root
         factor = (2**root - 1) / Decimal(poly.coeffs[-1]) ** root
-        return _float_or_decimal(factor * r * (r**J - 1) / (r - 1))
+        return factor * r * (r**J - 1) / (r - 1)
 
 
 def limit_constants(d: int) -> LimitConstants:
@@ -154,7 +161,7 @@ Y_LIMIT = math.log(2) / (2 * math.log(10))
 def subsequence_points_poly(poly: IntPoly, J_max: int) -> list[tuple[int, int]]:
     """Scan points (J, N_J) with N_J the number of indices up to g(2*10^J)."""
     if J_max < 1:
-        raise ValueError(f"J_max must be >= 1, got {J_max}")
+        raise ValueError(f"J_max must be >= 1, got {_show(J_max)}")
     points = []
     for J in range(1, J_max + 1):
         if 2 * 10**J < poly.n_min_value:
@@ -176,7 +183,14 @@ def ratio_scan(
     interval: HalfOpenInterval,
     points: list[tuple[int, int]],
 ) -> RatioScanReport:
-    """Counting ratios with attached main terms and residuals at each point."""
+    """Counting ratios with attached main terms and residuals at each point.
+
+    The main term is Lemma 1's exact integer for a linear family and Lemma
+    2's float sum for a polynomial one.  While the count and the main term
+    are both below 2^53 the residual is their float difference.  From there
+    on it is the exact difference from the integer, or from the unrounded
+    ``_lemma2_decimal``, rounded once.
+    """
     if not points:
         raise ValueError("no scan points: j_max is below the subsequence threshold")
     if any(points[i][1] >= points[i + 1][1] for i in range(len(points) - 1)):
@@ -184,45 +198,36 @@ def ratio_scan(
     if spec.base != 10:
         raise ValueError("ratio scans reproduce base-10 constants; spec.base must be 10")
     if isinstance(spec, PolyTail):
-        kind = "poly-d"
-        constants = limit_constants(spec.poly.degree)
-
-        def main_and_residual(j: int, count: int) -> tuple[float | Decimal, float | Decimal]:
-            mt = lemma2_main_term(spec.poly, j)
-            if isinstance(mt, float):
-                try:
-                    return mt, count - mt
-                except OverflowError:  # count past the float range
-                    pass
-            from decimal import Decimal
-
-            return mt, _float_or_decimal(count - Decimal(mt))
-
+        kind, d, family = "poly-d", spec.poly.degree, spec.poly
+        main_term, exact_main = lemma2_main_term, _lemma2_decimal
     else:
-        kind = "linear-k"
-        constants = limit_constants(1)
-
-        def main_and_residual(j: int, count: int) -> tuple[float | int, float | int]:
-            # the residual is an exact integer difference, rounded once
-            mt = lemma1_main_term(spec.k, j)
-            return _float_or_int(mt), _float_or_int(count - mt)
-
+        kind, d, family = "linear-k", 1, spec.k
+        main_term = exact_main = lemma1_main_term
     records = []
     for j, N in points:
         res = count_A(spec, interval, N)
-        records.append(ScanRecord(j, N, res.count, res.ratio, *main_and_residual(j, res.count)))
-    return RatioScanReport(kind, tuple(records), constants)
+        main = main_term(family, j)
+        if res.count < _FLOAT_EXACT and main < _FLOAT_EXACT:
+            residual = res.count - float(main)
+        else:
+            residual = _exact_difference(res.count, exact_main(family, j))
+        records.append(ScanRecord(j, N, res.count, res.ratio, _rounded(main), residual))
+    return RatioScanReport(kind, tuple(records), limit_constants(d))
 
 
-def _float_or_decimal(x: Decimal) -> float | Decimal:
-    """float(x), or x itself past the float range."""
-    f = float(x)
-    return f if math.isfinite(f) else x
+_FLOAT_EXACT = 2**53  # every integer below it is a float
+_FLOAT_END = 2**1024 - 2**970  # the least value that rounds past the largest float
 
 
-def _float_or_int(x: int) -> float | int:
-    """float(x), or x itself past the float range."""
-    try:
-        return float(x)
-    except OverflowError:
-        return x
+def _exact_difference(count: int, main: int | Decimal) -> float | int | Decimal:
+    """count - main, exact, rounded once."""
+    from decimal import MAX_PREC, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = MAX_PREC  # no Decimal difference is rounded
+        return _rounded(count - main)
+
+
+def _rounded(x: float | int | Decimal) -> float | int | Decimal:
+    """x rounded once to a float, or x itself past the float range."""
+    return float(x) if -_FLOAT_END < x < _FLOAT_END else x

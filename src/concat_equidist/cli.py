@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import asymptotics, counting, seqgen
 from .counting import UndecidedMembershipError
-from .exactnum import ExactEndpoint, HalfOpenInterval
+from .exactnum import ExactEndpoint, HalfOpenInterval, _show, decimal_int
 from .seqgen import ChampernowneTail, DomainError, IntPoly, MultipleTail, PolyTail, TailSpec
 
 DEFAULT_N_CAP = 10**7
@@ -79,7 +79,7 @@ def _interval(args) -> HalfOpenInterval:
 
 def _check_cap(value: int, cap: int, what: str, uncapped: bool) -> None:
     if not uncapped and value > cap:
-        raise UsageError(f"{what} = {value} exceeds the cap {cap}; pass --unsafe-uncapped to override")
+        raise UsageError(f"{what} = {_show(value)} exceeds the cap {cap}; pass --unsafe-uncapped to override")
 
 
 def _write_output(text: str, args) -> None:
@@ -150,7 +150,7 @@ def cmd_count(args) -> int:
 def cmd_scan(args) -> int:
     spec = _build_spec(args)
     interval = _interval(args)
-    cap, name = (DEFAULT_JMAX_POLY_CAP, "Jmax") if isinstance(spec, PolyTail) else (DEFAULT_JMAX_CAP, "jmax")
+    cap, name = (DEFAULT_JMAX_POLY_CAP, "Jmax") if args.kind == "poly" else (DEFAULT_JMAX_CAP, "jmax")
     jmax = cap if args.jmax is None else args.jmax
     _check_cap(jmax, cap, name, args.unsafe_uncapped)
     points = asymptotics.scan_points(spec, jmax)
@@ -193,27 +193,10 @@ def _read_terms_file(path: str) -> list[int]:
             continue
         if not (stripped.isascii() and stripped.isdigit() and stripped.strip("0")):
             raise UsageError(f"{path}: line {lineno}: not a positive integer: {stripped!r}")
-        terms.append(_decimal_int(stripped))
+        terms.append(decimal_int(stripped))
     if not terms:
         raise UsageError(f"{path}: no terms found")
     return terms
-
-
-def _decimal_int(digits: str) -> int:
-    """int(digits) for an ASCII digit string of any length.
-
-    ``int`` refuses strings past ``sys.get_int_max_str_digits()`` digits
-    (4300 by default), a limit set for the whole process, which stays as it
-    is: longer strings are split in halves, down to lengths ``int`` never
-    checks, and the halves joined.  Pythons without the limit (before
-    3.10.7) convert any length at once.
-    """
-    threshold = getattr(sys.int_info, "str_digits_check_threshold", None)
-    if threshold is None or len(digits) <= threshold:
-        return int(digits)
-    half = len(digits) // 2
-    low = digits[half:]
-    return _decimal_int(digits[:half]) * 10 ** len(low) + _decimal_int(low)
 
 
 def cmd_benford(args) -> int:
@@ -251,7 +234,7 @@ def cmd_benford(args) -> int:
 
 def cmd_limits(args) -> int:
     if args.dmax < 1:
-        raise UsageError(f"--dmax must be >= 1, got {args.dmax}")
+        raise UsageError(f"--dmax must be >= 1, got {_show(args.dmax)}")
     ys = asymptotics.y_sequence(args.dmax)
     rows = [
         {"d": d, "y_d": y, "scan_limit": 2 * y}
@@ -286,11 +269,19 @@ def cmd_discrepancy(args) -> int:
     return EXIT_OK
 
 
+def _int(text: str) -> int:
+    """The type of every integer option: any length, argparse's own message otherwise."""
+    try:
+        return decimal_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _add_spec_args(p: argparse.ArgumentParser, kinds=("champ", "mult", "poly")) -> None:
     p.add_argument("--kind", required=True, choices=kinds)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_int)
     p.add_argument("--coeffs", help="comma-separated coefficients, constant first (0,0,1 = n^2)")
-    p.add_argument("--base", type=int, default=10)
+    p.add_argument("--base", type=_int, default=10)
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
@@ -311,8 +302,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tail", help="print the first digits of a tail value x_n")
     _add_spec_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--digits", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--digits", type=_int, required=True)
     p.add_argument("--output")
     p.set_defaults(func=cmd_tail)
 
@@ -320,7 +311,7 @@ def build_parser() -> _Parser:
     _add_spec_args(p)
     p.add_argument("--lo", default="0.1")
     p.add_argument("--hi", default="0.2")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_int, required=True)
     _add_output_args(p)
     p.set_defaults(func=cmd_count)
 
@@ -328,30 +319,30 @@ def build_parser() -> _Parser:
     _add_spec_args(p, kinds=("mult", "poly"))
     p.add_argument("--lo", default="0.1")
     p.add_argument("--hi", default="0.2")
-    p.add_argument("--jmax", "--Jmax", dest="jmax", type=int, default=None)
+    p.add_argument("--jmax", "--Jmax", dest="jmax", type=_int, default=None)
     _add_output_args(p)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("benford", help="leading-digit census vs the Benford reference")
     p.add_argument("--gen", choices=("naturals", "pow2", "mult", "poly"))
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_int)
     p.add_argument("--coeffs")
-    p.add_argument("--N", type=int)
+    p.add_argument("--N", type=_int)
     p.add_argument("--file", help="newline-delimited positive integers")
     _add_output_args(p)
     p.set_defaults(func=cmd_benford)
 
     p = sub.add_parser("limits", help="table of y_d, 2*y_d and the reference constants")
-    p.add_argument("--dmax", type=int, default=10)
+    p.add_argument("--dmax", type=_int, default=10)
     _add_output_args(p)
     p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("discrepancy", help="star discrepancy / Weyl sum of tail values")
     _add_spec_args(p)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_int, required=True)
     p.add_argument("--alpha", default="0.1")
     p.add_argument("--beta", default="1")
-    p.add_argument("--weyl-h", type=int, default=1)
+    p.add_argument("--weyl-h", type=_int, default=1)
     _add_output_args(p)
     p.set_defaults(func=cmd_discrepancy)
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 # bench/tracer.py wraps term, compare_prefix (unused here), int_to_digits and
 # default_max_digits at these module-level names, so they must stay here.
-from .exactnum import DigitString, HalfOpenInterval, compare_prefix, digit_length, int_to_digits
+from .exactnum import DigitString, HalfOpenInterval, _show, compare_prefix, digit_length, int_to_digits
 from .seqgen import TailSpec, term
 
 
@@ -69,21 +69,11 @@ def _membership_stream(
 
 
 def in_interval(
-    spec: TailSpec,
-    n: int,
-    interval: HalfOpenInterval,
-    max_digits: int | None = None,
-    fast: bool = True,
+    spec: TailSpec, n: int, interval: HalfOpenInterval, max_digits: int | None = None
 ) -> bool:
     """True iff lo <= x_n < hi, decided by exact digit comparison."""
     if spec.base != interval.base:
         raise ValueError(f"base mismatch: spec base {spec.base} vs interval base {interval.base}")
-    if fast:
-        L, lo_L, hi_L = interval.window
-        a = term(spec, n, 0)
-        length = digit_length(a, spec.base)
-        if length >= L and (max_digits is None or max_digits >= L):
-            return lo_L <= a // spec.base ** (length - L) < hi_L
     budget = max_digits if max_digits is not None else default_max_digits(spec, n)
     if budget < 1:
         raise ValueError(f"max_digits must be >= 1, got {budget}")
@@ -110,7 +100,7 @@ def count_A(
     streamed.  Both paths return identical results.
     """
     if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+        raise ValueError(f"N must be >= 1, got {_show(N)}")
     if spec.base != interval.base:
         raise ValueError(f"base mismatch: spec base {spec.base} vs interval base {interval.base}")
     if max_digits is not None and max_digits < 1:

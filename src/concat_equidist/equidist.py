@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .exactnum import HEAD_DIGITS, ExactEndpoint, decimal_head
+from .exactnum import HEAD_DIGITS, ExactEndpoint, _show, decimal_head
 from .seqgen import IntPoly, TailSpec, tail_prefixes
 
 BENFORD_FREQ = tuple(math.log10(1 + 1 / c) for c in range(1, 10))
@@ -285,8 +285,7 @@ def weyl_sum(points: PointSet, h: int) -> float:
     except OverflowError:
         angle = complex(0, math.inf)
     if not math.isfinite(angle.imag):  # h or 2 pi h past the float range
-        sign = "-" if h < 0 else ""
-        raise ValueError(f"h = {sign}<{abs(h).bit_length()}-bit int> is too large to convert to float")
+        raise ValueError(f"h = {_show(h)} is too large to convert to float")
     return float(abs(np.exp(angle * points.array).mean()))
 
 
@@ -302,15 +301,8 @@ def log10_fracpart(m: int) -> float:
     """{log10 m} in [0, 1), with terms c*10^k landing on the correct side.
 
     Trailing zeros are stripped first so exact powers of ten (and small
-    multiples of them) never round to 0.999... from the wrong side.
-    """
-    return _digit_and_fracpart(m)[1]
-
-
-def _digit_and_fracpart(m: int) -> tuple[int, float]:
-    """(leading decimal digit of m, {log10 m}) from one read of m's digits.
-
-    The digits come from ``decimal_head``; the 17-digit head is stripped of
+    multiples of them) never round to 0.999... from the wrong side.  The
+    digits come from ``decimal_head``; its 17-digit head is stripped of
     trailing zeros only when every later digit is 0 as well.
     """
     if m < 1:
@@ -318,10 +310,8 @@ def _digit_and_fracpart(m: int) -> tuple[int, float]:
     _, head, exact = decimal_head(m)
     s = head.rstrip("0") if exact else head
     if s == "1":
-        return 1, 0.0
-    mant = s[:HEAD_DIGITS]
-    frac = math.log10(int(mant)) - (len(mant) - 1)
-    return int(s[0]), frac % 1.0
+        return 0.0
+    return (math.log10(int(s)) - (len(s) - 1)) % 1.0
 
 
 def leading_digit(m: int, base: int = 10) -> int:
@@ -396,7 +386,7 @@ _HEAD_BELOW = 10**HEAD_DIGITS
 
 
 def _mantissa(m: int) -> int:
-    """The digits of m >= 1 that ``_digit_and_fracpart`` reads, as an int below 10^18.
+    """The digits of m >= 1 that ``log10_fracpart`` reads, as an int below 10^18.
 
     Below 10^17 that is m itself: ``_exact_parts`` strips its trailing
     zeros.  From 10^17 on it is the 17-digit ``decimal_head``; when a later
@@ -426,7 +416,7 @@ def _family_mantissas(spec: TailSpec, n: int, count: int) -> np.ndarray:
 
 
 def _exact_parts(mant: np.ndarray) -> np.ndarray:
-    """{log10 a_i} from int64 ``_mantissa`` values, bitwise ``_digit_and_fracpart`` term by term.
+    """{log10 a_i} from int64 ``_mantissa`` values, bitwise ``log10_fracpart`` term by term.
 
     NumPy strips the trailing zeros (in place) and the guard digits; the
     logarithms come from ``math.log10`` on the same integers, one call per

@@ -1,12 +1,14 @@
 """Exact base-b digit arithmetic.
 
-Digit strings, terminating decimal endpoints in [0, 1], and the
+Digit strings, terminating decimal endpoints in [0, 1], the
 prefix-vs-endpoint comparison used to decide interval membership without
-ever touching floating point.
+ever touching floating point, and integer literals of any length.
 """
 from __future__ import annotations
 
 import enum
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -19,7 +21,47 @@ _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 def _check_base(base: int) -> None:
     if not (MIN_BASE <= base <= MAX_BASE):
-        raise ValueError(f"base must be in [{MIN_BASE}, {MAX_BASE}], got {base}")
+        raise ValueError(f"base must be in [{MIN_BASE}, {MAX_BASE}], got {_show(base)}")
+
+
+def _show(x: object) -> str:
+    """repr(x), with ints of more than 1000 bits (301 digits) shown by size.
+
+    Every message that can echo a user's integer shows it this way: repr
+    fails past 4300 digits, and long before that it drowns the message.
+    """
+    if isinstance(x, tuple):
+        inner = ", ".join(map(_show, x))
+        return f"({inner},)" if len(x) == 1 else f"({inner})"
+    if isinstance(x, int) and abs(x).bit_length() > 1000:
+        return f"{'-' if x < 0 else ''}<{abs(x).bit_length()}-bit int>"
+    return repr(x)
+
+
+def decimal_int(text: str) -> int:
+    """int(text) for a literal of any length: the same texts refused, the same values.
+
+    ``int`` refuses literals past ``sys.get_int_max_str_digits()`` digits
+    (4300 by default), a limit set for the whole process, which stays as it
+    is.  It takes a longer text exactly when it takes the text with each
+    group of digits (joined by single underscores) written as one 0; the
+    digits of the one group are then read in pieces it never checks.
+    Pythons without the limit (before 3.10.7) convert any length at once.
+    """
+    threshold = getattr(sys.int_info, "str_digits_check_threshold", None)
+    if threshold is None or len(text) <= threshold:
+        return int(text)
+    frame = re.sub(_DIGIT_GROUP, "0", text)
+    int(frame)  # raises for a text that int refuses
+    digits = re.search(_DIGIT_GROUP, text)[0].replace("_", "")
+    value = 0
+    for i in range(0, len(digits), threshold):
+        piece = digits[i : i + threshold]
+        value = value * 10 ** len(piece) + int(piece)
+    return -value if "-" in frame else value
+
+
+_DIGIT_GROUP = r"\d+(?:_\d+)*"  # compiled on first use, not at start-up
 
 
 class PrefixOrder(enum.Enum):

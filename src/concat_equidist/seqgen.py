@@ -8,12 +8,14 @@ which tail digits, prefixes and the Benford pass walk a sequence in Python,
 gives the difference column that stream starts from (``differences``), from
 which the diagnostics build int64 blocks of terms in NumPy, and counts its
 terms up to a bound in closed form (``index_le``), which exact counting
-uses decade by decade.  A polynomial's stream is a difference table: d
-nested running sums over the constant d-th difference, so each term costs d
-exact integer additions (Knuth, TAOCP vol. 2, §4.6.4).  The same differences
-certify its domain n >= n_min: between two sign changes of Δh on the
-integers, h is monotone, so from the constant difference up to f each
-level's sign changes follow from integer searches (``IntPoly.n_min``).
+uses decade by decade.  Both families stream the same way: d nested running
+sums over the constant last entry of the column, so each term costs d exact
+integer additions (Knuth, TAOCP vol. 2, §4.6.4); a multiple's column is
+[kn, k].  A polynomial's column is its table of difference polynomials f,
+Δf, ..., Δ^d f evaluated at n (``IntPoly.table``).  The same table certifies
+its domain n >= n_min: between two sign changes of Δh on the integers, h is
+monotone, so from the constant difference up to f each level's sign changes
+follow from integer searches (``IntPoly.n_min``).
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterator, Sequence, Union
 
-from .exactnum import DigitString, _check_base, int_to_digits
+from .exactnum import DigitString, _check_base, _show, decimal_int, int_to_digits
 
 
 class DomainError(ValueError):
@@ -58,7 +60,7 @@ class IntPoly:
     def parse(cls, text: str) -> "IntPoly":
         """Parse comma-separated coefficients, constant term first ("0,0,1" is n^2)."""
         try:
-            coeffs = tuple(int(part.strip()) for part in text.split(","))
+            coeffs = tuple(decimal_int(part.strip()) for part in text.split(","))
         except ValueError:
             raise ValueError(f"invalid polynomial coefficients {text!r}") from None
         return cls(coeffs)
@@ -70,6 +72,17 @@ class IntPoly:
     def eval(self, n: int) -> int:
         """Exact Horner evaluation."""
         return _horner(self.coeffs, n)
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The coefficients of f, Δf, ..., Δ^d f (Δh(x) = h(x + 1) - h(x)), cached.
+
+        They certify ``n_min`` and give every difference column.
+        """
+        table = [self.coeffs]
+        while len(table[-1]) > 1:
+            table.append(_difference(table[-1]))
+        return tuple(table)
 
     @cached_property
     def n_min(self) -> int:
@@ -84,11 +97,8 @@ class IntPoly:
         one more search finds where it reaches 1.  Integers only; the cost
         depends on the degree and the coefficients' bit length, not on n_min.
         """
-        table = [list(self.coeffs)]
-        while len(table[-1]) > 1:
-            table.append(_difference(table[-1]))
         turns: list[int] = []  # Δ^d f is a positive constant
-        for h in reversed(table[1:-1]):  # Δ^(d-1) f, ..., Δf
+        for h in reversed(self.table[1:-1]):  # Δ^(d-1) f, ..., Δf
             turns = _sign_changes(h, turns)
         start = turns[-1] if turns else 1
         return _first_above(self.eval, 0, start, start)
@@ -102,16 +112,6 @@ class IntPoly:
         return ",".join(str(c) for c in self.coeffs)
 
 
-def _show(x: object) -> str:
-    """repr(x), with ints too long to print shown by size (repr fails past 4300 digits)."""
-    if isinstance(x, tuple):
-        inner = ", ".join(map(_show, x))
-        return f"({inner},)" if len(x) == 1 else f"({inner})"
-    if isinstance(x, int) and abs(x).bit_length() > 1024:
-        return f"{'-' if x < 0 else ''}<{abs(x).bit_length()}-bit int>"
-    return repr(x)
-
-
 # --- monotone runs of integer polynomials ----------------------------------
 # Coefficient lists are constant term first, like IntPoly.coeffs.
 
@@ -123,13 +123,13 @@ def _horner(h: Sequence[int], x: int) -> int:
     return value
 
 
-def _difference(h: Sequence[int]) -> list[int]:
+def _difference(h: Sequence[int]) -> tuple[int, ...]:
     """Coefficients of Δh(x) = h(x + 1) - h(x), by a Taylor shift (O(d^2) additions)."""
     a = list(h)
     for i in range(len(a) - 1):
         for j in range(len(a) - 2, i - 1, -1):
             a[j] += a[j + 1]
-    return [s - c for s, c in zip(a[:-1], h)]
+    return tuple(s - c for s, c in zip(a[:-1], h))
 
 
 def _sign_changes(h: Sequence[int], turns: list[int]) -> list[int]:
@@ -197,7 +197,7 @@ class MultipleTail:
     def __post_init__(self) -> None:
         _check_base(self.base)
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            raise ValueError(f"k must be >= 1, got {_show(self.k)}")
 
     def term(self, n: int, offset: int = 0) -> int:
         _check_index(self, n, offset)
@@ -205,8 +205,7 @@ class MultipleTail:
 
     def terms(self, n: int) -> Iterator[int]:
         """The consecutive terms a_n, a_{n+1}, ..., with the domain checked once."""
-        _check_index(self, n, 0)
-        return itertools.count(self.k * n, self.k)
+        return _running_sums(self.differences(n))
 
     def differences(self, n: int) -> list[int]:
         """[a_n, k]: the terms from a_n on are the running sums of the constant k."""
@@ -244,28 +243,18 @@ class PolyTail:
     def terms(self, n: int) -> Iterator[int]:
         """The consecutive terms a_n, a_{n+1}, ..., with the domain checked once.
 
-        Tabulated by finite differences (``differences``): each later term
-        takes d integer additions instead of a Horner pass.
+        Each later term takes d integer additions instead of a Horner pass.
         """
-        column = self.differences(n)
-        # Δ^i f(n), Δ^i f(n + 1), ... is the running sum of Δ^(i+1) f from Δ^i f(n)
-        stream: Iterator[int] = itertools.repeat(column[-1])
-        for start in reversed(column[:-1]):
-            stream = itertools.accumulate(stream, initial=start)
-        return stream
+        return _running_sums(self.differences(n))
 
     def differences(self, n: int) -> list[int]:
         """The column f(n), Δf(n), ..., Δ^d f(n), with the domain checked.
 
-        It comes from f(n), ..., f(n + d) by d passes of differences; its
-        last entry is the constant d! c_d.
+        Each entry is a polynomial of ``IntPoly.table`` evaluated at n; the
+        last is the constant d! c_d.
         """
         _check_index(self, n, 0)
-        column = [self.poly.eval(n + i) for i in range(self.poly.degree + 1)]
-        for i in range(1, len(column)):
-            for j in range(len(column) - 1, i - 1, -1):
-                column[j] -= column[j - 1]
-        return column
+        return [_horner(h, n) for h in self.poly.table]
 
     def index_le(self, m: int) -> int:
         """#{n >= n_min : a_n <= m}."""
@@ -275,6 +264,15 @@ class PolyTail:
 
 
 TailSpec = Union[MultipleTail, PolyTail]
+
+
+def _running_sums(column: list[int]) -> Iterator[int]:
+    """The terms a_n, a_{n+1}, ... of a difference column [a_n, Δa_n, ..., c]:
+    Δ^i a_n, Δ^i a_{n+1}, ... is the running sum of Δ^(i+1) a from Δ^i a_n."""
+    stream: Iterator[int] = itertools.repeat(column[-1])
+    for start in reversed(column[:-1]):
+        stream = itertools.accumulate(stream, initial=start)
+    return stream
 
 
 def poly_floor_inverse(poly: IntPoly, m: int) -> int:
@@ -290,7 +288,7 @@ def poly_floor_inverse(poly: IntPoly, m: int) -> int:
     start = max(n_min, _iroot(max(m, 0) // poly.coeffs[-1], poly.degree))
     above = _first_above(poly.eval, m, n_min, start)
     if above == n_min:
-        raise ValueError(f"m = {m} below f(n_min) = {poly.n_min_value}")
+        raise ValueError(f"m = {_show(m)} below f(n_min) = {_show(poly.n_min_value)}")
     return above - 1
 
 
@@ -317,9 +315,9 @@ def _iroot(x: int, d: int) -> int:
 
 def _check_index(spec: TailSpec, n: int, offset: int) -> None:
     if offset < 0:
-        raise DomainError(f"offset must be >= 0, got {offset}")
+        raise DomainError(f"offset must be >= 0, got {_show(offset)}")
     if n < spec.n_min:
-        raise DomainError(f"index {n} below the sequence domain (n_min = {spec.n_min})")
+        raise DomainError(f"index {_show(n)} below the sequence domain (n_min = {_show(spec.n_min)})")
 
 
 def term(spec: TailSpec, n: int, offset: int = 0) -> int:
@@ -335,7 +333,7 @@ def tail_digits(spec: TailSpec, n: int, p: int) -> DigitString:
     needed.
     """
     if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+        raise ValueError(f"p must be >= 1, got {_show(p)}")
     terms = spec.terms(n)
     out: list[int] = []
     while len(out) < p:

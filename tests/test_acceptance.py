@@ -178,7 +178,7 @@ def test_criterion_10_first_digit_reduction():
         start = spec.n_min
         running = 0
         for i, n in enumerate(range(start, start + 10**4), start=1):
-            member = in_interval(spec, n, I12, fast=False)
+            member = in_interval(spec, n, I12)
             lead_one = leading_digit(term(spec, n, 0), 10) == 1
             if member != lead_one:
                 ok = False

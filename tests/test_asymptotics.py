@@ -337,3 +337,46 @@ class TestRatioScan:
         # final ratio sits far above the 1/9 density u.d. would force
         report = ratio_scan(MultipleTail(2), I12, subsequence_points_linear(2, 4))
         assert report.final_ratio > 1 / 9 + 0.3
+
+
+def lemma2_at_80_digits(poly, J):
+    """Oracle: the Lemma 2 main term at 80 significant digits."""
+    d, c = poly.degree, poly.coeffs[-1]
+    with mpmath.workdps(80):
+        root = mpmath.mpf(1) / d
+        return (mpmath.power(2, root) - 1) / mpmath.power(c, root) * sum(
+            mpmath.power(10, i * root) for i in range(1, J + 1)
+        )
+
+
+class TestScanResiduals:
+    def test_identity_residual_is_exactly_one(self):
+        # f(n) = n: the count at N_J = 2*10^J is the main term plus 1; the
+        # float difference would be rounding noise from J = 16 on
+        spec = PolyTail(IntPoly((0, 1)))
+        records = ratio_scan(spec, I12, scan_points(spec, 60)).records
+        assert [r.j for r in records] == list(range(1, 61))
+        assert all(r.residual == 1.0 and isinstance(r.residual, float) for r in records)
+
+    @pytest.mark.parametrize("coeffs", [(0, 0, 1), (1, 0, 0, 2)])
+    def test_poly_residual_is_rounded_once_from_2_to_the_53(self, coeffs):
+        # n^2 and 2n^3 + 1 at J <= 60: below 2^53 the residual is the float
+        # count - main as before; from 2^53 on it is count - M rounded once
+        spec = PolyTail(IntPoly(coeffs))
+        exact = 0
+        for r in ratio_scan(spec, I12, scan_points(spec, 60)).records:
+            main = lemma2_main_term(spec.poly, r.j)
+            assert r.main_term == main
+            if r.count < 2**53 and main < 2**53:
+                assert r.residual == r.count - main
+            else:
+                exact += 1
+                with mpmath.workdps(80):
+                    assert r.residual == float(r.count - lemma2_at_80_digits(spec.poly, r.j))
+        assert exact >= 10
+
+    def test_linear_residual_is_the_exact_integer_difference(self):
+        records = ratio_scan(MultipleTail(7), I12, scan_points(MultipleTail(7), 40)).records
+        for r in records:
+            assert r.residual == float(r.count - lemma1_main_term(7, r.j))
+            assert r.main_term == float(lemma1_main_term(7, r.j))

@@ -12,6 +12,7 @@ import pytest
 import concat_equidist
 from concat_equidist.asymptotics import lemma1_main_term
 from concat_equidist.cli import main, read_csv
+from concat_equidist.seqgen import MultipleTail
 
 
 def run(capsys, *args):
@@ -280,16 +281,16 @@ class TestBenford:
     def test_decimal_int_without_the_str_limit(self):
         # Pythons before 3.10.7 have no str-to-int limit and no
         # sys.int_info.str_digits_check_threshold: one int() call converts
-        from concat_equidist import cli
+        from concat_equidist import exactnum
 
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
             digits = "7" * 9000
-            with mock.patch.object(cli.sys, "int_info", SimpleNamespace()), mock.patch.object(
-                cli, "_decimal_int", wraps=cli._decimal_int
+            with mock.patch.object(exactnum.sys, "int_info", SimpleNamespace()), mock.patch.object(
+                exactnum, "decimal_int", wraps=exactnum.decimal_int
             ) as decimal_int:
-                value = cli._decimal_int(digits)
+                value = exactnum.decimal_int(digits)
             assert value == int(digits)
         finally:
             sys.set_int_max_str_digits(limit)
@@ -391,6 +392,70 @@ class TestDiscrepancy:
         assert code == 0, err
         rows, _ = read_csv(out)
         assert rows[0]["weyl_h"] == "1" + "0" * 300
+
+
+BIG = "1" * 5000  # past the 4300-digit limit of int()
+
+# argv up to an integer option, and whether a huge positive value may be
+# tried: --digits and --dmax have no cap, so only their negatives are
+_LITERAL_OPTIONS = [
+    (["tail", "--kind", "champ", "--digits", "5", "--n"], True),
+    (["tail", "--kind", "champ", "--n", "1", "--digits"], False),
+    (["tail", "--kind", "champ", "--n", "1", "--digits", "5", "--base"], True),
+    (["tail", "--kind", "mult", "--n", "1", "--digits", "5", "--k"], True),
+    (["count", "--kind", "champ", "--N"], True),
+    (["count", "--kind", "mult", "--N", "10", "--k"], True),
+    (["count", "--kind", "champ", "--N", "10", "--base"], True),
+    (["scan", "--kind", "mult", "--k", "3", "--jmax"], True),
+    (["scan", "--kind", "poly", "--coeffs", "0,0,1", "--Jmax"], True),
+    (["scan", "--kind", "mult", "--k"], True),
+    (["scan", "--kind", "mult", "--k", "3", "--base"], True),
+    (["benford", "--gen", "mult", "--N", "5", "--k"], True),
+    (["benford", "--gen", "naturals", "--N"], True),
+    (["limits", "--dmax"], False),
+    (["discrepancy", "--kind", "champ", "--N"], True),
+    (["discrepancy", "--kind", "mult", "--N", "10", "--k"], True),
+    (["discrepancy", "--kind", "champ", "--N", "10", "--base"], True),
+    (["discrepancy", "--kind", "champ", "--N", "10", "--weyl-h"], True),
+]
+_LITERAL_ARGVS = [
+    [*argv, sign + BIG] for argv, positive in _LITERAL_OPTIONS for sign in (["", "-"] if positive else ["-"])
+] + [
+    [*argv, f"--coeffs={coeffs}"]
+    for argv in (
+        ["tail", "--kind", "poly", "--n", "1", "--digits", "5"],
+        ["count", "--kind", "poly", "--N", "10"],
+        ["scan", "--kind", "poly"],
+        ["benford", "--gen", "poly", "--N", "5"],
+        ["discrepancy", "--kind", "poly", "--N", "10"],
+    )
+    for coeffs in (f"{BIG},1", f"-{BIG},1", f"0,{BIG}")
+]
+
+
+class TestLiteralsOfAnyLength:
+    @pytest.mark.parametrize(
+        "argv", _LITERAL_ARGVS, ids=[" ".join(a).replace(BIG, "<5000 ones>") for a in _LITERAL_ARGVS]
+    )
+    def test_every_integer_option_takes_5000_digits(self, capsys, deadline, argv):
+        with deadline(20.0, "a command with a 5000-digit integer"):
+            code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 3)
+        assert len(err) < 300 and "Exceeds the limit" not in err + out
+
+    def test_benford_multiple_of_a_5000_digit_k(self, capsys):
+        k = int("1" * 4000) * 10**1000 + int("1" * 1000)
+        code, out, err = run(capsys, "benford", "--gen", "mult", "--k", BIG, "--N", "5", "--format", "json")
+        assert (code, err) == (0, "")
+        report = concat_equidist.family_benford_report(MultipleTail(k), 1, 5)
+        doc = json.loads(out)
+        assert [r["observed_freq"] for r in doc["records"]] == [float(f"{f:.12g}") for f in report.digit_freq]
+        assert doc["meta"]["log_discrepancy"] == float(f"{report.log_discrepancy:.12g}")
+
+    def test_invalid_literal_keeps_the_argparse_message(self, capsys):
+        code, out, err = run(capsys, "count", "--kind", "champ", "--N", "1x")
+        assert (code, out) == (1, "")
+        assert err == "error: argument --N: invalid int value: '1x'\n"
 
 
 class TestStartup:

@@ -81,12 +81,6 @@ class TestInInterval:
             interval = HalfOpenInterval.parse(lo, hi)
             expected = brute_member(spec, n, lo, hi)
             assert in_interval(spec, n, interval) == expected
-            assert in_interval(spec, n, interval, fast=False) == expected
-
-    def test_fast_and_slow_paths_agree(self):
-        for spec in FAMILIES:
-            for n in range(1, 200):
-                assert in_interval(spec, n, I12) == in_interval(spec, n, I12, fast=False)
 
     def test_undecided_raises_with_prefix(self):
         # endpoint equal to a long prefix of x_1 starves the comparison
@@ -224,15 +218,6 @@ class TestClosedFormMatchesOracle:
         oracle = _outcome(lambda: count_A(spec, interval, N, max_digits, fast=False))
         assert fast == oracle
 
-    @settings(max_examples=500)
-    @given(_cases(max_n=3000))
-    def test_in_interval(self, case):
-        spec, interval, i, max_digits = case
-        n = spec.n_min + i - 1
-        fast = _outcome(lambda: in_interval(spec, n, interval, max_digits))
-        oracle = _outcome(lambda: in_interval(spec, n, interval, max_digits, fast=False))
-        assert fast == oracle
-
     # stop = n_min + N with a_{stop-1} = 10^e - 1 or 10^e
     @pytest.mark.parametrize(
         "spec,N",
@@ -326,7 +311,7 @@ class TestDigitBudget:
         with pytest.raises(ValueError, match=message):
             count_A(CHAMP, I12, 20, max_digits, fast=fast)
         with pytest.raises(ValueError, match=message):
-            in_interval(CHAMP, 1, I12, max_digits, fast=fast)
+            in_interval(CHAMP, 1, I12, max_digits)
 
     def test_one_digit_budget_decides_a_one_digit_interval(self):
         assert count_A(CHAMP, I12, 20, max_digits=1).count == 11
@@ -340,7 +325,7 @@ class TestFirstDigitReduction:
             hi = "1" if c == 9 else f"0.{c + 1}"
             interval = HalfOpenInterval.parse(f"0.{c}", hi)
             for n in range(1, 400):
-                assert in_interval(spec, n, interval, fast=False) == (
+                assert in_interval(spec, n, interval) == (
                     leading_digit(term(spec, n, 0), 10) == c
                 )
 

@@ -20,7 +20,6 @@ from concat_equidist.equidist import (
     BENFORD_FREQ,
     BenfordReport,
     PointSet,
-    _digit_and_fracpart,
     _quotients,
     benford_report,
     census,
@@ -515,13 +514,12 @@ class TestFusedBenfordReport:
 
 def per_term_report(terms):
     """The report as it was built before the pass was batched: one
-    ``_digit_and_fracpart`` call per term."""
+    ``leading_digit`` and one ``log10_fracpart`` call per term."""
     counts = [0] * 9
     fracs = []
     for m in terms:
-        digit, frac = _digit_and_fracpart(m)
-        counts[digit - 1] += 1
-        fracs.append(frac)
+        counts[leading_digit(m) - 1] += 1
+        fracs.append(log10_fracpart(m))
     n = len(fracs)
     freq = tuple(c / n for c in counts)
     gap = max(abs(f - b) for f, b in zip(freq, BENFORD_FREQ))
@@ -578,7 +576,7 @@ class TestBatchedBenfordReport:
 
     def test_log_fracparts_equal_per_term(self):
         terms = [*range(1, _BATCH + 2), 10**16, 10**17 - 1, 2**900, 10**300, 1230 * 10**300 + 1]
-        assert log_fracparts(terms).values == tuple(_digit_and_fracpart(m)[1] for m in terms)
+        assert log_fracparts(terms).values == tuple(map(log10_fracpart, terms))
 
     @pytest.mark.parametrize("position", [0, _BATCH - 1, _BATCH, _BATCH + 1])
     def test_bad_term_stops_the_stream(self, position):

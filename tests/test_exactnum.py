@@ -13,6 +13,7 @@ from concat_equidist.exactnum import (
     PrefixOrder,
     compare_prefix,
     decimal_head,
+    decimal_int,
     digit_length,
     digits_to_int,
     int_to_digits,
@@ -288,3 +289,53 @@ class TestDecimalHead:
         ms = [2**b for b in range(850, 4000)]
         assert [decimal_head(m) for m in ms] == [str_decimal_head(m) for m in ms]
         assert [decimal_head(m) for m in reversed(ms)] == [str_decimal_head(m) for m in reversed(ms)]
+
+
+@st.composite
+def int_literals(draw):
+    """Texts around a digit run of up to 6000 digits: whitespace that int()
+    takes or refuses, signs, single and double underscores, non-ASCII digits
+    and stray characters, at drawn places."""
+    block = draw(st.text("0123456789", min_size=1, max_size=12))
+    body = (block * (6000 // len(block) + 1))[: draw(st.integers(1, 6000))]
+    if draw(st.booleans()):  # grouped like 1_000_000
+        group = draw(st.integers(1, 4))
+        body = "_".join(body[i : i + group] for i in range(0, len(body), group))
+    body = list(body)
+    for _ in range(draw(st.integers(0, 3))):
+        body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(["_", "__", " ", "x", "\u0663", "-"])))
+    space = st.sampled_from(["", " ", "\t\n", "\xa0", "\x1c"])
+    return draw(space) + draw(st.sampled_from(["", "+", "-", "+-"])) + "".join(body) + draw(space)
+
+
+def _int_or_error(read, text):
+    try:
+        return read(text)
+    except ValueError:
+        return "refused"
+
+
+class TestDecimalInt:
+    @settings(max_examples=300)
+    @given(int_literals())
+    def test_takes_what_int_takes_at_any_length(self, text):
+        # the oracle is int() with the str-digit limit lifted; decimal_int
+        # runs under the default limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = _int_or_error(int, text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert _int_or_error(decimal_int, text) == expected
+
+    @pytest.mark.parametrize("sign", ["", "-", "+"])
+    def test_5000_digits_under_the_default_limit(self, sign):
+        text = sign + "9" * 5000
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            int(text)
+        assert decimal_int(text) == int(sign + "1") * (10**5000 - 1)
+
+    def test_sign_of_a_zero_high_part(self):
+        # the high part "-0" reads as 0, so the sign comes from the text
+        assert decimal_int(" -0" + "5" * 5000 + " ") == -(5 * (10**5000 - 1) // 9)

@@ -352,6 +352,53 @@ class TestTerms:
         assert str(from_terms.value) == str(from_term.value)
 
 
+def differences_by_values(spec, n):
+    """Oracle: ``PolyTail.differences`` before ``IntPoly.table``, from f(n),
+    ..., f(n + d) by d passes of differences."""
+    column = [spec.poly.eval(n + i) for i in range(spec.poly.degree + 1)]
+    for i in range(1, len(column)):
+        for j in range(len(column) - 1, i - 1, -1):
+            column[j] -= column[j - 1]
+    return column
+
+
+def multiple_terms_by_count(spec, n):
+    """Oracle: ``MultipleTail.terms`` before the families shared one stream."""
+    return itertools.count(spec.k * n, spec.k)
+
+
+class TestOneColumnOneStream:
+    @settings(max_examples=300)
+    @given(
+        wide_polys(8),
+        st.one_of(st.integers(0, 50), st.integers(0, 10**30)),
+        st.integers(0, 40),
+    )
+    def test_poly_column_from_the_table(self, poly, shift, c):
+        spec = PolyTail(poly)
+        n = spec.n_min + shift
+        assert spec.differences(n) == differences_by_values(spec, n)
+        assert list(itertools.islice(spec.terms(n), c)) == [poly.eval(m) for m in range(n, n + c)]
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(st.integers(1, 50), st.integers(1, 10**17)),
+        st.one_of(st.integers(1, 50), st.integers(1, 10**30)),
+        st.integers(0, 40),
+    )
+    def test_multiple_stream_from_the_column(self, k, n, c):
+        spec = MultipleTail(k)
+        assert list(itertools.islice(spec.terms(n), c)) == list(
+            itertools.islice(multiple_terms_by_count(spec, n), c)
+        )
+
+    def test_table_is_built_once(self):
+        poly = IntPoly((5, -3, 1))
+        assert poly.table == ((5, -3, 1), (-2, 2), (2,))
+        assert PolyTail(poly).differences(3) == [5, 4, 2]  # f(3), Δf(3), Δ²f
+        assert poly.table is poly.table
+
+
 class TestTailPrefixes:
     @settings(max_examples=500)
     @given(prefix_cases())
