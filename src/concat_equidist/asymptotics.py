@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Callable
 
 from .counting import count_A
 from .exactnum import HalfOpenInterval, _show
@@ -99,31 +100,47 @@ def lemma2_main_term(poly: IntPoly, J: int) -> float | Decimal:
     """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
+    main = _lemma2_float(poly, J)
+    return main if math.isfinite(main) else _rounded(_lemma2_decimal(poly, J)(J))
+
+
+def _lemma2_float(poly: IntPoly, J: int) -> float:
+    """The Lemma 2 main term as a float sum, inf past the float range."""
     d = poly.degree
     try:
         factor = (2.0 ** (1.0 / d) - 1.0) / poly.coeffs[-1] ** (1.0 / d)
-        main = factor * sum(10.0 ** (i / d) for i in range(1, J + 1))
+        return factor * sum(10.0 ** (i / d) for i in range(1, J + 1))
     except OverflowError:
-        main = math.inf
-    return main if math.isfinite(main) else _rounded(_lemma2_decimal(poly, J))
+        return math.inf
 
 
-def _lemma2_decimal(poly: IntPoly, J: int) -> Decimal:
-    """The Lemma 2 main term as a Decimal of J/d + 20 significant digits.
+def _lemma2_decimal(poly: IntPoly, J_max: int) -> Callable[[int], Decimal]:
+    """J -> the Lemma 2 main term as a Decimal of J/d + 20 significant digits.
 
     It comes from the geometric sum r (r^J - 1)/(r - 1) with r = 10^(1/d).
     The term is below 2 * 10^(J/d), so at least 18 of the digits lie after
-    the point, where the float sum has none left once it passes 2^53.
+    the point, where the float sum has none left once it passes 2^53.  The
+    fractional powers are taken on the first call only, at the precision
+    J_max/d + 20 of the largest J, and each term costs one integer power of
+    r; a scan that stays below 2^53 never pays for them.
     """
-    from decimal import Decimal, localcontext
-
     d = poly.degree
-    with localcontext() as ctx:
-        ctx.prec = J // d + 20
-        root = 1 / Decimal(d)
-        r = 10 ** root
-        factor = (2**root - 1) / Decimal(poly.coeffs[-1]) ** root
-        return factor * r * (r**J - 1) / (r - 1)
+    constants = []  # r and the factor c_d^(-1/d) (2^(1/d) - 1) r / (r - 1)
+
+    def main(J: int) -> Decimal:
+        from decimal import Decimal, localcontext
+
+        with localcontext() as ctx:
+            if not constants:
+                ctx.prec = J_max // d + 20
+                root = 1 / Decimal(d)
+                r = 10 ** root
+                constants[:] = r, (2**root - 1) / Decimal(poly.coeffs[-1]) ** root * r / (r - 1)
+            r, factor = constants
+            ctx.prec = J // d + 20
+            return factor * (r**J - 1)
+
+    return main
 
 
 def limit_constants(d: int) -> LimitConstants:
@@ -198,19 +215,24 @@ def ratio_scan(
     if spec.base != 10:
         raise ValueError("ratio scans reproduce base-10 constants; spec.base must be 10")
     if isinstance(spec, PolyTail):
-        kind, d, family = "poly-d", spec.poly.degree, spec.poly
-        main_term, exact_main = lemma2_main_term, _lemma2_decimal
+        kind, d, poly = "poly-d", spec.poly.degree, spec.poly
+        exact_main = _lemma2_decimal(poly, max(j for j, _ in points))
+
+        def main_term(J: int) -> float | Decimal:
+            main = _lemma2_float(poly, J)
+            return main if math.isfinite(main) else exact_main(J)
+
     else:
-        kind, d, family = "linear-k", 1, spec.k
-        main_term = exact_main = lemma1_main_term
+        kind, d = "linear-k", 1
+        main_term = exact_main = partial(lemma1_main_term, spec.k)
     records = []
     for j, N in points:
         res = count_A(spec, interval, N)
-        main = main_term(family, j)
+        main = main_term(j)
         if res.count < _FLOAT_EXACT and main < _FLOAT_EXACT:
             residual = res.count - float(main)
         else:
-            residual = _exact_difference(res.count, exact_main(family, j))
+            residual = _exact_difference(res.count, exact_main(j))
         records.append(ScanRecord(j, N, res.count, res.ratio, _rounded(main), residual))
     return RatioScanReport(kind, tuple(records), limit_constants(d))
 

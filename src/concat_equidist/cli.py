@@ -192,7 +192,7 @@ def _read_terms_file(path: str) -> list[int]:
         if not stripped:
             continue
         if not (stripped.isascii() and stripped.isdigit() and stripped.strip("0")):
-            raise UsageError(f"{path}: line {lineno}: not a positive integer: {stripped!r}")
+            raise UsageError(f"{path}: line {lineno}: not a positive integer: {_show(stripped)}")
         terms.append(decimal_int(stripped))
     if not terms:
         raise UsageError(f"{path}: no terms found")
@@ -274,7 +274,7 @@ def _int(text: str) -> int:
     try:
         return decimal_int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_show(text)}") from None
 
 
 def _add_spec_args(p: argparse.ArgumentParser, kinds=("champ", "mult", "poly")) -> None:

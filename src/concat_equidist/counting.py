@@ -90,14 +90,19 @@ def count_A(
 ) -> CountResult:
     """Count indices n_min <= n < n_min + N with x_n in [lo, hi).
 
-    Let L be the longer endpoint length.  A term of at least L digits decides
-    membership by its leading L digits alone, so each decade of such terms
-    contributes a difference of two ``spec.index_le`` values, and the cost
-    grows with the number of decades, not with N.  Only the indices whose
-    first term is shorter than L digits are decided by digit streaming; an
-    ``UndecidedMembershipError`` can come only from them.  With ``max_digits``
-    below L, or with ``fast=False`` (the reference oracle), every index is
-    streamed.  Both paths return identical results.
+    The terms increase, so each decade of terms (those of e digits) is a run
+    of consecutive indices, and the count is a loop over the decades from
+    a_{n_min} to the last term: its cost grows with the number of decades,
+    not with N.  Let L be the longer endpoint length, k = min(e, L), and
+    lo_k, hi_k the endpoints' leading k digits.  The first term gives the
+    first k digits of x_n, so the stream decides an index on that term alone
+    unless it is a tie: e < L and a_n = lo_k or hi_k, an endpoint longer
+    than e digits.  Every other member of a decade has its term in one range,
+    counted as a difference of two ``spec.index_le`` values.  The at most two
+    ties per decade are streamed in ascending order, and only they can raise
+    ``UndecidedMembershipError``, the oracle's first one.  With
+    ``max_digits`` below L, or with ``fast=False`` (the reference oracle),
+    every index is streamed.  Both paths return identical results.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {_show(N)}")
@@ -110,24 +115,35 @@ def count_A(
     stop = start + N
     L, lo_L, hi_L = interval.window
     if fast and (max_digits is None or max_digits >= L):
-        # indices whose first term has fewer than L digits come first
-        short = min(spec.index_le(base ** (L - 1) - 1), N)
+        lo_len, hi_len = len(interval.lo.digits), len(interval.hi.digits)
+        E = digit_length(term(spec, stop - 1, 0), base)
+        count = 0
+        digits_max = E if max_digits is None else min(E, max_digits)
+        streamed = []
+        for e in range(digit_length(term(spec, start, 0), base), E + 1):
+            least = base ** (e - 1)
+            if e >= L:
+                scale = base ** (e - L)
+                low, high = lo_L * scale, hi_L * scale
+            else:
+                scale = base ** (L - e)
+                low, high = lo_L // scale, hi_L // scale
+                ties = {v for v, longer in ((low, e < lo_len), (high, e < hi_len)) if longer and v >= least}
+                for v in sorted(ties):
+                    n = start + spec.index_le(v) - 1
+                    if start <= n < stop and term(spec, n, 0) == v:
+                        streamed.append(n)
+                low += e < lo_len  # a term equal to lo_k is then a tie, not a member
+            below = max(low, least) - 1
+            upto = high - 1
+            if upto > below:
+                count += min(spec.index_le(upto), N) - min(spec.index_le(below), N)
     else:
-        short = N
-    count = 0
-    digits_max = 0
-    for n in range(start, start + short):
+        count = digits_max = 0
+        streamed = range(start, stop)
+    for n in streamed:
         budget = max_digits if max_digits is not None else default_max_digits(spec, n)
         member, used = _membership_stream(spec, n, interval, budget)
         count += member
         digits_max = max(digits_max, used)
-    if short < N:
-        E = digit_length(term(spec, stop - 1, 0), base)
-        digits_max = max(digits_max, E if max_digits is None else min(E, max_digits))
-        for e in range(L, E + 1):
-            scale = base ** (e - L)
-            below = max(lo_L * scale, base ** (e - 1)) - 1
-            upto = hi_L * scale - 1
-            if upto > below:
-                count += min(spec.index_le(upto), N) - min(spec.index_le(below), N)
     return CountResult(interval, N, count, count / N, digits_max)

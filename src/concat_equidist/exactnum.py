@@ -25,16 +25,19 @@ def _check_base(base: int) -> None:
 
 
 def _show(x: object) -> str:
-    """repr(x), with ints of more than 1000 bits (301 digits) shown by size.
+    """repr(x), with ints of more than 1000 bits (301 digits) shown by size
+    and texts of more than 80 characters by their ends and length.
 
-    Every message that can echo a user's integer shows it this way: repr
-    fails past 4300 digits, and long before that it drowns the message.
+    Every message that can echo a user's integer or text shows it this way:
+    repr fails past 4300 digits, and long before that it drowns the message.
     """
     if isinstance(x, tuple):
         inner = ", ".join(map(_show, x))
         return f"({inner},)" if len(x) == 1 else f"({inner})"
     if isinstance(x, int) and abs(x).bit_length() > 1000:
         return f"{'-' if x < 0 else ''}<{abs(x).bit_length()}-bit int>"
+    if isinstance(x, str) and len(x) > 80:
+        return f"{x[:40]!r}...{x[-20:]!r} ({len(x)} characters)"
     return repr(x)
 
 
@@ -210,18 +213,18 @@ class ExactEndpoint:
         try:
             digits = tuple(_DIGIT_CHARS.index(ch) for ch in frac)
         except ValueError:
-            raise ValueError(f"invalid digit in endpoint {text!r}") from None
+            raise ValueError(f"invalid digit in endpoint {_show(text)}") from None
         if any(d >= base for d in digits):
-            raise ValueError(f"endpoint {text!r} has digits out of range for base {base}")
+            raise ValueError(f"endpoint {_show(text)} has digits out of range for base {base}")
         while digits and digits[-1] == 0:
             digits = digits[:-1]
         if whole == "0":
             return cls(base, digits)
         if whole == "1":
             if digits:
-                raise ValueError(f"endpoint {text!r} exceeds 1")
+                raise ValueError(f"endpoint {_show(text)} exceeds 1")
             return cls(base, (), is_one=True)
-        raise ValueError(f"endpoint {text!r} outside [0, 1]")
+        raise ValueError(f"endpoint {_show(text)} outside [0, 1]")
 
     def scaled(self, L: int) -> int:
         """The endpoint times base**L, an integer for L >= len(digits)."""

@@ -62,7 +62,7 @@ class IntPoly:
         try:
             coeffs = tuple(decimal_int(part.strip()) for part in text.split(","))
         except ValueError:
-            raise ValueError(f"invalid polynomial coefficients {text!r}") from None
+            raise ValueError(f"invalid polynomial coefficients {_show(text)}") from None
         return cls(coeffs)
 
     @property

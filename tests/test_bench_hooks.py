@@ -35,7 +35,15 @@ def _patched_names(tracer_module):
     return {(mod, attr): getattr(MODULES[mod], attr) for mod, attr, _ in sites}
 
 
-def test_tracer_counts_streamed_indices_and_restores_originals(tracer_cls, capsys):
+def test_tracer_counts_streamed_indices_and_restores_originals(tracer_cls, capsys, monkeypatch):
+    streamed = []
+    stream = counting._membership_stream
+
+    def recording_stream(spec, n, interval, max_digits):
+        streamed.append(n)
+        return stream(spec, n, interval, max_digits)
+
+    monkeypatch.setattr(counting, "_membership_stream", recording_stream)
     originals = {
         (module, attr): getattr(module, attr)
         for module, attr in [
@@ -64,9 +72,13 @@ def test_tracer_counts_streamed_indices_and_restores_originals(tracer_cls, capsy
 
     calls = {name: stat[0] for name, stat in tracer.stats.items()}
     assert calls["counting.count_A"] == 1
-    # the terms 1..999 are shorter than the 4-digit endpoints: each is streamed
-    assert calls["counting.default_max_digits"] == 999
-    assert calls["seqgen.term"] >= 999
+    # below the 4-digit endpoints only the ties a_n = 1, 12, 123 (prefixes of
+    # 0.1231 longer than the term) are streamed, one budget each; the terms
+    # are the two decade ends, a check per tie, the budgets' and the stream's
+    # 4 + 2 + 2 for x_1 = 0.1234..., x_12 = 0.1213..., x_123 = 0.123124...
+    assert streamed == [1, 12, 123]
+    assert calls["counting.default_max_digits"] == 3
+    assert calls["seqgen.term"] == 2 + 3 + 3 + 8
     assert tracer.indices == 2000
 
     for (module, attr), original in originals.items():

@@ -72,6 +72,21 @@ class TestCount:
         expected = sum(str(n * n - 10**18)[0] == "1" for n in range(n_min, n_min + 10))
         assert code == 0 and rows[0]["count"] == str(expected)
 
+    def test_nine_digit_endpoints_at_the_cap(self, capsys, deadline):
+        # the terms below 9 digits are counted per decade; only x_1 and
+        # the other ties with prefixes of 0.123456789 are streamed
+        with deadline(5.0, "count with 9-digit endpoints at N = 10^7"):
+            code, out, _ = run(capsys, "count", "--kind", "champ", "--lo", "0.123456789", "--hi", "0.12345679", "--N", "10000000")
+        rows, _ = read_csv(out)
+        assert code == 0 and rows[0]["count"] == "1"  # x_1 = 0.12345678910...
+
+    def test_first_term_of_20000_digits(self, capsys, deadline):
+        # the decades start at the first term's, not at the endpoint length
+        with deadline(5.0, "count with a 20000-digit k"):
+            code, out, _ = run(capsys, "count", "--kind", "mult", "--k", "1" * 20000, "--N", "1")
+        rows, _ = read_csv(out)
+        assert code == 0 and rows[0]["count"] == "1"
+
 
 class TestScan:
     def test_linear_k1(self, capsys):
@@ -456,6 +471,20 @@ class TestLiteralsOfAnyLength:
         code, out, err = run(capsys, "count", "--kind", "champ", "--N", "1x")
         assert (code, out) == (1, "")
         assert err == "error: argument --N: invalid int value: '1x'\n"
+
+    @pytest.mark.parametrize(
+        "argv,shown",
+        [
+            (["count", "--kind", "champ", "--N", BIG + "x"], "x' (5001 characters)"),
+            (["count", "--kind", "poly", "--N", "5", f"--coeffs={BIG}x,1"], "x,1' (5003 characters)"),
+            (["count", "--kind", "champ", "--N", "5", "--lo", f"0.{BIG}x"], "(5003 characters) has digits out of range for base 10"),
+        ],
+        ids=["N", "coeffs", "lo"],
+    )
+    def test_invalid_long_literal_is_shortened(self, capsys, argv, shown):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err) < 300 and err.endswith(shown + "\n")
 
 
 class TestStartup:

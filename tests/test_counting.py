@@ -1,6 +1,10 @@
+from collections import Counter
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from concat_equidist import counting
 from concat_equidist.asymptotics import lemma1_main_term
 from concat_equidist.counting import (
     UndecidedMembershipError,
@@ -16,6 +20,7 @@ from concat_equidist.exactnum import (
     HalfOpenInterval,
     PrefixOrder,
     compare_prefix,
+    digit_length,
     int_to_digits,
 )
 from concat_equidist.seqgen import (
@@ -160,14 +165,17 @@ def _outcome(fn):
 
 
 @st.composite
-def _specs(draw, base):
+def _specs(draw, base, huge=False):
+    """A family in ``base``; with ``huge``, k and the constant term may have
+    30-40 digits, so that the first term can be longer than any endpoint."""
     kind = draw(st.sampled_from(["champ", "mult", "poly"]))
+    big = st.integers(10**30, 10**40) if huge else st.nothing()
     if kind == "champ":
         return ChampernowneTail(base)
     if kind == "mult":
-        return MultipleTail(draw(st.integers(1, 10**18)), base)
+        return MultipleTail(draw(st.integers(1, 10**18) | big), base)
     degree = draw(st.integers(1, 3))
-    constant = draw(st.integers(-60, 5))  # mostly negative, so that n_min > 1
+    constant = draw(st.integers(-60, 5) | big)  # mostly negative, so that n_min > 1
     middle = draw(st.lists(st.integers(-20, 20), min_size=degree - 1, max_size=degree - 1))
     return PolyTail(IntPoly((constant, *middle, draw(st.integers(1, 4)))), base)
 
@@ -180,14 +188,15 @@ def _endpoint(base, digits):
 
 
 @st.composite
-def _cases(draw, max_n, max_len=5, max_budget=24):
-    """(spec, interval, N or index, max_digits), endpoints of 0-max_len digits.
+def _cases(draw, max_n, max_len=5, max_budget=24, min_len=0, huge=False):
+    """(spec, interval, N or index, max_digits), endpoints of min_len-max_len
+    digits before trailing zeros are dropped.
 
     Some endpoints are prefixes of tail values in range, so that narrow
     intervals still catch members.
     """
     base = draw(st.integers(2, 16))
-    spec = draw(_specs(base))
+    spec = draw(_specs(base, huge))
     n = draw(st.integers(1, max_n))
 
     def endpoint():
@@ -195,9 +204,10 @@ def _cases(draw, max_n, max_len=5, max_budget=24):
         if choice == "one":
             return ExactEndpoint(base, (), is_one=True)
         if choice == "digits":
-            return _endpoint(base, draw(st.lists(st.integers(0, base - 1), max_size=max_len)))
+            digits = st.lists(st.integers(0, base - 1), min_size=min_len, max_size=max_len)
+            return _endpoint(base, draw(digits))
         m = spec.n_min + draw(st.integers(0, n - 1))
-        return _endpoint(base, tail_digits(spec, m, draw(st.integers(1, max_len))).digits)
+        return _endpoint(base, tail_digits(spec, m, draw(st.integers(max(min_len, 1), max_len))).digits)
 
     a, b = endpoint(), endpoint()
     if a == b:
@@ -209,6 +219,10 @@ def _cases(draw, max_n, max_len=5, max_budget=24):
     return spec, HalfOpenInterval(lo, hi), n, max_digits
 
 
+def _decade(spec, n):
+    return digit_length(term(spec, n, 0), spec.base)
+
+
 class TestClosedFormMatchesOracle:
     @settings(max_examples=500)
     @given(_cases(max_n=1500))
@@ -217,6 +231,65 @@ class TestClosedFormMatchesOracle:
         fast = _outcome(lambda: count_A(spec, interval, N, max_digits))
         oracle = _outcome(lambda: count_A(spec, interval, N, max_digits, fast=False))
         assert fast == oracle
+
+    # endpoints of 9-30 digits: terms shorter than them tie with their
+    # prefixes, and the default budget 4e + 16 runs out below 21 digits
+    @settings(max_examples=300)
+    @given(_cases(max_n=1500, max_len=30, max_budget=40, min_len=9, huge=True))
+    def test_count_A_long_endpoints(self, case):
+        spec, interval, N, max_digits = case
+        fast = _outcome(lambda: count_A(spec, interval, N, max_digits))
+        oracle = _outcome(lambda: count_A(spec, interval, N, max_digits, fast=False))
+        assert fast == oracle
+
+    @settings(max_examples=200)
+    @given(st.integers(2, 16).flatmap(_specs), st.integers(0, 30), st.integers(1, 14), st.integers(1, 300), st.booleans())
+    def test_undecided_in_a_short_decade(self, spec, i, extra, N, as_lo):
+        # an endpoint that is a prefix of x_m longer than m's budget 4e + 16
+        m = spec.n_min + i
+        endpoint = _endpoint(spec.base, tail_digits(spec, m, 4 * _decade(spec, m) + 16 + extra).digits)
+        edge = ExactEndpoint(spec.base, (), is_one=as_lo)
+        interval = HalfOpenInterval(endpoint, edge) if as_lo else HalfOpenInterval(edge, endpoint)
+        fast = _outcome(lambda: count_A(spec, interval, N))
+        assert fast == _outcome(lambda: count_A(spec, interval, N, fast=False))
+
+    @settings(max_examples=300)
+    @given(_cases(max_n=1500, max_len=30, max_budget=40, min_len=9, huge=True))
+    def test_at_most_two_streamed_indices_per_decade_below_L(self, case):
+        spec, interval, N, max_digits = case
+        L = interval.window[0]
+        if max_digits is not None and max_digits < L:
+            max_digits = L
+        with mock.patch.object(counting, "_membership_stream", wraps=counting._membership_stream) as stream:
+            _outcome(lambda: count_A(spec, interval, N, max_digits))
+        decades = Counter(_decade(spec, c.args[1]) for c in stream.call_args_list)
+        assert all(e < L and calls <= 2 for e, calls in decades.items())
+
+    @pytest.mark.parametrize(
+        "lo,hi,ties",
+        [
+            # x_1 = 0.123456789101..., x_12 = 0.1213..., x_123 = 0.123124...
+            ("0.123456789", "0.12345679", [1, 12, 123, 1234, 12345, 123456, 1234567]),
+            ("0.1", "0.123456789", [1, 12, 123, 1234, 12345, 123456, 1234567]),
+            # lo_k = hi_k = 12 at e = 2 with both endpoints longer: one tie
+            ("0.121", "0.122", [1, 12]),
+            ("0.0123", "0.5", []),  # lo_k has fewer than e digits: no tie
+        ],
+    )
+    def test_ties_are_the_endpoint_prefixes(self, lo, hi, ties):
+        interval = HalfOpenInterval.parse(lo, hi)
+        with mock.patch.object(counting, "_membership_stream", wraps=counting._membership_stream) as stream:
+            count_A(CHAMP, interval, 10**7)
+        assert [c.args[1] for c in stream.call_args_list] == ties
+        assert count_A(CHAMP, interval, 3000) == count_A(CHAMP, interval, 3000, fast=False)
+
+    @pytest.mark.parametrize("max_digits", [None, 9, 12, 40])
+    def test_first_term_longer_than_the_endpoints(self, max_digits):
+        # a 31-digit k, and f(2) = 10^31 - 2 with n_min = 2: every decade is at or above L
+        for spec in (MultipleTail(10**30 + 7), PolyTail(IntPoly((10**31, -3, 1)))):
+            interval = HalfOpenInterval.parse("0.100000000000000000000000000003", "0.31622776601683793319988935444")
+            fast = _outcome(lambda: count_A(spec, interval, 2000, max_digits))
+            assert fast == _outcome(lambda: count_A(spec, interval, 2000, max_digits, fast=False))
 
     # stop = n_min + N with a_{stop-1} = 10^e - 1 or 10^e
     @pytest.mark.parametrize(
