@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .counting import count_A
 from .exactnum import HalfOpenInterval, _show
 from .seqgen import IntPoly, PolyTail, TailSpec, _iroot, poly_floor_inverse
 
 if TYPE_CHECKING:
-    from decimal import Decimal  # imported where used, past 2^53
+    from decimal import Decimal  # imported where used, past the float range
 
 
 @dataclass(frozen=True)
@@ -26,8 +25,8 @@ class ScanRecord:
     N: int
     count: int
     ratio: float
-    main_term: float | int | Decimal  # an exact int (Lemma 1) or a Decimal (Lemma 2) past the float range
-    residual: float | int | Decimal  # the same, for a residual past the float range
+    main_term: float | int | Decimal  # rounded once; past the float range an exact int (Lemma 1) or a Decimal (Lemma 2)
+    residual: float | int | Decimal  # count - main_term, rounded once in the same way
 
 
 @dataclass(frozen=True)
@@ -93,54 +92,46 @@ def inverse_epsilon(poly: IntPoly, m: int) -> float:
 
 
 def lemma2_main_term(poly: IntPoly, J: int) -> float | Decimal:
-    """((2^(1/d)-1)/c_d^(1/d)) * sum_{i=1..J} 10^(i/d).
+    """((2^(1/d)-1)/c_d^(1/d)) * sum_{i=1..J} 10^(i/d), rounded once.
 
-    A float wherever the float sum is finite.  Past the float range it is
-    ``_lemma2_decimal`` rounded once, and a Decimal if that is no float.
+    A float, or past the float range a Decimal of J/d + 20 significant
+    digits; ``_lemma2_numerators`` gives the fraction and its error bound.
     """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
-    main = _lemma2_float(poly, J)
-    return main if math.isfinite(main) else _rounded(_lemma2_decimal(poly, J)(J))
+    numerators, den = _lemma2_numerators(poly, {J})
+    return _rounded(numerators[J], den, J // poly.degree + 20)
 
 
-def _lemma2_float(poly: IntPoly, J: int) -> float:
-    """The Lemma 2 main term as a float sum, inf past the float range."""
-    d = poly.degree
-    try:
-        factor = (2.0 ** (1.0 / d) - 1.0) / poly.coeffs[-1] ** (1.0 / d)
-        return factor * sum(10.0 ** (i / d) for i in range(1, J + 1))
-    except OverflowError:
-        return math.inf
+_GUARD = 128  # bits: every Lemma 2 fraction is within 2^-_GUARD of its term
 
 
-def _lemma2_decimal(poly: IntPoly, J_max: int) -> Callable[[int], Decimal]:
-    """J -> the Lemma 2 main term as a Decimal of J/d + 20 significant digits.
+def _lemma2_numerators(poly: IntPoly, Js: set[int]) -> tuple[dict[int, int], int]:
+    """{J: M_J} for each J in ``Js``, and D: M_J / D approximates the Lemma 2 term at J.
 
-    It comes from the geometric sum r (r^J - 1)/(r - 1) with r = 10^(1/d).
-    The term is below 2 * 10^(J/d), so at least 18 of the digits lie after
-    the point, where the float sum has none left once it passes 2^53.  The
-    fractional powers are taken on the first call only, at the precision
-    J_max/d + 20 of the largest J, and each term costs one integer power of
-    r; a scan that stays below 2^53 never pays for them.
+    With B fractional bits, D = floor(c_d^(1/d) 2^B) >= 2^B, r =
+    floor(10^(1/d) 2^B), p_0 = floor(2^(1/d) 2^B) - 2^B, and each p_i =
+    floor(p_{i-1} r / 2^B) costs one product; M_J = p_1 + ... + p_J.  Each
+    floor only lowers a value, and p_i falls short of (2^(1/d) - 1)
+    10^(i/d) 2^B by less than (2i + 1) 10^(i/d).  With S = sum_{i<=J}
+    10^(i/d) < (d + 1) 10^(J/d), M_J / D is then within (2J + 1) S 2^-B of
+    the term, and within a relative 2 (2J + 2)(d + 1) 2^-B of it.  B =
+    _GUARD + log2((2J + 2)(d + 1)) + J log2(10)/d, rounded up at max(Js),
+    brings these below 2^-_GUARD and 2^(1-_GUARD) 10^(-J/d): the term,
+    count minus the term, and the Decimal of J/d + 20 digits all round
+    correctly unless the exact value lies that close to a rounding boundary.
     """
-    d = poly.degree
-    constants = []  # r and the factor c_d^(-1/d) (2^(1/d) - 1) r / (r - 1)
-
-    def main(J: int) -> Decimal:
-        from decimal import Decimal, localcontext
-
-        with localcontext() as ctx:
-            if not constants:
-                ctx.prec = J_max // d + 20
-                root = 1 / Decimal(d)
-                r = 10 ** root
-                constants[:] = r, (2**root - 1) / Decimal(poly.coeffs[-1]) ** root * r / (r - 1)
-            r, factor = constants
-            ctx.prec = J // d + 20
-            return factor * (r**J - 1)
-
-    return main
+    d, J_max = poly.degree, max(Js)
+    B = _GUARD + ((2 * J_max + 2) * (d + 1)).bit_length() + 3322 * J_max // (1000 * d) + 1
+    r = _iroot(10 << B * d, d)
+    p = _iroot(2 << B * d, d) - (1 << B)
+    total, numerators = 0, {}
+    for J in range(1, J_max + 1):
+        p = p * r >> B
+        total += p
+        if J in Js:
+            numerators[J] = total
+    return numerators, _iroot(poly.coeffs[-1] << B * d, d)
 
 
 def limit_constants(d: int) -> LimitConstants:
@@ -176,15 +167,20 @@ Y_LIMIT = math.log(2) / (2 * math.log(10))
 
 
 def subsequence_points_poly(poly: IntPoly, J_max: int) -> list[tuple[int, int]]:
-    """Scan points (J, N_J) with N_J the number of indices up to g(2*10^J)."""
+    """Scan points (J, N_J) with N_J the number of indices up to g(2*10^J).
+
+    N_J may repeat while f is steep at small n (7n^5 + 3 has N_1 = N_2 = 1);
+    the first J of each N is kept, so the N increase as ``ratio_scan`` needs.
+    """
     if J_max < 1:
         raise ValueError(f"J_max must be >= 1, got {_show(J_max)}")
-    points = []
+    points: list[tuple[int, int]] = []
     for J in range(1, J_max + 1):
         if 2 * 10**J < poly.n_min_value:
             continue
-        n_last = poly_floor_inverse(poly, 2 * 10**J)
-        points.append((J, n_last - poly.n_min + 1))
+        N = poly_floor_inverse(poly, 2 * 10**J) - poly.n_min + 1
+        if not points or N > points[-1][1]:
+            points.append((J, N))
     return points
 
 
@@ -202,11 +198,9 @@ def ratio_scan(
 ) -> RatioScanReport:
     """Counting ratios with attached main terms and residuals at each point.
 
-    The main term is Lemma 1's exact integer for a linear family and Lemma
-    2's float sum for a polynomial one.  While the count and the main term
-    are both below 2^53 the residual is their float difference.  From there
-    on it is the exact difference from the integer, or from the unrounded
-    ``_lemma2_decimal``, rounded once.
+    The main term is Lemma 1's exact integer for a linear family and the
+    ``_lemma2_numerators`` fraction for a polynomial one.  It is rounded
+    once, and so is the residual count - main, as one int / int division.
     """
     if not points:
         raise ValueError("no scan points: j_max is below the subsequence threshold")
@@ -215,41 +209,33 @@ def ratio_scan(
     if spec.base != 10:
         raise ValueError("ratio scans reproduce base-10 constants; spec.base must be 10")
     if isinstance(spec, PolyTail):
-        kind, d, poly = "poly-d", spec.poly.degree, spec.poly
-        exact_main = _lemma2_decimal(poly, max(j for j, _ in points))
-
-        def main_term(J: int) -> float | Decimal:
-            main = _lemma2_float(poly, J)
-            return main if math.isfinite(main) else exact_main(J)
-
+        kind, d = "poly-d", spec.poly.degree
+        mains, den = _lemma2_numerators(spec.poly, {j for j, _ in points})
     else:
-        kind, d = "linear-k", 1
-        main_term = exact_main = partial(lemma1_main_term, spec.k)
+        kind, d, den = "linear-k", 1, 1
+        mains = {j: lemma1_main_term(spec.k, j) for j, _ in points}
     records = []
     for j, N in points:
         res = count_A(spec, interval, N)
-        main = main_term(j)
-        if res.count < _FLOAT_EXACT and main < _FLOAT_EXACT:
-            residual = res.count - float(main)
-        else:
-            residual = _exact_difference(res.count, exact_main(j))
-        records.append(ScanRecord(j, N, res.count, res.ratio, _rounded(main), residual))
+        main, digits = mains[j], j // d + 20
+        residual = _rounded(res.count * den - main, den, digits)
+        records.append(ScanRecord(j, N, res.count, res.ratio, _rounded(main, den, digits), residual))
     return RatioScanReport(kind, tuple(records), limit_constants(d))
 
 
-_FLOAT_EXACT = 2**53  # every integer below it is a float
-_FLOAT_END = 2**1024 - 2**970  # the least value that rounds past the largest float
+def _rounded(num: int, den: int, digits: int) -> float | int | Decimal:
+    """num / den rounded once to a float.
 
+    Past the float range an integer (den = 1) stays exact, and a fraction
+    becomes a Decimal of ``digits`` significant digits, also rounded once.
+    """
+    try:
+        return num / den
+    except OverflowError:
+        if den == 1:
+            return num
+        from decimal import Decimal, localcontext
 
-def _exact_difference(count: int, main: int | Decimal) -> float | int | Decimal:
-    """count - main, exact, rounded once."""
-    from decimal import MAX_PREC, localcontext
-
-    with localcontext() as ctx:
-        ctx.prec = MAX_PREC  # no Decimal difference is rounded
-        return _rounded(count - main)
-
-
-def _rounded(x: float | int | Decimal) -> float | int | Decimal:
-    """x rounded once to a float, or x itself past the float range."""
-    return float(x) if -_FLOAT_END < x < _FLOAT_END else x
+        with localcontext() as ctx:
+            ctx.prec = digits
+            return Decimal(num) / den

@@ -59,11 +59,6 @@ class BenfordReport:
 
 _INT64_END = 2**63
 _BATCH = 4096  # terms or points per NumPy batch
-# The fewest family terms built at once, so that the single-term reads that
-# end each block of _prefix_blocks share one NumPy pass.  A floor of _BATCH
-# would do that too, but a 300-term read would then build 4096 terms, at
-# 16-45 us more per read for degrees 1-3 (timeit, 2-vCPU host).
-_AHEAD = 64
 
 
 def _int64_reader(
@@ -73,24 +68,19 @@ def _int64_reader(
 
     The terms increase from n_min, so one ``index_le(bound - 1)`` call counts
     those below ``bound`` (at most 2^63), and ``_term_block`` builds them
-    from the family's difference column with no Python step per term, at
-    least ``_AHEAD`` at a time, so that reads of single terms share one
-    NumPy pass.  The terms from there on come from ``spec.terms`` through
-    ``cut``, which maps them lazily to values that fit in int64.
+    from the family's difference column with no Python step per term.  The
+    terms from there on come from ``spec.terms`` through ``cut``, which maps
+    them lazily to values that fit in int64.
     """
     column = spec.differences(n)
     below = max(spec.n_min + spec.index_le(bound - 1) - n, 0)
-    built = np.empty(0, dtype=np.int64)  # terms below the bound built but not yet read
     rest = cut(spec.terms(n + below))
 
     def read(j: int) -> np.ndarray:
-        nonlocal below, built
+        nonlocal below
         run = min(j, below)
-        if run > len(built):
-            more = _term_block(column, min(max(run - len(built), _AHEAD), below - len(built)))
-            built = np.concatenate((built, more)) if len(built) else more
-        head, built = built[:run], built[run:]
         below -= run
+        head = _term_block(column, run)
         if run == j:
             return head
         tail = np.fromiter(itertools.islice(rest, j - run), dtype=np.int64, count=j - run)
@@ -181,11 +171,12 @@ def _prefix_blocks(spec: TailSpec, n: int, count: int, depth: int) -> Iterator[n
     negated exponent.  One vectorised step per window position adds a
     term to every row still short of ``depth`` digits; all values stay
     below b^depth.  The terms increase, so the window sums grow along a
-    block and the short rows are a leading slice.  A block reads its own
-    terms and then one term at a time until its last window is full, so
-    exactly the terms ``tail_prefixes`` reads are read, each once.  The
-    terms below 2^63 are read as int64 runs (``_int64_reader``); later ones
-    are cut to their leading ``depth`` digits in Python as they are read.
+    block and the short rows are a leading slice.  Every term has a digit,
+    so a block of ``size`` windows needs at most size + depth - 1 terms; it
+    reads them in one call, the depth - 1 past its own carried into the
+    next block, so each term is read once.  The terms below 2^63 are read
+    as int64 runs (``_int64_reader``); later ones are cut to their leading
+    ``depth`` digits in Python as they are read.
     """
     base = spec.base
     powers = [1]
@@ -204,11 +195,7 @@ def _prefix_blocks(spec: TailSpec, n: int, count: int, depth: int) -> Iterator[n
     head = length = np.empty(0, dtype=np.int64)
     for start in range(0, count, _BATCH):
         size = min(_BATCH, count - start)
-        head, length = extend(head, length, max(size - len(head), 0))
-        missing = depth - int(length[size - 1 :].sum())  # digits the last window lacks
-        while missing > 0:
-            head, length = extend(head, length, 1)
-            missing -= int(length[-1])
+        head, length = extend(head, length, size + depth - 1 - len(head))
         S = np.concatenate(([0], np.cumsum(length)))
         prefix = np.zeros(size, dtype=np.int64)
         i, rows = 0, size

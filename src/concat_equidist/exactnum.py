@@ -7,6 +7,7 @@ ever touching floating point, and integer literals of any length.
 from __future__ import annotations
 
 import enum
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -165,13 +166,20 @@ def decimal_head(m: int) -> tuple[int, str, bool]:
 
 
 def digit_length(n: int, base: int) -> int:
-    """Number of base-b digits of n, by exact integer division (no float log)."""
+    """Number of base-b digits of n, exactly, at about the cost of one power of b.
+
+    2^(bits-1) <= n < 2^bits, so the length is floor(bits log_b 2) or one
+    more.  The float quotient bits / log2(b) estimates that floor to within
+    one, so the count starts one below it and steps up while n >= b^length:
+    two or three comparisons, and no float decides a digit.
+    """
     _check_base(base)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    length = 0
-    while n:
-        n //= base
+    length = max(int(n.bit_length() / math.log2(base)) - 1, 0)
+    power = base**length
+    while n >= power:
+        power *= base
         length += 1
     return length
 

@@ -339,14 +339,22 @@ class TestRatioScan:
         assert report.final_ratio > 1 / 9 + 0.3
 
 
-def lemma2_at_80_digits(poly, J):
-    """Oracle: the Lemma 2 main term at 80 significant digits."""
+def lemma2_oracle(poly, J, digits=80):
+    """Oracle: the Lemma 2 main term at ``digits`` significant digits."""
     d, c = poly.degree, poly.coeffs[-1]
-    with mpmath.workdps(80):
+    with mpmath.workdps(digits):
         root = mpmath.mpf(1) / d
         return (mpmath.power(2, root) - 1) / mpmath.power(c, root) * sum(
             mpmath.power(10, i * root) for i in range(1, J + 1)
         )
+
+
+@st.composite
+def lemma2_cases(draw):
+    """(poly, J): degree 1-5, c_d up to 10^30, J up to 120."""
+    d = draw(st.integers(1, 5))
+    lower = draw(st.lists(st.integers(-(10**6), 10**6), min_size=d, max_size=d))
+    return IntPoly((*lower, draw(st.integers(1, 10**30)))), draw(st.integers(1, 120))
 
 
 class TestScanResiduals:
@@ -358,22 +366,33 @@ class TestScanResiduals:
         assert [r.j for r in records] == list(range(1, 61))
         assert all(r.residual == 1.0 and isinstance(r.residual, float) for r in records)
 
-    @pytest.mark.parametrize("coeffs", [(0, 0, 1), (1, 0, 0, 2)])
-    def test_poly_residual_is_rounded_once_from_2_to_the_53(self, coeffs):
-        # n^2 and 2n^3 + 1 at J <= 60: below 2^53 the residual is the float
-        # count - main as before; from 2^53 on it is count - M rounded once
+    @pytest.mark.parametrize("coeffs", [(0, 0, 1), (1, 0, 0, 2), (5, -3, 1)])
+    def test_poly_main_term_and_residual_are_the_oracle_rounded_once(self, coeffs):
+        # n^2, 2n^3 + 1 and n^2 - 3n + 5 at every J <= 60; a float sum of the
+        # powers printed wrong residual digits from J = 10 on
         spec = PolyTail(IntPoly(coeffs))
-        exact = 0
-        for r in ratio_scan(spec, I12, scan_points(spec, 60)).records:
-            main = lemma2_main_term(spec.poly, r.j)
-            assert r.main_term == main
-            if r.count < 2**53 and main < 2**53:
-                assert r.residual == r.count - main
-            else:
-                exact += 1
-                with mpmath.workdps(80):
-                    assert r.residual == float(r.count - lemma2_at_80_digits(spec.poly, r.j))
-        assert exact >= 10
+        records = ratio_scan(spec, I12, scan_points(spec, 60)).records
+        assert len(records) >= 59
+        for r in records:
+            with mpmath.workdps(80):
+                main = lemma2_oracle(spec.poly, r.j)
+                assert (r.main_term, r.residual) == (float(main), float(r.count - main)), r.j
+            assert lemma2_main_term(spec.poly, r.j) == r.main_term
+
+    @given(lemma2_cases())
+    @settings(max_examples=150)
+    @example((IntPoly((3, 0, 0, 0, 0, 7)), 120))
+    @example((IntPoly((0, 10**30)), 1))  # a main term of 10^-29
+    def test_lemma2_matches_the_oracle(self, case):
+        poly, J = case
+        digits = J // poly.degree + 60
+        with mpmath.workdps(digits):
+            main = lemma2_oracle(poly, J, digits)
+            assert lemma2_main_term(poly, J) == float(main)
+            if 2 * 10**J >= poly.n_min_value:
+                N = poly_floor_inverse(poly, 2 * 10**J) - poly.n_min + 1
+                (r,) = ratio_scan(PolyTail(poly), I12, [(J, N)]).records
+                assert (r.main_term, r.residual) == (float(main), float(r.count - main))
 
     def test_linear_residual_is_the_exact_integer_difference(self):
         records = ratio_scan(MultipleTail(7), I12, scan_points(MultipleTail(7), 40)).records

@@ -87,6 +87,13 @@ class TestCount:
         rows, _ = read_csv(out)
         assert code == 0 and rows[0]["count"] == "1"
 
+    def test_digit_length_of_a_100000_digit_term(self, capsys, deadline):
+        # one division per digit took about 9 s here; from bit_length it takes 0.1 s
+        with deadline(2.0, "count with a 100000-digit k"):
+            code, out, _ = run(capsys, "count", "--kind", "mult", "--k", "1" * 100000, "--N", "1")
+        rows, _ = read_csv(out)
+        assert code == 0 and rows[0]["count"] == "1"
+
 
 class TestScan:
     def test_linear_k1(self, capsys):
@@ -165,6 +172,24 @@ class TestScan:
         assert (code, err) == (0, "")
         last = json.loads(out)["records"][-1]
         assert (last["main_term"], last["residual"]) == (111111111111 * 10**389, 1.0)
+
+    def test_poly_with_one_index_at_two_J(self, capsys):
+        # 7n^5 + 3: f(1) = 10 <= 20 and f(2) = 227 > 200, so N_1 = N_2 = 1;
+        # the scan keeps J = 1 and goes on from J = 3
+        code, out, err = run(capsys, "scan", "--kind", "poly", "--coeffs", "3,0,0,0,0,7")
+        assert (code, err) == (0, "")
+        rows, _ = read_csv(out)
+        Ns = [int(row["N"]) for row in rows]
+        assert [row["j"] for row in rows] == ["1", "3", "4", "5", "6", "7", "8"]
+        assert all(a < b for a, b in zip(Ns, Ns[1:]))
+
+    def test_cubic_residual_past_the_cap(self, capsys):
+        # a float sum of the Lemma 2 powers printed the residual 9 at J = 49
+        argv = ["scan", "--kind", "poly", "--coeffs", "1,0,0,2", "--Jmax", "100", "--unsafe-uncapped"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        rows, _ = read_csv(out)
+        assert (rows[48]["j"], rows[48]["residual"]) == ("49", "-3.21159165601")
 
     def test_uncapped_override(self, capsys):
         code, out, _ = run(

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from concat_equidist import equidist
 from concat_equidist.equidist import (
-    _AHEAD,
     _BATCH,
     _EXTENDED,
     _int64_reader,
@@ -758,7 +757,8 @@ def block_cases(draw):
     that n_min > 1 and its differences pass int64 while its terms are still
     small; a start at n_min or so that the run reaches the bound 2^63 or
     10^17 within its reads; read sizes around a block, single terms and
-    one more than ``_AHEAD``."""
+    those of ``_prefix_blocks`` at depth 18: depth - 1 more than a block,
+    or than a few points."""
     bound = draw(st.sampled_from([2**63, 10**17]))
     kind = draw(st.sampled_from(["mult", "poly", "roots"]))
     if kind == "mult":
@@ -770,7 +770,7 @@ def block_cases(draw):
     else:
         roots = draw(st.lists(st.integers(-(10**5), 10**5), min_size=1, max_size=6))
         spec = PolyTail(IntPoly(from_roots(roots, draw(st.integers(1, 1000)), draw(st.integers(-50, 50)))))
-    size = st.sampled_from([1, 2, 7, _AHEAD + 1, _BATCH - 1, _BATCH, _BATCH + 1])
+    size = st.sampled_from([1, 2, 7, 17, 18, 24, _BATCH - 1, _BATCH, _BATCH + 1, _BATCH + 17])
     sizes = draw(st.lists(size, min_size=1, max_size=5))
     n = spec.n_min
     if draw(st.booleans()):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from concat_equidist.exactnum import (
     _POW10_STEP,
@@ -77,6 +77,16 @@ class TestDigitLength:
             assert digit_length(10**k, 10) == k + 1
             assert digit_length(10**k - 1, 10) == k
             assert digit_length(10**k + 1, 10) == k + 1
+
+    @given(st.integers(2, 36), st.integers(1, 3000), st.sampled_from((-1, 0, 1)))
+    @example(3, 2966, -1)  # bits log_3(2) = 2966.0008, the nearest to an integer for e <= 3000
+    def test_near_powers_against_the_division_loop(self, base, e, delta):
+        n = base**e + delta
+        length, m = 0, n
+        while m:
+            m //= base
+            length += 1
+        assert digit_length(n, base) == length
 
 
 class TestExactEndpoint:

@@ -27,8 +27,10 @@ naturals, of k = 99999999999999999, of terms crossing 10^17 and of a file
 of ties and near-powers of ten, and the ``discrepancy`` case crossing 2^63
 at n = 808, were recorded while every Benford logarithm came from
 ``math.log10`` term by term and family terms were read into NumPy one
-Python int at a time.  Any refactor of these paths must reproduce them byte
-for byte.  To record them again after a deliberate output change, run
+Python int at a time.  The uncapped ``scan`` case of 2n^3 + 1 was
+recorded once the Lemma 2 main term became one integer fraction, each row
+checked against an 80-digit mpmath oracle.  Any refactor of these paths
+must reproduce them byte for byte.  To record them again after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 import contextlib
@@ -77,6 +79,8 @@ CASES = [
     ("scan_poly_m420000_5_2", ["scan", "--kind", "poly", "--coeffs=-420000,5,2"], 0),
     ("scan_poly_210000_0_1", ["scan", "--kind", "poly", "--coeffs", "210000,0,1", *JSON], 0),
     ("scan_poly_140000_0_0_1", ["scan", "--kind", "poly", "--coeffs", "140000,0,0,1"], 0),
+    # residuals past the cap: each row checked against an 80-digit oracle
+    ("scan_cubic_uncapped_20", ["scan", *CUBIC, "--Jmax", "20", "--unsafe-uncapped"], 0),
     # tail digits of each family, and of a base-2 Champernowne tail
     ("tail_champ", ["tail", *CHAMP, "--n", "97", "--digits", "60"], 0),
     ("tail_mult7", ["tail", *MULT7, "--n", "13", "--digits", "45"], 0),
