@@ -56,6 +56,7 @@ _EQUIDIST_NAMES = frozenset(
         "log10_int",
         "log_fracparts",
         "poly_log_ratio",
+        "pow2_benford_report",
         "star_discrepancy",
         "tail_points",
         "ud_deviation",

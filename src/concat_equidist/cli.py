@@ -209,7 +209,7 @@ def cmd_benford(args) -> int:
             raise UsageError("--gen requires --N")
         _check_cap(args.N, DEFAULT_N_CAP, "N", args.unsafe_uncapped)
         if args.gen == "pow2":
-            report = equidist.benford_report(1 << n for n in range(1, args.N + 1))
+            report = equidist.pow2_benford_report(args.N)
         else:
             spec = _build_spec(args)
             report = equidist.family_benford_report(spec, spec.n_min, args.N)

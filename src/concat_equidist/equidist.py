@@ -5,6 +5,7 @@ characterization "strong Benford iff {log10 a_i} is u.d. mod 1".
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -355,17 +356,99 @@ def family_benford_report(spec: TailSpec, n: int, count: int) -> BenfordReport:
     return _report(_family_mantissas(spec, n, count))
 
 
+def pow2_benford_report(N: int) -> BenfordReport:
+    """``benford_report`` of 2^1, ..., 2^N, bitwise, in O(N) NumPy steps.
+
+    The points are w_n = frac(n log10 2) from a fixed-point log10 2
+    (``_pow2_parts``), each within 2^-52 of it, filled into one float64
+    array in blocks.  2^n leads with c exactly when frac(n log10 2)
+    lies in [log10 c, log10(c + 1)), so a w farther than _EPS from each of
+    log10 1, ..., log10 10 takes its digit from them; the rest, such as
+    n = 1, 2 and 3, which lie on log10 2, 4 and 8, take it from the exact
+    ``_mantissa(1 << n)``.  The part ``_exact_parts`` reads from that
+    mantissa lies within 3 2^-48 + 2^-52 of frac(n log10 2), so within
+    2^-52 + 3 2^-48 + 2^-52 < _EPS of w, and ``_certified_parts`` certifies
+    D* as it does for any mantissas.  2^n is built only for the points that
+    decide a digit or D*, each at most once.  Needs N < 2^32.
+    """
+    if N < 1:
+        raise ValueError("empty term stream")
+    if N >= 2**32:
+        raise ValueError(f"pow2 needs N < 2^32, got {_show(N)}")
+
+    @functools.cache
+    def mantissa(i: int) -> int:  # of the point at index i, 2^(i + 1)
+        return _mantissa(1 << i + 1)
+
+    def exact_parts(idx: np.ndarray) -> np.ndarray:
+        return _exact_parts(np.array([mantissa(i) for i in idx.tolist()], dtype=np.int64))
+
+    w = np.empty(N)
+    counts = np.zeros(10, dtype=np.int64)  # by leading digit; 0 stays empty
+    edge: list[int] = []
+    for start in range(0, N, _POW2_BATCH):
+        stop = min(start + _POW2_BATCH, N)
+        part = w[start:stop]
+        part[:] = _pow2_parts(np.arange(start + 1, stop + 1, dtype=np.uint64))
+        below = np.searchsorted(_DIGIT_EDGES, part - _EPS, side="right")
+        far = below == np.searchsorted(_DIGIT_EDGES, part + _EPS, side="right")
+        counts += np.bincount(below[far], minlength=10)
+        edge += (start + np.flatnonzero(~far)).tolist()
+    for i in edge:
+        counts[int(str(mantissa(i))[0])] += 1
+    points = PointSet(_certified_parts(w, exact_parts))
+    del w  # free before the N-float arrays of star_discrepancy
+    return _summary(counts[1:].tolist(), points)
+
+
+# floor(log10(2) * 2^128), split into 64-, 32- and 32-bit words for _pow2_parts
+_LOG10_2_FIXED = 0x4D104D427DE7FBCC47C4ACD605BE48BC
+_LOG10_2_WORDS = tuple(
+    np.uint64(word) for word in (_LOG10_2_FIXED >> 64, _LOG10_2_FIXED >> 32 & 2**32 - 1, _LOG10_2_FIXED & 2**32 - 1)
+)
+_DIGIT_EDGES = np.array([math.log10(c) for c in range(1, 11)])
+_POW2_BATCH = 16 * _BATCH  # points per block of _pow2_parts
+
+
+def _pow2_parts(n: np.ndarray) -> np.ndarray:
+    """w_n = frac(n log10 2) as float64, for uint64 n in [1, 2^32), each within 2^-52 below it.
+
+    With A = ``_LOG10_2_FIXED`` = H 2^64 + M 2^32 + L (M, L < 2^32), the top
+    64 bits of n A mod 2^128 are T = n H + ((n M + (n L >> 32)) >> 32) mod
+    2^64.  That is exact for n < 2^32: n M and n L stay below 2^64, and
+    so does n M plus the carry, which is below 2^32.  T 2^-64 lies less
+    than 2^-64 below frac(n A 2^-128), which lies less than n 2^-128 <
+    2^-96 below frac(n log10 2), mod 1.  w = (T >> 11) 2^-53 is exact in
+    float64 and below 1, and lies less than 2^-53 below T 2^-64.  So w lies
+    less than 2^-53 + 2^-64 + 2^-96 < 2^-52 below frac(n log10 2), mod 1.
+    """
+    high, mid, low = _LOG10_2_WORDS
+    top = n * high  # every product and sum wraps mod 2^64
+    top += (n * mid + (n * low >> 32)) >> 32
+    top >>= 11
+    return top.astype(np.float64) * 2.0**-53
+
+
 def _report(mant: np.ndarray) -> BenfordReport:
     """The report of the terms with these ``_mantissa`` values."""
-    n = len(mant)
-    if not n:
+    if not len(mant):
         raise ValueError("empty term stream")
     length = np.searchsorted(_POW10, mant, side="right")
     counts = np.bincount(mant // _POW10[length - 1], minlength=10)[1:].tolist()
     del length  # free before the N-float arrays of the certification
+    w = np.log10(mant)
+    w -= np.floor(w)
+    points = PointSet(_certified_parts(w, lambda idx: _exact_parts(mant[idx])))
+    del w  # free before the N-float arrays of star_discrepancy
+    return _summary(counts, points)
+
+
+def _summary(counts: list[int], points: PointSet) -> BenfordReport:
+    """The report from the nine leading-digit counts and the certified log parts."""
+    n = len(points)
     freq = tuple(c / n for c in counts)
     gap = max(abs(f - b) for f, b in zip(freq, BENFORD_FREQ))
-    return BenfordReport(n, freq, BENFORD_FREQ, gap, star_discrepancy(PointSet(_certified_parts(mant))))
+    return BenfordReport(n, freq, BENFORD_FREQ, gap, star_discrepancy(points))
 
 
 _POW10 = 10 ** np.arange(HEAD_DIGITS + 1, dtype=np.int64)  # 10^0 ... 10^17
@@ -429,26 +512,26 @@ def _exact_parts(mant: np.ndarray) -> np.ndarray:
 _EPS = 2.0**-40
 
 
-def _certified_parts(mant: np.ndarray) -> np.ndarray:
-    """{log10 a_i} whose star discrepancy is bitwise that of ``_exact_parts(mant)``.
+def _certified_parts(w: np.ndarray, exact_parts: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """{log10 a_i} whose star discrepancy is bitwise that of the exact parts.
 
-    w = frac(np.log10(mant)) is within _EPS of the exact part, except near
-    the wrap at 0 and 1: points within _EPS of it take their exact parts.
-    Sorting then moves no rank by more than _EPS, so only a rank whose D*
-    term lies within 4 _EPS of the largest can attain D*, and its exact
-    value is that of one of the points within 2 _EPS of its own: those take
-    their exact parts too.  Now every such rank holds its exact value, and
-    no other rank comes near, so ``star_discrepancy`` gives the exact D*.
-    Each point is made exact at most once.
+    ``exact_parts(idx)`` gives the ``_exact_parts`` of the terms at the
+    indices ``idx``, and w (updated in place and returned) holds points
+    within _EPS of them, except near the wrap at 0 and 1: points within _EPS
+    of it take their exact parts.  Sorting then moves no rank by more than
+    _EPS, so only a rank whose D* term lies within 4 _EPS of the largest
+    can attain D*, and its exact value is that of one of the points within
+    2 _EPS of its own: those take their exact parts too.  Now every such
+    rank holds its exact value, and no other rank comes near, so
+    ``star_discrepancy`` gives the exact D*.  Each point is made exact at
+    most once.
     """
-    w = np.log10(mant)
-    w -= np.floor(w)
     exact = np.zeros(len(w), dtype=bool)
 
     def patch(idx: np.ndarray) -> None:
         idx = idx[~exact[idx]]
         if idx.size:
-            w[idx] = _exact_parts(mant[idx])
+            w[idx] = exact_parts(idx)
             exact[idx] = True
 
     patch(np.flatnonzero((w < _EPS) | (w > 1 - _EPS)))

@@ -134,8 +134,9 @@ _last_pow10 = (0, 1)  # the e and 10**e of the last call
 def _pow10(e: int) -> int:
     """10**e, built from the last power returned when e grew by at most ``_POW10_STEP``.
 
-    Terms of a growing stream, such as consecutive powers of two, share e
-    several times in a row or raise it by one.  Building 10**e afresh costs
+    Terms of a growing stream past 256 digits, such as k n for a huge k or
+    the values of a polynomial with a huge constant term, share e several
+    times in a row or raise it by one.  Building 10**e afresh costs
     about ten times the division by it; multiplying the last power by the
     small 10**(e - last e) costs a few percent of that.  Any other e is
     built afresh.

@@ -223,15 +223,26 @@ class TestBenford:
         assert meta["N"] == "15000"
         assert float(meta["max_abs_gap"]) <= 0.01
 
+    def test_pow2_at_a_million(self, capsys, deadline):
+        # O(N) fixed-point points; building every 2^n took minutes.  The
+        # values are those of benford_report over 2^1, ..., 2^1000000.
+        with deadline(10.0, "benford --gen pow2 --N 1000000"):
+            code, out, err = run(capsys, "benford", "--gen", "pow2", "--N", "1000000")
+        assert code == 0, err
+        rows, meta = read_csv(out)
+        assert [r["observed_freq"] for r in rows[:3]] == ["0.301029", "0.176093", "0.124937"]
+        assert meta == {"N": "1000000", "max_abs_gap": "1.94697768673e-06", "log_discrepancy": "4.28934617136e-06"}
+
     @pytest.mark.parametrize(
         "gen",
         [["pow2"], ["mult", "--k", str(10**1000)], ["poly", f"--coeffs={10**1000 + 7},3,1"]],
         ids=["pow2", "mult-1001-digit-k", "poly-1001-digit-constant"],
     )
     def test_terms_are_streamed(self, capsys, gen):
-        # held in one list, 2^1 ... 2^8000 take about 4.5 MiB and k, ..., 8000k
-        # for a 1001-digit k, or f(1), ..., f(8000) for a 1001-digit constant
-        # term, about 3.5 MiB; streamed, the peak stays near 0.7 MiB
+        # held in one list, k, ..., 8000k for a 1001-digit k, or f(1), ...,
+        # f(8000) for a 1001-digit constant term, take about 3.5 MiB; streamed,
+        # the peak stays near 0.7 MiB.  pow2 builds no power but the few it
+        # makes exact; its arrays of 8000 points peak near 0.5 MiB
         tracemalloc.start()
         try:
             code, _, err = run(capsys, "benford", "--gen", *gen, "--N", "8000")

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,8 +15,10 @@ from concat_equidist import equidist
 from concat_equidist.equidist import (
     _BATCH,
     _EXTENDED,
+    _LOG10_2_FIXED,
     _int64_reader,
     _mantissa,
+    _pow2_parts,
     BENFORD_FREQ,
     BenfordReport,
     PointSet,
@@ -28,6 +31,7 @@ from concat_equidist.equidist import (
     log10_int,
     log_fracparts,
     poly_log_ratio,
+    pow2_benford_report,
     star_discrepancy,
     tail_points,
     ud_deviation,
@@ -739,6 +743,65 @@ class TestCertifiedLogDiscrepancy:
         with mock.patch.object(math, "log10", wraps=math.log10) as log10:
             build()
         assert log10.call_count <= most
+
+
+# the denominators q of the convergents p/q of log10 2 up to 10^7: there
+# {q log10 2} comes closer to the 0/1 wrap than at any smaller q
+LOG2_DENOMINATORS = (1, 3, 10, 93, 196, 485, 2136, 13301, 28738, 42039, 70777, 254370, 325147, 6107016, 6432163)
+
+
+class TestPow2BenfordReport:
+    """The report of 2^1, ..., 2^N from fixed-point points against the report
+    of the powers themselves, and those points against mpmath."""
+
+    @staticmethod
+    def check(N):
+        assert repr(dataclasses.astuple(pow2_benford_report(N))) == repr(
+            dataclasses.astuple(benford_report(1 << n for n in range(1, N + 1)))
+        )
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 3000))
+    def test_equals_the_report_of_the_powers(self, N):
+        self.check(N)
+
+    # n = 1, 2, 3 lie on the digit edges log10 2, 4 and 8; 2^56 < 10^17 <= 2^57,
+    # where the mantissa gains its guard digit; and convergent denominators
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 56, 57, 58, 93, 196, 485, 2136])
+    def test_pinned_counts(self, N):
+        self.check(N)
+
+    def test_fixed_point_constant(self):
+        with mpmath.workdps(60):
+            assert _LOG10_2_FIXED == int(mpmath.floor(mpmath.log10(2) * 2**128))
+
+    @settings(max_examples=50)
+    @given(st.lists(st.integers(1, 10**7), min_size=1, max_size=20))
+    @example(list(LOG2_DENOMINATORS))
+    @example([2**32 - 1, 1578339557, 1923400330])  # the docstring's bound n < 2^32, and two more denominators
+    def test_points_lie_less_than_2_to_the_minus_52_below(self, ns):
+        w = _pow2_parts(np.array(ns, dtype=np.uint64)).tolist()
+        with mpmath.workdps(60):
+            alpha = mpmath.log10(2)
+            for n, x in zip(ns, w):
+                assert 0.0 <= x < 1.0
+                assert 0 < mpmath.frac(mpmath.frac(n * alpha) - x) < mpmath.mpf(2) ** -52, n
+
+    def test_exact_powers_only_where_they_decide(self):
+        with mock.patch.object(equidist, "_mantissa", wraps=_mantissa) as mantissa:
+            pow2_benford_report(100_000)
+        built = sorted(m.bit_length() - 1 for (m,), _ in mantissa.call_args_list)
+        assert built[:3] == [1, 2, 3]  # on the digit edges
+        assert len(built) == len(set(built)) <= 8
+
+    @pytest.mark.parametrize("N", [0, -5])
+    def test_no_terms_is_an_empty_stream(self, N):
+        with pytest.raises(ValueError, match="empty term stream"):
+            pow2_benford_report(N)
+
+    def test_rejects_N_from_2_to_the_32(self):
+        with pytest.raises(ValueError, match=r"N < 2\^32"):
+            pow2_benford_report(2**32)
 
 
 def from_roots(roots, lead, shift):

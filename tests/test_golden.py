@@ -27,7 +27,9 @@ naturals, of k = 99999999999999999, of terms crossing 10^17 and of a file
 of ties and near-powers of ten, and the ``discrepancy`` case crossing 2^63
 at n = 808, were recorded while every Benford logarithm came from
 ``math.log10`` term by term and family terms were read into NumPy one
-Python int at a time.  The uncapped ``scan`` case of 2n^3 + 1 was
+Python int at a time.  The ``benford`` case of 2^1, ..., 2^30000 was
+recorded while every power of two was built and cut to its 17-digit head.
+The uncapped ``scan`` case of 2n^3 + 1 was
 recorded once the Lemma 2 main term became one integer fraction, each row
 checked against an 80-digit mpmath oracle.  Any refactor of these paths
 must reproduce them byte for byte.  To record them again after a deliberate output change, run
@@ -99,6 +101,9 @@ CASES = [
     ("benford_mult7", ["benford", "--gen", "mult", "--k", "7", "--N", "3000", *JSON], 0),
     ("benford_poly", ["benford", "--gen", "poly", "--coeffs", "10,-10,1", "--N", "4000"], 0),
     ("benford_pow2", ["benford", "--gen", "pow2", "--N", "4000"], 0),
+    # past the old 4300-digit str() limit, and through n = 13301 and 28738,
+    # where {n log10 2} lies within 3e-5 and 2e-5 of the 0/1 wrap
+    ("benford_pow2_30000", ["benford", "--gen", "pow2", "--N", "30000"], 0),
     # c*10^k terms, a 17-digit head of zeros with a later nonzero digit, and
     # terms at or above 10^256, whose heads are read without str()
     ("benford_file", ["benford", "--file", str(GOLDEN_DIR / "benford_terms.txt")], 0),
