@@ -53,9 +53,7 @@ _EQUIDIST_NAMES = frozenset(
         "family_benford_report",
         "leading_digit",
         "log10_fracpart",
-        "log10_int",
         "log_fracparts",
-        "poly_log_ratio",
         "pow2_benford_report",
         "star_discrepancy",
         "tail_points",

@@ -29,13 +29,9 @@ EXIT_DOMAIN = 2
 EXIT_UNDECIDED = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit code 1, not argparse's default 2
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _fmt(x) -> str:
@@ -62,40 +58,35 @@ def _build_spec(args) -> TailSpec:
         return ChampernowneTail(base)
     if kind == "mult":
         if args.k is None:
-            raise UsageError(f"{option} mult requires --k")
+            raise ValueError(f"{option} mult requires --k")
         return MultipleTail(args.k, base)
     if args.coeffs is None:  # poly
-        raise UsageError(f"{option} poly requires --coeffs")
+        raise ValueError(f"{option} poly requires --coeffs")
     return PolyTail(IntPoly.parse(args.coeffs), base)
-
-
-def _interval(args) -> HalfOpenInterval:
-    base = getattr(args, "base", 10)
-    try:
-        return HalfOpenInterval.parse(args.lo, args.hi, base)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _check_cap(value: int, cap: int, what: str, uncapped: bool) -> None:
     if not uncapped and value > cap:
-        raise UsageError(f"{what} = {_show(value)} exceeds the cap {cap}; pass --unsafe-uncapped to override")
+        raise ValueError(f"{what} = {_show(value)} exceeds the cap {cap}; pass --unsafe-uncapped to override")
 
 
 def _write_output(text: str, args) -> None:
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc}") from None
     else:
         sys.stdout.write(text)
 
 
-def render_csv(fieldnames: Sequence[str], rows: list[dict], meta: dict) -> str:
+def render_csv(rows: list[dict], meta: dict) -> str:
+    """The rows under a header of their keys, then one ``# key=value`` line per meta entry."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _fmt(v) for k, v in row.items()})
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0].keys())
+    writer.writerows([_fmt(v) for v in row.values()] for row in rows)
     for key, value in meta.items():
         buf.write(f"# {key}={_fmt(value)}\n")
     return buf.getvalue()
@@ -123,11 +114,11 @@ def render_json(rows: list[dict], meta: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _emit(args, fieldnames: Sequence[str], rows: list[dict], meta: dict) -> None:
+def _emit(args, rows: list[dict], meta: dict) -> None:
     if getattr(args, "format", "csv") == "json":
         _write_output(render_json(rows, meta), args)
     else:
-        _write_output(render_csv(fieldnames, rows, meta), args)
+        _write_output(render_csv(rows, meta), args)
 
 
 def cmd_tail(args) -> int:
@@ -139,40 +130,30 @@ def cmd_tail(args) -> int:
 
 def cmd_count(args) -> int:
     spec = _build_spec(args)
-    interval = _interval(args)
+    interval = HalfOpenInterval.parse(args.lo, args.hi, spec.base)
     _check_cap(args.N, DEFAULT_N_CAP, "N", args.unsafe_uncapped)
     res = counting.count_A(spec, interval, args.N)
     rows = [{"interval": str(interval), "N": res.N, "count": res.count, "ratio": res.ratio}]
-    _emit(args, ["interval", "N", "count", "ratio"], rows, {})
+    _emit(args, rows, {})
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
     spec = _build_spec(args)
-    interval = _interval(args)
+    interval = HalfOpenInterval.parse(args.lo, args.hi, spec.base)
     cap, name = (DEFAULT_JMAX_POLY_CAP, "Jmax") if args.kind == "poly" else (DEFAULT_JMAX_CAP, "jmax")
     jmax = cap if args.jmax is None else args.jmax
     _check_cap(jmax, cap, name, args.unsafe_uncapped)
     points = asymptotics.scan_points(spec, jmax)
     report = asymptotics.ratio_scan(spec, interval, points)
-    rows = [
-        {
-            "j": r.j,
-            "N": r.N,
-            "count": r.count,
-            "ratio": r.ratio,
-            "main_term": r.main_term,
-            "residual": r.residual,
-        }
-        for r in report.records
-    ]
+    rows = [vars(r) for r in report.records]
     meta = {
         "kind": report.kind,
         "target_constant": report.constants.scan_limit,
         "paper_lower_bound": report.constants.paper_lower_bound,
         "baseline_density": report.constants.baseline_density,
     }
-    _emit(args, ["j", "N", "count", "ratio", "main_term", "residual"], rows, meta)
+    _emit(args, rows, meta)
     return EXIT_OK
 
 
@@ -185,17 +166,17 @@ def _read_terms_file(path: str) -> list[int]:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     terms = []
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
         if not (stripped.isascii() and stripped.isdigit() and stripped.strip("0")):
-            raise UsageError(f"{path}: line {lineno}: not a positive integer: {_show(stripped)}")
+            raise ValueError(f"{path}: line {lineno}: not a positive integer: {_show(stripped)}")
         terms.append(decimal_int(stripped))
     if not terms:
-        raise UsageError(f"{path}: no terms found")
+        raise ValueError(f"{path}: no terms found")
     return terms
 
 
@@ -206,7 +187,7 @@ def cmd_benford(args) -> int:
         report = equidist.benford_report(_read_terms_file(args.file))
     elif args.gen:
         if args.N is None:
-            raise UsageError("--gen requires --N")
+            raise ValueError("--gen requires --N")
         _check_cap(args.N, DEFAULT_N_CAP, "N", args.unsafe_uncapped)
         if args.gen == "pow2":
             report = equidist.pow2_benford_report(args.N)
@@ -214,7 +195,7 @@ def cmd_benford(args) -> int:
             spec = _build_spec(args)
             report = equidist.family_benford_report(spec, spec.n_min, args.N)
     else:
-        raise UsageError("benford requires --gen or --file")
+        raise ValueError("benford requires --gen or --file")
     rows = [
         {
             "digit": c + 1,
@@ -228,13 +209,13 @@ def cmd_benford(args) -> int:
         "max_abs_gap": report.max_abs_gap,
         "log_discrepancy": report.log_discrepancy,
     }
-    _emit(args, ["digit", "observed_freq", "benford_freq"], rows, meta)
+    _emit(args, rows, meta)
     return EXIT_OK
 
 
 def cmd_limits(args) -> int:
     if args.dmax < 1:
-        raise UsageError(f"--dmax must be >= 1, got {_show(args.dmax)}")
+        raise ValueError(f"--dmax must be >= 1, got {_show(args.dmax)}")
     ys = asymptotics.y_sequence(args.dmax)
     rows = [
         {"d": d, "y_d": y, "scan_limit": 2 * y}
@@ -244,7 +225,7 @@ def cmd_limits(args) -> int:
         "baseline_density": 1.0 / 9.0,
         "y_limit": asymptotics.Y_LIMIT,
     }
-    _emit(args, ["d", "y_d", "scan_limit"], rows, meta)
+    _emit(args, rows, meta)
     return EXIT_OK
 
 
@@ -265,7 +246,7 @@ def cmd_discrepancy(args) -> int:
             "weyl_sum": equidist.weyl_sum(points, args.weyl_h),
         }
     ]
-    _emit(args, ["N", "star_discrepancy", "ud_deviation", "weyl_h", "weyl_sum"], rows, {})
+    _emit(args, rows, {})
     return EXIT_OK
 
 
@@ -354,9 +335,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except UndecidedMembershipError as exc:
         print(f"undecided membership: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED

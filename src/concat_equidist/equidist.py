@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .exactnum import HEAD_DIGITS, ExactEndpoint, _show, decimal_head
-from .seqgen import IntPoly, TailSpec, tail_prefixes
+from .seqgen import TailSpec, tail_prefixes
 
 BENFORD_FREQ = tuple(math.log10(1 + 1 / c) for c in range(1, 10))
 
@@ -275,14 +275,6 @@ def weyl_sum(points: PointSet, h: int) -> float:
     if not math.isfinite(angle.imag):  # h or 2 pi h past the float range
         raise ValueError(f"h = {_show(h)} is too large to convert to float")
     return float(abs(np.exp(angle * points.array).mean()))
-
-
-def log10_int(m: int) -> float:
-    """log10 of a positive integer of any size, from digit count plus mantissa."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    n, head, _ = decimal_head(m)
-    return (n - 1) + math.log10(int(head)) - (len(head) - 1)
 
 
 def log10_fracpart(m: int) -> float:
@@ -548,17 +540,3 @@ def _certified_parts(w: np.ndarray, exact_parts: Callable[[np.ndarray], np.ndarr
     patch(near[least - 2 * _EPS <= w[near]])
     return w
 
-
-def poly_log_ratio(poly: IntPoly, n: int, base: int = 10) -> float:
-    """log_base f(n) / log_base n; tends to the degree d as n grows."""
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    if n <= 1:
-        raise ValueError("n must be > 1 (log of the index must be nonzero)")
-    if n < poly.n_min:
-        raise ValueError(f"n = {n} below the polynomial domain (n_min = {poly.n_min})")
-    value = poly.eval(n)
-    if value < 1:
-        raise ValueError(f"f({n}) = {value} is not a positive integer")
-    # base cancels: log_b f(n) / log_b n == log10 f(n) / log10 n
-    return log10_int(value) / log10_int(n)

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import concat_equidist
 from concat_equidist.asymptotics import lemma1_main_term
@@ -617,6 +618,126 @@ class TestExitCodes:
         assert code == 1 and "cap" in err
 
 
+# one argv for each command that takes --output
+_OUTPUT_ARGVS = [
+    ["tail", "--kind", "champ", "--n", "1", "--digits", "5"],
+    ["count", "--kind", "champ", "--N", "5"],
+    ["scan", "--kind", "mult", "--k", "3", "--jmax", "2"],
+    ["benford", "--gen", "naturals", "--N", "5"],
+    ["limits", "--dmax", "2"],
+    ["discrepancy", "--kind", "champ", "--N", "5"],
+]
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    @pytest.mark.parametrize("argv", _OUTPUT_ARGVS, ids=[a[0] for a in _OUTPUT_ARGVS])
+    def test_is_a_usage_error(self, capsys, tmp_path, argv, target):
+        path = tmp_path / "missing" / "out.csv" if target == "missing_dir" else tmp_path
+        code, out, err = run(capsys, *argv, "--output", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+_BIG = 10**30
+
+
+def _mostly(valid, invalid):
+    """Draws from ``valid`` seven times in eight, and shrinks towards it."""
+    return st.integers(0, 7).flatmap(lambda r: invalid if r == 7 else valid)
+
+
+def _int_arg(option, lo, hi):
+    """An integer option within [lo, hi], sometimes 0 or negative."""
+    return _mostly(st.integers(lo, hi), st.integers(-1, 0)).map(lambda value: [option, str(value)])
+
+
+# small values too, since a scan has no points below j = the digit length of k or of f(1)
+_COEFF = st.one_of(st.integers(-9, 9), st.integers(-_BIG, _BIG))
+_LEADING = st.one_of(st.integers(1, 9), st.integers(1, _BIG))
+_POLYNOMIAL = st.tuples(st.lists(_COEFF, min_size=1, max_size=4), _LEADING).map(lambda c: [*c[0], c[1]])
+_COEFFS = _mostly(_POLYNOMIAL, st.lists(_COEFF, max_size=3))
+
+
+@st.composite
+def _family_args(draw, kinds=("champ", "mult", "poly"), option="--kind"):
+    """A family option with its --k or --coeffs, sometimes missing or out of range."""
+    kind = draw(st.sampled_from(kinds))
+    argv = [option, kind]
+    if kind == "mult":
+        argv += draw(_mostly(st.one_of(_int_arg("--k", 1, 999), _int_arg("--k", 1, _BIG)), st.just([])))
+    elif kind == "poly" and draw(_mostly(st.just(True), st.just(False))):
+        # "=" keeps a list that starts with "-" the option's value
+        argv.append("--coeffs=" + ",".join(map(str, draw(_COEFFS))))
+    if option == "--kind":
+        bases = st.sampled_from([1, 2, 3, 7, 16, 36, 37]).map(lambda b: ["--base", str(b)])
+        argv += draw(_mostly(st.just([]), bases))
+    return argv
+
+
+_MALFORMED_ENDPOINTS = ["0", "1", "0.5", "", "1.5", "0.1x", "-0.1", "x", "0..1"]
+# "0.d..." without trailing zeros: such strings sort as their values
+_ENDPOINT = st.text("0123456789", min_size=1, max_size=30).map(
+    lambda digits: "0." + digits.rstrip("0") if digits.strip("0") else "0"
+)
+
+
+def _ordered(ends):
+    lo, hi = sorted(ends)
+    return [lo, "1" if hi == lo else hi]
+
+
+def _interval_args(lo="--lo", hi="--hi"):
+    ordered = st.tuples(_ENDPOINT, _ENDPOINT).map(_ordered)
+    anything = st.lists(st.one_of(_ENDPOINT, st.sampled_from(_MALFORMED_ENDPOINTS)), min_size=2, max_size=2)
+    return _mostly(ordered, anything).map(lambda ends: [f"{lo}={ends[0]}", f"{hi}={ends[1]}"])
+
+
+def _concat(*parts):
+    return st.tuples(*parts).map(lambda lists: [arg for part in lists for arg in part])
+
+
+_FORMAT = st.sampled_from([[], ["--format", "csv"], ["--format", "json"]])
+_COMMANDS = st.one_of(
+    _concat(st.just(["tail"]), _family_args(), _int_arg("--n", 1, _BIG), _int_arg("--digits", 1, 2000)),
+    _concat(st.just(["count"]), _family_args(), _interval_args(), _int_arg("--N", 1, 10**7), _FORMAT),
+    _concat(st.just(["scan"]), _family_args(("mult",)), _interval_args(), _int_arg("--jmax", 1, 6), _FORMAT),
+    _concat(st.just(["scan"]), _family_args(("poly",)), _interval_args(), _int_arg("--Jmax", 1, 8), _FORMAT),
+    _concat(
+        st.just(["benford"]),
+        _family_args(("naturals", "pow2", "mult", "poly"), option="--gen"),
+        _int_arg("--N", 1, 2000),
+        _FORMAT,
+    ),
+    _concat(st.just(["limits"]), _int_arg("--dmax", 1, 30), _FORMAT),
+    _concat(
+        st.just(["discrepancy"]),
+        _family_args(),
+        _int_arg("--N", 1, 2000),
+        # every tail lies in [1/base, 1), and ud_deviation needs all points in [alpha, beta)
+        _mostly(st.sampled_from([[], ["--alpha=0"], ["--alpha=0", "--beta=1"]]), _interval_args("--alpha", "--beta")),
+        _mostly(_int_arg("--weyl-h", 1, 10**6), _int_arg("--weyl-h", -_BIG, _BIG)),
+        _FORMAT,
+    ),
+)
+
+
+class TestEveryArgvWithinTheCaps:
+    # the fixtures are shared by every example: each example reads back its own
+    # output, and the output files are overwritten
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_COMMANDS, output=st.sampled_from(["stdout", "file", "missing_dir"]))
+    def test_exits_with_a_cli_code(self, capsys, tmp_path, deadline, argv, output):
+        if output != "stdout":
+            path = tmp_path / "missing" / "out" if output == "missing_dir" else tmp_path / "out"
+            argv = [*argv, "--output", str(path)]
+        with deadline(10.0, " ".join(argv)):
+            code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+
 class TestDeterminism:
     def test_thread_hint_does_not_change_bytes(self, capsys, monkeypatch):
         args = ["scan", "--kind", "mult", "--k", "3", "--jmax", "4"]
@@ -647,7 +768,7 @@ class TestRoundTrip:
         rows, meta = read_csv(out)
         assert rows, "no data rows"
         # re-rendering the parsed rows reproduces the emitted bytes exactly
-        assert render_csv(list(rows[0].keys()), rows, meta) == out
+        assert render_csv(rows, meta) == out
 
     def test_csv_json_agree(self, capsys):
         args = ["scan", "--kind", "mult", "--k", "7", "--jmax", "4"]

@@ -28,9 +28,7 @@ from concat_equidist.equidist import (
     family_benford_report,
     leading_digit,
     log10_fracpart,
-    log10_int,
     log_fracparts,
-    poly_log_ratio,
     pow2_benford_report,
     star_discrepancy,
     tail_points,
@@ -348,22 +346,6 @@ class TestLogFracparts:
             log10_fracpart(0)
 
 
-class TestLog10Int:
-    def test_matches_float_log(self):
-        for m in [1, 7, 999, 10**6, 123456789, 2**50]:
-            assert log10_int(m) == pytest.approx(math.log10(m), abs=1e-12)
-
-    def test_huge_values(self):
-        assert log10_int(10**100) == pytest.approx(100.0, abs=1e-12)
-        assert log10_int(10**40 - 1) == pytest.approx(40.0, abs=1e-12)
-
-
-def str_log10_int(m):
-    s = str(m)
-    mant = s[:17]
-    return (len(s) - 1) + math.log10(int(mant)) - (len(mant) - 1)
-
-
 def str_log10_fracpart(m):
     s = str(m).rstrip("0")
     if s == "" or s == "1":
@@ -402,7 +384,7 @@ def huge_terms(draw):
 
 
 class TestMatchesStrOracle:
-    """log10_int, log10_fracpart and leading_digit equal the str()-based rules
+    """log10_fracpart and leading_digit equal the str()-based rules
     bit for bit, also past Python's 4300-digit int-to-str limit."""
 
     @settings(max_examples=600)
@@ -415,10 +397,10 @@ class TestMatchesStrOracle:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            expected = (str_log10_int(m), str_log10_fracpart(m), str_leading_digit(m))
+            expected = (str_log10_fracpart(m), str_leading_digit(m))
         finally:
             sys.set_int_max_str_digits(limit)
-        assert (log10_int(m), log10_fracpart(m), leading_digit(m)) == expected
+        assert (log10_fracpart(m), leading_digit(m)) == expected
 
     def test_powers_of_two_past_the_str_limit(self, deadline):
         with deadline(5.0, "log10 parts of 2^1..2^15000"):
@@ -868,24 +850,3 @@ def _report_or_error_of(build):
         return repr(dataclasses.astuple(build()))
     except ValueError as exc:
         return str(exc)
-
-
-class TestPolyLogRatio:
-    def test_square(self):
-        assert poly_log_ratio(IntPoly((0, 0, 1)), 10**6, 10) == pytest.approx(2.0, abs=1e-6)
-
-    def test_cubic(self):
-        assert poly_log_ratio(IntPoly((0, 1, 0, 1)), 10**4, 10) == pytest.approx(3.0, abs=1e-3)
-
-    def test_identity(self):
-        assert poly_log_ratio(IntPoly((0, 1)), 100, 10) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_n_one(self):
-        with pytest.raises(ValueError):
-            poly_log_ratio(IntPoly((0, 0, 1)), 1, 10)
-
-    def test_log_difference_converges_to_leading_coefficient(self):
-        poly = IntPoly((5, -3, 7))  # 7n^2 - 3n + 5
-        n = 10**6
-        diff = log10_int(poly.eval(n)) - 2 * log10_int(n)
-        assert diff == pytest.approx(math.log10(7), abs=1e-5)

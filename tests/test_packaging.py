@@ -1,0 +1,61 @@
+"""What the package declares: its test dependencies and its public names."""
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+import concat_equidist
+from concat_equidist import equidist
+
+ROOT = Path(__file__).resolve().parents[1]
+IN_REPO_MODULES = {"concat_equidist", "tracer", "conftest"}
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The top-level names of every absolute import in one source file."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.partition(".")[0])
+    return modules
+
+
+def _requirement_name(requirement: str) -> str:
+    return re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower().replace("-", "_")
+
+
+class TestTestDependencies:
+    def test_every_test_import_is_declared(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+        # each of these distributions installs a module of its own name
+        declared = {
+            _requirement_name(r)
+            for r in [*project["dependencies"], *project["optional-dependencies"]["test"]]
+        }
+        imported = set().union(*map(_imported_modules, sorted((ROOT / "tests").glob("*.py"))))
+        third_party = imported - set(sys.stdlib_module_names) - IN_REPO_MODULES
+        assert third_party, "no third-party imports found"
+        assert sorted(third_party - declared) == []
+
+
+class TestPackageSurface:
+    def test_every_exported_name_resolves(self):
+        # the NumPy-backed names load lazily, on this first access
+        missing = [name for name in concat_equidist.__all__ if not hasattr(concat_equidist, name)]
+        assert missing == []
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from concat_equidist import *", namespace)
+        assert set(concat_equidist.__all__) <= namespace.keys()
+
+    @pytest.mark.parametrize("name", ["log10_int", "poly_log_ratio"])
+    def test_removed_log_helpers_stay_removed(self, name):
+        assert name not in concat_equidist.__all__
+        assert not hasattr(concat_equidist, name)
+        assert not hasattr(equidist, name)
