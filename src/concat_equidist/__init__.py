@@ -24,7 +24,6 @@ from .exactnum import (
     PrefixOrder,
     compare_prefix,
     digit_length,
-    digits_to_int,
     int_to_digits,
 )
 from .seqgen import (
@@ -68,7 +67,7 @@ __all__ = sorted(
         "ChampernowneTail", "CountResult", "DigitString", "DomainError", "ExactEndpoint",
         "HalfOpenInterval", "IntPoly", "LimitConstants", "MultipleTail", "PolyTail",
         "PrefixOrder", "RatioScanReport", "ScanRecord", "TailSpec", "UndecidedMembershipError",
-        "Y_LIMIT", "compare_prefix", "count_A", "digit_length", "digits_to_int", "in_interval",
+        "Y_LIMIT", "compare_prefix", "count_A", "digit_length", "in_interval",
         "int_to_digits", "inverse_epsilon", "lemma1_main_term", "lemma2_main_term",
         "limit_constants", "poly_floor_inverse", "ratio_scan", "scan_points",
         "subsequence_points_linear", "subsequence_points_poly", "tail_digits", "tail_prefixes",

@@ -66,6 +66,8 @@ def _build_spec(args) -> TailSpec:
 
 
 def _check_cap(value: int, cap: int, what: str, uncapped: bool) -> None:
+    if what == "N" and value < 1:  # the check count_A makes, before any terms are built
+        raise ValueError(f"N must be >= 1, got {_show(value)}")
     if not uncapped and value > cap:
         raise ValueError(f"{what} = {_show(value)} exceeds the cap {cap}; pass --unsafe-uncapped to override")
 
@@ -241,7 +243,7 @@ def cmd_discrepancy(args) -> int:
         {
             "N": args.N,
             "star_discrepancy": equidist.star_discrepancy(points),
-            "ud_deviation": equidist.ud_deviation(points, alpha, beta),
+            "ud_deviation": equidist.ud_deviation(points, alpha, beta, spec.n_min),
             "weyl_h": args.weyl_h,
             "weyl_sum": equidist.weyl_sum(points, args.weyl_h),
         }

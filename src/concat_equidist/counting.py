@@ -64,8 +64,7 @@ def _membership_stream(
             return False, used
         if head < hi_k and (head > lo_k or used >= lo_len):
             return True, used
-    digits = int_to_digits(prefix, base).digits if used else ()
-    raise UndecidedMembershipError(DigitString(base, digits), interval)
+    raise UndecidedMembershipError(int_to_digits(prefix, base) if used else DigitString(base, ""), interval)
 
 
 def in_interval(

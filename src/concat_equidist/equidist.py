@@ -243,11 +243,11 @@ def _star_terms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rise, fall
 
 
-def ud_deviation(points: PointSet, alpha: ExactEndpoint, beta: ExactEndpoint) -> float:
+def ud_deviation(points: PointSet, alpha: ExactEndpoint, beta: ExactEndpoint, first_index: int = 0) -> float:
     """Star discrepancy of the points affinely rescaled from [alpha, beta) to [0, 1).
 
-    Measures the worst deviation of empirical interval mass from the density
-    (b-a)/(beta-alpha) required by u.d. mod 1 over [alpha, beta).
+    Measures the worst deviation of empirical interval mass from the density (b-a)/(beta-alpha)
+    required by u.d. mod 1 over [alpha, beta).  A point outside is named x_n, n = first_index + position.
     """
     a = float(alpha.value())
     b = float(beta.value())
@@ -256,8 +256,8 @@ def ud_deviation(points: PointSet, alpha: ExactEndpoint, beta: ExactEndpoint) ->
     v = points.array
     if len(v) == 0:
         raise ValueError("empty point set")
-    if np.any(v < a) or np.any(v >= b):
-        raise ValueError(f"point outside [{alpha}, {beta})")
+    if len(outside := np.flatnonzero((v < a) | (v >= b))):
+        raise ValueError(f"x_{first_index + outside[0]} = {float(v[outside[0]])!r} outside [{alpha}, {beta})")
     rescaled = np.minimum((v - a) / (b - a), np.nextafter(1.0, 0.0))
     return star_discrepancy(PointSet(rescaled))
 

@@ -78,7 +78,7 @@ class PrefixOrder(enum.Enum):
 
 @dataclass(frozen=True)
 class DigitString:
-    """A finite run of base-b digits, most significant first.
+    """A finite run of base-b digits, most significant first, held as text in 0-9a-z.
 
     Interpreted either as an integer expansion (no leading zeros) or as the
     known prefix of a fractional expansion 0.d1d2...; the empty string is the
@@ -86,19 +86,25 @@ class DigitString:
     """
 
     base: int
-    digits: tuple[int, ...]
+    text: str
 
     def __post_init__(self) -> None:
         _check_base(self.base)
-        for d in self.digits:
-            if not (0 <= d < self.base):
-                raise ValueError(f"digit {d} out of range for base {self.base}")
+        valid = _DIGIT_CHARS[: self.base]
+        if self.text.encode("ascii", "replace").translate(None, valid.encode()):  # b"" iff all are digits
+            bad = next(c for c in self.text if c not in valid)
+            d = _DIGIT_CHARS.find(bad)
+            raise ValueError(f"digit {d if d >= 0 else repr(bad)} out of range for base {self.base}")
+
+    @property
+    def digits(self) -> tuple[int, ...]:
+        return tuple(map(_DIGIT_CHARS.index, self.text))
 
     def __len__(self) -> int:
-        return len(self.digits)
+        return len(self.text)
 
     def __str__(self) -> str:
-        return "".join(_DIGIT_CHARS[d] for d in self.digits)
+        return self.text
 
 
 def int_to_digits(n: int, base: int) -> DigitString:
@@ -106,19 +112,18 @@ def int_to_digits(n: int, base: int) -> DigitString:
     _check_base(base)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    return DigitString(base, digit_text(n, base))
+
+
+def digit_text(n: int, base: int) -> str:
+    """The base-b digits of n >= 1: ``str`` in base 10 below ``STR_BELOW``, else one divmod per digit."""
+    if base == 10 and n < STR_BELOW:
+        return str(n)
     out = []
     while n:
         n, r = divmod(n, base)
-        out.append(r)
-    out.reverse()
-    return DigitString(base, tuple(out))
-
-
-def digits_to_int(ds: DigitString) -> int:
-    value = 0
-    for d in ds.digits:
-        value = value * ds.base + d
-    return value
+        out.append(_DIGIT_CHARS[r])
+    return "".join(reversed(out))
 
 
 HEAD_DIGITS = 17  # enough for >= 12 correct fractional digits of log10

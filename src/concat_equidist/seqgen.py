@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterator, Sequence, Union
 
-from .exactnum import DigitString, _check_base, _show, decimal_int, int_to_digits
+from .exactnum import STR_BELOW, DigitString, _check_base, _show, decimal_int, digit_length, digit_text
+from .exactnum import int_to_digits  # unused here: bench/tracer.py wraps it at this name
 
 
 class DomainError(ValueError):
@@ -326,25 +327,36 @@ def term(spec: TailSpec, n: int, offset: int = 0) -> int:
 
 
 def tail_digits(spec: TailSpec, n: int, p: int) -> DigitString:
-    """First p digits of x_n.
+    """First p digits of x_n, from the terms a_n, a_{n+1}, ... written as text in blocks.
 
-    The digits of a_n, a_{n+1}, ... are appended term by term until p are
-    known, so the cost is linear in p and no more terms are evaluated than
-    needed.
+    A block is a_n alone, then at most 4096 terms and the digits still needed over the
+    last term's digits, which each later term reaches.  In base 10 a block ending below
+    ``STR_BELOW`` takes no Python step per term.  Memory stays near one byte per digit.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {_show(p)}")
+    base = spec.base
     terms = spec.terms(n)
-    out: list[int] = []
-    while len(out) < p:
-        out.extend(int_to_digits(next(terms), spec.base).digits)
-    return DigitString(spec.base, tuple(out[:p]))
+    chunks: list[str] = []
+    need, size = p, 1
+    while need > 0:
+        block = list(itertools.islice(terms, size))
+        if base == 10 and block[-1] < STR_BELOW:  # the terms increase: all of the block is below
+            texts = list(map(str, block))
+        else:  # a long term is first cut to the digits still needed: its cost follows them
+            block = [a if a < STR_BELOW else a // base ** max(digit_length(a, base) - need, 0) for a in block]
+            texts = [digit_text(a, base) for a in block]
+        text = "".join(texts)
+        chunks.append(text[:need])
+        need -= len(text)
+        size = min(4096, -(-need // len(texts[-1])))
+    return DigitString(base, "".join(chunks))
 
 
 def tail_prefixes(spec: TailSpec, n: int, count: int, p: int) -> Iterator[int]:
     """Yield the leading p digits of x_n, ..., x_{n+count-1}, each as one int.
 
-    Each value equals ``digits_to_int(tail_digits(spec, m, p))``.  One integer
+    Each value equals ``int(str(tail_digits(spec, m, p)), spec.base)``.  One integer
     window holds the concatenated terms a_m, a_{m+1}, ...: terms are appended
     until it has at least p digits, its leading p digits are yielded, and the
     leading term is dropped.  So every term is evaluated once, count + O(p)

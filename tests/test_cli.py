@@ -264,10 +264,9 @@ class TestBenford:
 
     @pytest.mark.parametrize("N", ["0", "-5"])
     @pytest.mark.parametrize("gen", [["naturals"], ["pow2"], ["mult", "--k", "3"], ["poly", "--coeffs", "0,0,1"]])
-    def test_no_terms_is_an_empty_stream(self, capsys, gen, N):
+    def test_nonpositive_N_is_rejected_as_count_rejects_it(self, capsys, gen, N):
         code, out, err = run(capsys, "benford", "--gen", *gen, "--N", N)
-        assert (code, out) == (1, "")
-        assert "empty term stream" in err
+        assert (code, out, err) == (1, "", f"error: N must be >= 1, got {N}\n")
 
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_nonpositive_k_is_rejected_by_the_family(self, capsys, k):
@@ -438,6 +437,27 @@ class TestDiscrepancy:
         code, out, err = run(capsys, "discrepancy", "--kind", "champ", "--N", "10", "--weyl-h", h)
         assert (code, out) == (1, "")
         assert err == f"error: h = {shown} is too large to convert to float\n"
+
+    @pytest.mark.parametrize("N", ["0", "-5"])
+    def test_nonpositive_N_is_rejected_as_count_rejects_it(self, capsys, N):
+        code, out, err = run(capsys, "discrepancy", "--kind", "champ", "--N", N)
+        assert (code, out, err) == (1, "", f"error: N must be >= 1, got {N}\n")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["--kind", "mult", "--k", "1180", "--N", "1", "--alpha=0.5617", "--beta=0.6032"],
+                "x_1 = 0.11802360354047206 outside [0.5617, 0.6032)",
+            ),
+            (["--kind", "champ", "--N", "10", "--beta=0.9"], "x_9 = 0.9101112131415162 outside [0.1, 0.9)"),
+            # from n_min = 9: x_9 = 0.110213... lies inside, x_10 = 0.102134... does not
+            (["--kind", "poly", "--coeffs=10,-10,1", "--N", "5", "--alpha=0.105"], "x_10 = 0.10213449668510613 outside [0.105, 1)"),
+        ],
+    )
+    def test_a_point_outside_the_window_is_named_by_its_index(self, capsys, argv, message):
+        code, out, err = run(capsys, "discrepancy", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_weyl_h_within_the_float_range_is_summed(self, capsys):
         code, out, err = run(capsys, "discrepancy", "--kind", "champ", "--N", "10", "--weyl-h", "1" + "0" * 300)

@@ -314,14 +314,14 @@ def digit_list_stream(spec, n, interval, max_digits):
     """The membership stream before it kept its prefix as an integer: a
     DigitString rebuilt per term and compared with ``compare_prefix``."""
     base = spec.base
-    buf: list[int] = []
+    buf = ""
     lo_state = PrefixOrder.UNDECIDED
     hi_state = PrefixOrder.UNDECIDED
     offset = 0
     while len(buf) < max_digits:
-        buf.extend(int_to_digits(term(spec, n, offset), base).digits)
+        buf += str(int_to_digits(term(spec, n, offset), base))
         offset += 1
-        prefix = DigitString(base, tuple(buf[:max_digits]))
+        prefix = DigitString(base, buf[:max_digits])
         if lo_state is PrefixOrder.UNDECIDED:
             lo_state = compare_prefix(prefix, interval.lo)
         if hi_state is PrefixOrder.UNDECIDED:
@@ -335,7 +335,7 @@ def digit_list_stream(spec, n, interval, max_digits):
             and hi_state is PrefixOrder.DEFINITELY_LESS
         ):
             return True, len(prefix)
-    raise UndecidedMembershipError(DigitString(base, tuple(buf[:max_digits])), interval)
+    raise UndecidedMembershipError(DigitString(base, buf[:max_digits]), interval)
 
 
 class TestIntegerStreamMatchesDigitList:
@@ -373,7 +373,7 @@ class TestIntegerStreamMatchesDigitList:
     def test_empty_budget_is_undecided_with_empty_prefix(self, max_digits):
         with pytest.raises(UndecidedMembershipError) as exc:
             _membership_stream(CHAMP, 1, I12, max_digits)
-        assert exc.value.prefix == DigitString(10, ())
+        assert exc.value.prefix == DigitString(10, "")
 
 
 class TestDigitBudget:

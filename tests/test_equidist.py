@@ -163,8 +163,13 @@ class TestUdDeviation:
         assert dev == pytest.approx(1.0)
 
     def test_rejects_point_outside(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^x_0 = 0\.05 outside \[0\.1, 1\)$"):
             ud_deviation(PointSet.of([0.05]), ExactEndpoint.parse("0.1"), ExactEndpoint.parse("1"))
+
+    def test_names_the_first_point_outside_by_its_index(self):
+        points = PointSet.of([0.5, 0.95, 0.2, 0.99])
+        with pytest.raises(ValueError, match=r"^x_8 = 0\.95 outside \[0\.1, 0\.9\)$"):
+            ud_deviation(points, ExactEndpoint.parse("0.1"), ExactEndpoint.parse("0.9"), first_index=7)
 
 
 class TestWeylSum:

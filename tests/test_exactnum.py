@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 
@@ -13,9 +14,9 @@ from concat_equidist.exactnum import (
     PrefixOrder,
     compare_prefix,
     decimal_head,
+    STR_BELOW,
     decimal_int,
     digit_length,
-    digits_to_int,
     int_to_digits,
 )
 
@@ -51,11 +52,27 @@ class TestIntToDigits:
 
     @given(st.integers(1, 10**12), st.sampled_from([2, 10, 16]))
     def test_round_trip(self, n, base):
-        assert digits_to_int(int_to_digits(n, base)) == n
+        assert int(str(int_to_digits(n, base)), base) == n
 
-    @given(st.integers(1, 10**12), st.sampled_from([2, 10, 16]))
+    # past STR_BELOW no base converts through str()
+    @given(st.one_of(st.integers(1, 10**12), st.integers(STR_BELOW, 10**400)), st.integers(2, 36))
     def test_matches_oracle(self, n, base):
         assert int_to_digits(n, base).digits == brute_digits(n, base)
+
+
+class TestDigitString:
+    def test_holds_its_digits_as_text(self):
+        ds = DigitString(16, "1f0")
+        assert (ds.base, str(ds), len(ds), ds.digits) == (16, "1f0", 3, (1, 15, 0))
+        assert ds == int_to_digits(0x1F0, 16) != DigitString(10, "1")
+
+    @pytest.mark.parametrize(
+        "base,text,shown",
+        [(10, "1a", "10"), (2, "0120", "2"), (16, "fg", "16"), (36, "z!", "'!'"), (10, "9A", "'A'"), (10, "1\u00e9", "'\u00e9'")],
+    )
+    def test_rejects_a_bad_character_or_digit(self, base, text, shown):
+        with pytest.raises(ValueError, match=f"^digit {re.escape(shown)} out of range for base {base}$"):
+            DigitString(base, text)
 
 
 class TestDigitLength:
@@ -185,26 +202,26 @@ class TestEndpointOrder:
 
 class TestComparePrefix:
     def test_definitely_less(self):
-        p = DigitString(10, (1, 9))
+        p = DigitString(10, "19")
         assert compare_prefix(p, ExactEndpoint.parse("0.2")) is PrefixOrder.DEFINITELY_LESS
 
     def test_definitely_greater_or_equal(self):
-        p = DigitString(10, (2, 0))
+        p = DigitString(10, "20")
         e = ExactEndpoint.parse("0.2")
         assert compare_prefix(p, e) is PrefixOrder.DEFINITELY_GREATER_OR_EQUAL
 
     def test_undecided(self):
-        p = DigitString(10, (1,))
+        p = DigitString(10, "1")
         assert compare_prefix(p, ExactEndpoint.parse("0.15")) is PrefixOrder.UNDECIDED
 
     def test_against_one(self):
-        assert compare_prefix(DigitString(10, (9, 9)), ExactEndpoint.parse("1")) is (
+        assert compare_prefix(DigitString(10, "99"), ExactEndpoint.parse("1")) is (
             PrefixOrder.DEFINITELY_LESS
         )
 
     def test_base_mismatch(self):
         with pytest.raises(ValueError):
-            compare_prefix(DigitString(16, (1,)), ExactEndpoint.parse("0.1", base=10))
+            compare_prefix(DigitString(16, "1"), ExactEndpoint.parse("0.1", base=10))
 
     @given(
         st.lists(st.integers(0, 9), min_size=1, max_size=8),
@@ -216,8 +233,9 @@ class TestComparePrefix:
         while t and t[-1] == 0:
             t = t[:-1]
         e = ExactEndpoint(10, t)
-        before = compare_prefix(DigitString(10, tuple(prefix)), e)
-        after = compare_prefix(DigitString(10, tuple(prefix) + (extra,)), e)
+        text = "".join(map(str, prefix))
+        before = compare_prefix(DigitString(10, text), e)
+        after = compare_prefix(DigitString(10, text + str(extra)), e)
         if before is not PrefixOrder.UNDECIDED:
             assert after is before
 

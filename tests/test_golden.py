@@ -29,7 +29,8 @@ at n = 808, were recorded while every Benford logarithm came from
 ``math.log10`` term by term and family terms were read into NumPy one
 Python int at a time.  The ``benford`` case of 2^1, ..., 2^30000 was
 recorded while every power of two was built and cut to its 17-digit head.
-The uncapped ``scan`` case of 2n^3 + 1 was
+The ``tail`` case of a 300-digit k was recorded while ``tail`` built
+every term's digits as a tuple of ints.  The uncapped ``scan`` case of 2n^3 + 1 was
 recorded once the Lemma 2 main term became one integer fraction, each row
 checked against an 80-digit mpmath oracle.  Any refactor of these paths
 must reproduce them byte for byte.  To record them again after a deliberate output change, run
@@ -52,6 +53,7 @@ MULT13 = ["--kind", "mult", "--k", "13"]
 SQUARE = ["--kind", "poly", "--coeffs", "0,0,1"]
 CUBIC = ["--kind", "poly", "--coeffs", "1,0,0,2"]
 JSON = ["--format", "json"]
+K300 = "".join(map(str, range(1, 200)))[:300]  # 300 digits of Champernowne's constant
 
 # (name, argv, exit code)
 CASES = [
@@ -88,6 +90,8 @@ CASES = [
     ("tail_mult7", ["tail", *MULT7, "--n", "13", "--digits", "45"], 0),
     ("tail_square", ["tail", *SQUARE, "--n", "31", "--digits", "50"], 0),
     ("tail_champ_base2", ["tail", *CHAMP, "--base", "2", "--n", "5", "--digits", "40"], 0),
+    # one term past STR_BELOW, of which only the leading 40 digits are read
+    ("tail_mult_k300", ["tail", "--kind", "mult", "--k", K300, "--n", "987654321", "--digits", "40"], 0),
     # 18-digit tail prefixes as points, one of them rounding to 1.0 as a float
     ("discrepancy_champ", ["discrepancy", *CHAMP, "--N", "2000"], 0),
     (

@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
 from hypothesis import event, given, settings, strategies as st
 
 from concat_equidist.equidist import _BATCH, family_benford_report, tail_points
-from concat_equidist.exactnum import digits_to_int, int_to_digits
+from concat_equidist.exactnum import STR_BELOW, decimal_int, digit_length, int_to_digits
 from concat_equidist.seqgen import (
     ChampernowneTail,
     DomainError,
@@ -217,6 +218,57 @@ def concat_oracle(values, p):
     return s[:p]
 
 
+def digit_list_tail(spec, n, p):
+    """Oracle: ``tail_digits`` as it was before it wrote text, the digits of
+    each whole term as ints, one divmod per digit, concatenated and sliced."""
+    out = []
+    for a in spec.terms(n):
+        term_digits = []
+        while a:
+            a, r = divmod(a, spec.base)
+            term_digits.append(r)
+        out.extend(reversed(term_digits))
+        if len(out) >= p:
+            return tuple(out[:p])
+
+
+def digits_to_int(ds):
+    """Oracle for ``tail_prefixes``: the integer of a digit string."""
+    value = 0
+    for d in ds.digits:
+        value = value * ds.base + d
+    return value
+
+
+@st.composite
+def text_tail_cases(draw):
+    """(spec, n, p): champ, a multiple or a quadratic in base 2-36 from n up to
+    10^12 past n_min, and p mostly ending inside one of the first three terms.
+    k or the constant term is small, at least STR_BELOW, or longer than the
+    4300 digits that int() reads (given as a literal to ``decimal_int``)."""
+    base = draw(st.integers(2, 36))
+    size = draw(st.sampled_from(["small", "small", "past STR_BELOW", "past int()"]))
+    if size == "small":
+        big = draw(st.integers(1, 10**6))
+    elif size == "past STR_BELOW":
+        big = draw(st.integers(STR_BELOW, 10**300))
+    else:
+        big = decimal_int(str(draw(st.integers(10**8, 10**9 - 1))) * draw(st.integers(479, 500)))
+    kind = draw(st.sampled_from(["champ", "mult", "poly"]))
+    if kind == "champ":
+        spec = ChampernowneTail(base)
+    elif kind == "mult":
+        spec = MultipleTail(big, base)
+    else:
+        spec = PolyTail(IntPoly((big, draw(st.integers(-1000, 1000)), draw(st.integers(1, 1000)))), base)
+    n = spec.n_min + draw(st.integers(0, 10**12))
+    if draw(st.booleans()):
+        return spec, n, draw(st.integers(1, 3000))
+    lengths = [digit_length(a, base) for a in itertools.islice(spec.terms(n), 3)]
+    j = draw(st.integers(0, 2))
+    return spec, n, sum(lengths[:j]) + draw(st.integers(1, lengths[j]))
+
+
 class TestTerm:
     def test_champernowne(self):
         assert term(ChampernowneTail(), 20, 0) == 20
@@ -272,6 +324,52 @@ class TestTailDigits:
     def test_base_parametric(self):
         # champ tail in base 2 starting at 1: 1, 10, 11, 100, ...
         assert str(tail_digits(ChampernowneTail(base=2), 1, 8)) == "11011100"
+
+    @settings(max_examples=150)
+    @given(text_tail_cases())
+    def test_matches_the_digit_list_oracle(self, case):
+        spec, n, p = case
+        expected = digit_list_tail(spec, n, p)
+        got = tail_digits(spec, n, p)
+        assert got.digits == expected
+        assert str(got) == "".join("0123456789abcdefghijklmnopqrstuvwxyz"[d] for d in expected)
+
+    @pytest.mark.parametrize("base", [3, 10, 36])
+    def test_many_full_blocks_match_the_oracle(self, base):
+        # from n = 1 the terms of 1-4 digits run past 4096 terms per block
+        p = 40_000
+        assert tail_digits(ChampernowneTail(base), 1, p).digits == digit_list_tail(ChampernowneTail(base), 1, p)
+
+    def test_a_long_term_is_cut_before_it_is_written(self, deadline):
+        # a 100 000-digit term written one divmod per digit takes seconds
+        spec = MultipleTail(decimal_int("7" * 100_000))
+        with deadline(1.0, "40 digits of a 100 000-digit term"):
+            assert str(tail_digits(spec, 3, 40)) == "2" + "3" * 39
+
+    @pytest.mark.parametrize(
+        "spec,n,p,read",
+        [
+            (ChampernowneTail(), 10**5, 6000, 1000),  # 6-digit terms: the second block ends at the last digit
+            (MultipleTail(10**300 + 1), 1, 50, 1),
+            (MultipleTail(10**300 + 1), 1, 700, 3),  # 301-digit terms
+        ],
+    )
+    def test_reads_only_the_terms_it_needs(self, spec, n, p, read):
+        counted = CountingTail(spec)
+        tail_digits(counted, n, p)
+        assert counted.evaluated == list(range(n, n + read))
+
+    def test_memory_stays_near_a_byte_per_digit(self):
+        # a tuple of ints needs at least 8 bytes per digit for its pointers alone
+        p = 10**6
+        tracemalloc.start()
+        try:
+            digits = tail_digits(ChampernowneTail(), 1, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(digits) == p
+        assert peak < 4 * p + 2**20
 
 
 @st.composite
