@@ -7,11 +7,12 @@ with the exact/closed-form main terms and their residuals.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .counting import count_A
+from .counting import _counts, count_A  # count_A unused here: bench/tracer.py wraps it at this name
 from .exactnum import HalfOpenInterval, _show
 from .seqgen import IntPoly, PolyTail, TailSpec, _iroot, poly_floor_inverse
 
@@ -198,14 +199,18 @@ def ratio_scan(
 ) -> RatioScanReport:
     """Counting ratios with attached main terms and residuals at each point.
 
-    The main term is Lemma 1's exact integer for a linear family and the
-    ``_lemma2_numerators`` fraction for a polynomial one.  It is rounded
-    once, and so is the residual count - main, as one int / int division.
+    The counts come from one walk over the decades for all points.  The
+    main term is Lemma 1's exact integer for a linear family, taken from one
+    running sum, and the ``_lemma2_numerators`` fraction for a polynomial
+    one.  It is rounded once, and so is the residual count - main, as one
+    int / int division.
     """
     if not points:
         raise ValueError("no scan points: j_max is below the subsequence threshold")
     if any(points[i][1] >= points[i + 1][1] for i in range(len(points) - 1)):
         raise ValueError("scan points must have strictly increasing N")
+    if min(j for j, _ in points) < (1 if isinstance(spec, PolyTail) else 0):
+        raise ValueError("scan points need j >= 0, and J >= 1 for a polynomial")
     if spec.base != 10:
         raise ValueError("ratio scans reproduce base-10 constants; spec.base must be 10")
     if isinstance(spec, PolyTail):
@@ -213,10 +218,10 @@ def ratio_scan(
         mains, den = _lemma2_numerators(spec.poly, {j for j, _ in points})
     else:
         kind, d, den = "linear-k", 1, 1
-        mains = {j: lemma1_main_term(spec.k, j) for j, _ in points}
+        terms = (10**i // spec.k for i in range(max(j for j, _ in points) + 1))
+        mains = dict(enumerate(itertools.accumulate(terms)))  # Lemma 1 at every j
     records = []
-    for j, N in points:
-        res = count_A(spec, interval, N)
+    for (j, N), res in zip(points, _counts(spec, interval, [N for _, N in points])):
         main, digits = mains[j], j // d + 20
         residual = _rounded(res.count * den - main, den, digits)
         records.append(ScanRecord(j, N, res.count, res.ratio, _rounded(main, den, digits), residual))

@@ -5,20 +5,19 @@ from dataclasses import dataclass
 
 # bench/tracer.py wraps term, compare_prefix (unused here), int_to_digits and
 # default_max_digits at these module-level names, so they must stay here.
-from .exactnum import DigitString, HalfOpenInterval, _show, compare_prefix, digit_length, int_to_digits
+from .exactnum import DigitString, ExactEndpoint, HalfOpenInterval, _show, compare_prefix, digit_length, int_to_digits
 from .seqgen import TailSpec, term
 
 
 class UndecidedMembershipError(RuntimeError):
-    """Membership could not be resolved within the digit budget."""
+    """Membership of x_n could not be resolved within the digit budget."""
 
-    def __init__(self, prefix: DigitString, interval: HalfOpenInterval):
+    def __init__(self, n: int, prefix: DigitString, interval: HalfOpenInterval):
+        self.n = n
         self.prefix = prefix
         self.interval = interval
-        super().__init__(
-            f"membership in {interval} undecided after {len(prefix)} digits "
-            f"(prefix 0.{prefix})"
-        )
+        shown = f"x_{_show(n)} in {interval}"
+        super().__init__(f"membership of {shown} undecided after {len(prefix)} digits (prefix 0.{prefix})")
 
 
 @dataclass(frozen=True)
@@ -35,18 +34,13 @@ def default_max_digits(spec: TailSpec, n: int) -> int:
     return 4 * digit_length(term(spec, n, 0), spec.base) + 16
 
 
-def _membership_stream(
-    spec: TailSpec, n: int, interval: HalfOpenInterval, max_digits: int
-) -> tuple[bool, int]:
-    """Decide lo <= x_n < hi by extending the digit prefix term by term.
-
-    The prefix is one integer of ``used`` <= max_digits digits.  Its leading
-    k = min(used, L) digits are compared with those of lo_L and hi_L; equal
-    heads leave an endpoint undecided while the prefix is shorter than it.
-    """
+def _below(spec: TailSpec, n: int, interval: HalfOpenInterval, c: ExactEndpoint, max_digits: int) -> tuple[bool, int]:
+    """(x_n < c, digits used) for an endpoint c of ``interval``.  The prefix of
+    x_n, one integer of ``used`` <= max_digits digits, grows term by term
+    until it differs from c's first ``used`` digits or c has no more."""
     base = spec.base
-    L, lo_L, hi_L = interval.window
-    lo_len, hi_len = len(interval.lo.digits), len(interval.hi.digits)
+    length = len(c.digits)
+    scaled = c.scaled(length)
     prefix = used = offset = 0
     while used < max_digits:
         a = term(spec, n, offset)
@@ -57,92 +51,97 @@ def _membership_stream(
             d = max_digits - used
         prefix = prefix * base**d + a
         used += d
-        k = min(used, L)
-        head = prefix // base ** (used - k)
-        lo_k, hi_k = lo_L // base ** (L - k), hi_L // base ** (L - k)
-        if head < lo_k or head > hi_k or (head == hi_k and used >= hi_len):
-            return False, used
-        if head < hi_k and (head > lo_k or used >= lo_len):
-            return True, used
-    raise UndecidedMembershipError(int_to_digits(prefix, base) if used else DigitString(base, ""), interval)
+        if used >= length:
+            return prefix < scaled * base ** (used - length), used
+        head = scaled // base ** (length - used)
+        if prefix != head:
+            return prefix < head, used
+    raise UndecidedMembershipError(n, int_to_digits(prefix, base), interval)
 
 
-def in_interval(
-    spec: TailSpec, n: int, interval: HalfOpenInterval, max_digits: int | None = None
-) -> bool:
-    """True iff lo <= x_n < hi, decided by exact digit comparison."""
-    if spec.base != interval.base:
-        raise ValueError(f"base mismatch: spec base {spec.base} vs interval base {interval.base}")
-    budget = max_digits if max_digits is not None else default_max_digits(spec, n)
-    if budget < 1:
-        raise ValueError(f"max_digits must be >= 1, got {budget}")
-    member, _ = _membership_stream(spec, n, interval, budget)
-    return member
+def _member(spec: TailSpec, n: int, interval: HalfOpenInterval, max_digits: int) -> tuple[bool, int]:
+    """(lo <= x_n < hi, digits used): x_n < lo decides it, else x_n < hi does."""
+    below, used = _below(spec, n, interval, interval.lo, max_digits)
+    if below:
+        return False, used
+    below, used_hi = _below(spec, n, interval, interval.hi, max_digits)
+    return below, max(used, used_hi)
 
 
-def count_A(
-    spec: TailSpec,
-    interval: HalfOpenInterval,
-    N: int,
-    max_digits: int | None = None,
-    fast: bool = True,
-) -> CountResult:
-    """Count indices n_min <= n < n_min + N with x_n in [lo, hi).
-
-    The terms increase, so each decade of terms (those of e digits) is a run
-    of consecutive indices, and the count is a loop over the decades from
-    a_{n_min} to the last term: its cost grows with the number of decades,
-    not with N.  Let L be the longer endpoint length, k = min(e, L), and
-    lo_k, hi_k the endpoints' leading k digits.  The first term gives the
-    first k digits of x_n, so the stream decides an index on that term alone
-    unless it is a tie: e < L and a_n = lo_k or hi_k, an endpoint longer
-    than e digits.  Every other member of a decade has its term in one range,
-    counted as a difference of two ``spec.index_le`` values.  The at most two
-    ties per decade are streamed in ascending order, and only they can raise
-    ``UndecidedMembershipError``, the oracle's first one.  With
-    ``max_digits`` below L, or with ``fast=False`` (the reference oracle),
-    every index is streamed.  Both paths return identical results.
-    """
+def _check(spec: TailSpec, interval: HalfOpenInterval, N: int) -> None:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {_show(N)}")
     if spec.base != interval.base:
         raise ValueError(f"base mismatch: spec base {spec.base} vs interval base {interval.base}")
-    if max_digits is not None and max_digits < 1:
-        raise ValueError(f"max_digits must be >= 1, got {max_digits}")
-    base = spec.base
-    start = spec.n_min
-    stop = start + N
-    L, lo_L, hi_L = interval.window
-    if fast and (max_digits is None or max_digits >= L):
-        lo_len, hi_len = len(interval.lo.digits), len(interval.hi.digits)
-        E = digit_length(term(spec, stop - 1, 0), base)
-        count = 0
-        digits_max = E if max_digits is None else min(E, max_digits)
-        streamed = []
-        for e in range(digit_length(term(spec, start, 0), base), E + 1):
-            least = base ** (e - 1)
-            if e >= L:
-                scale = base ** (e - L)
-                low, high = lo_L * scale, hi_L * scale
-            else:
-                scale = base ** (L - e)
-                low, high = lo_L // scale, hi_L // scale
-                ties = {v for v, longer in ((low, e < lo_len), (high, e < hi_len)) if longer and v >= least}
-                for v in sorted(ties):
-                    n = start + spec.index_le(v) - 1
-                    if start <= n < stop and term(spec, n, 0) == v:
-                        streamed.append(n)
-                low += e < lo_len  # a term equal to lo_k is then a tie, not a member
-            below = max(low, least) - 1
-            upto = high - 1
-            if upto > below:
-                count += min(spec.index_le(upto), N) - min(spec.index_le(below), N)
-    else:
-        count = digits_max = 0
-        streamed = range(start, stop)
-    for n in streamed:
-        budget = max_digits if max_digits is not None else default_max_digits(spec, n)
-        member, used = _membership_stream(spec, n, interval, budget)
+
+
+def in_interval(spec: TailSpec, n: int, interval: HalfOpenInterval) -> bool:
+    """True iff lo <= x_n < hi, decided by exact digit comparison."""
+    _check(spec, interval, 1)
+    return _member(spec, n, interval, default_max_digits(spec, n))[0]
+
+
+def count_A(spec: TailSpec, interval: HalfOpenInterval, N: int, fast: bool = True) -> CountResult:
+    """Count indices n_min <= n < n_min + N with x_n in [lo, hi).
+
+    One walk over the decades of terms (``_counts``): the cost grows with the
+    decades, not with N.  ``fast=False``, the reference oracle, streams every
+    index instead; both give the same result or ``UndecidedMembershipError``.
+    """
+    if fast:
+        return _counts(spec, interval, [N])[0]
+    _check(spec, interval, N)
+    count = digits_max = 0
+    for n in range(spec.n_min, spec.n_min + N):
+        member, used = _member(spec, n, interval, default_max_digits(spec, n))
         count += member
         digits_max = max(digits_max, used)
     return CountResult(interval, N, count, count / N, digits_max)
+
+
+def _counts(spec: TailSpec, interval: HalfOpenInterval, stops: list[int]) -> list[CountResult]:
+    """``count_A`` at each N of the ascending ``stops``, in one walk over the decades.
+
+    The count is F(hi) - F(lo), F(c) = #{n < n_min + N : x_n < c}.  The terms
+    increase, so those of e digits are consecutive.  Let v be the first e of
+    c's l digits, or c b^e when e >= l: a_n < v gives x_n < c, a_n > v gives
+    x_n >= c, so the decade adds index_le(max(v, b^(e-1)) - 1) to F(c), less
+    the terms below it, which cancel.  a_n = v with e < l is a tie, streamed
+    against c (as membership if it ties both).  Full decades carry over to
+    later stops; a stop's last decade is cut at N.  Ties are streamed in
+    ascending n below the last stop, so the first undecided one is the oracle's.
+    """
+    _check(spec, interval, stops[0])
+    base, start = spec.base, spec.n_min
+    last = start + stops[-1]
+    ends = [(c, len(c.digits), c.scaled(len(c.digits))) for c in (interval.lo, interval.hi)]
+    stop_decades = [digit_length(term(spec, start + N - 1, 0), base) for N in stops]
+    results: list[CountResult] = []
+    ties: list[tuple[int, list[ExactEndpoint]]] = []  # (n, the endpoints a_n ties), not yet streamed
+    passed = tied = digits_max = 0  # the full decades' count, the ties' share, their most digits
+    for e in range(digit_length(term(spec, start, 0), base), stop_decades[-1] + 1):
+        least = base ** (e - 1)
+        F, new_ties = [], {}
+        for c, length, scaled in ends:
+            v = scaled // base ** (length - e) if e < length else scaled * base ** (e - length)
+            F.append(spec.index_le(max(v, least) - 1))
+            n = start + F[-1]  # the first index with a_n >= v; if lo ties it too, v_hi = a_n = v_lo
+            if e < length and v >= least and n < last and (n in new_ties or term(spec, n, 0) == v):
+                new_ties.setdefault(n, []).append(c)
+        ties += new_ties.items()
+        while len(results) < len(stops) and stop_decades[len(results)] == e:
+            N = stops[len(results)]
+            while ties and ties[0][0] < start + N:
+                n, tied_to = ties.pop(0)
+                budget = default_max_digits(spec, n)
+                if len(tied_to) == 2:
+                    share, used = _member(spec, n, interval, budget)
+                else:
+                    below, used = _below(spec, n, interval, tied_to[0], budget)
+                    share = below if tied_to[0] is interval.hi else -below
+                tied += share
+                digits_max = max(digits_max, used)
+            count = passed + min(F[1], N) - min(F[0], N) + tied
+            results.append(CountResult(interval, N, count, count / N, max(e, digits_max)))
+        passed += F[1] - F[0]
+    return results

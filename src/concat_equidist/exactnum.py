@@ -12,7 +12,6 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 MIN_BASE = 2
 MAX_BASE = 36
@@ -116,20 +115,27 @@ def int_to_digits(n: int, base: int) -> DigitString:
 
 
 def digit_text(n: int, base: int) -> str:
-    """The base-b digits of n >= 1: ``str`` in base 10 below ``STR_BELOW``, else one divmod per digit."""
+    """The base-b digits of n >= 1: ``str`` in base 10 below ``STR_BELOW``, one
+    divmod per digit below ``_SPLIT_BITS``, else those of n // b^h and of n % b^h
+    padded to h, h about half the digits: a few big divisions per halving."""
     if base == 10 and n < STR_BELOW:
         return str(n)
-    out = []
-    while n:
-        n, r = divmod(n, base)
-        out.append(_DIGIT_CHARS[r])
-    return "".join(reversed(out))
+    if n.bit_length() <= _SPLIT_BITS:
+        out = []
+        while n:
+            n, r = divmod(n, base)
+            out.append(_DIGIT_CHARS[r])
+        return "".join(reversed(out))
+    h = int(n.bit_length() / math.log2(base)) // 2
+    high, low = divmod(n, base**h)
+    return digit_text(high, base) + digit_text(low, base).rjust(h, "0")
 
 
 HEAD_DIGITS = 17  # enough for >= 12 correct fractional digits of log10
 # str() is faster below about 260 digits (CPython 3.11); above, it costs
 # quadratic time and fails past 4300 digits.
 STR_BELOW = 10**256
+_SPLIT_BITS = 256  # below it one divmod per digit beats splitting
 
 
 _POW10_STEP = 16
@@ -321,18 +327,6 @@ class HalfOpenInterval:
     @classmethod
     def parse(cls, lo: str, hi: str, base: int = 10) -> "HalfOpenInterval":
         return cls(ExactEndpoint.parse(lo, base), ExactEndpoint.parse(hi, base))
-
-    @cached_property
-    def window(self) -> tuple[int, int, int]:
-        """(L, lo_L, hi_L): the endpoints as L-digit integers, L their longer length.
-
-        For a term a of at least L digits, x = 0.a... lies in [lo, hi) exactly
-        when lo_L <= (leading L digits of a) < hi_L: the digits after the first
-        L add a value in (0, b^-L), which never reaches the next L-digit step.
-        Computed on first use and cached, like ``IntPoly.n_min``.
-        """
-        L = max(len(self.lo.digits), len(self.hi.digits), 1)
-        return L, self.lo.scaled(L), self.hi.scaled(L)
 
     def __str__(self) -> str:
         return f"[{self.lo},{self.hi})"

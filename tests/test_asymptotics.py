@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
+from concat_equidist import counting
 from concat_equidist.asymptotics import (
     Y_LIMIT,
     inverse_epsilon,
@@ -18,6 +19,7 @@ from concat_equidist.asymptotics import (
     subsequence_points_poly,
     y_sequence,
 )
+from concat_equidist.counting import count_A
 from concat_equidist.exactnum import HalfOpenInterval
 from concat_equidist.seqgen import ChampernowneTail, IntPoly, MultipleTail, PolyTail, _iroot
 
@@ -325,6 +327,11 @@ class TestRatioScan:
         with pytest.raises(ValueError):
             ratio_scan(MultipleTail(1), I12, [(1, 20), (2, 20)])
 
+    @pytest.mark.parametrize("spec,j", [(MultipleTail(7), -1), (PolyTail(NSQ), 0)])
+    def test_rejects_an_index_below_the_main_terms(self, spec, j):
+        with pytest.raises(ValueError, match="scan points need j >= 0, and J >= 1 for a polynomial"):
+            ratio_scan(spec, I12, [(j, 1), (j + 2, 5)])
+
     def test_rejects_non_decimal_base(self):
         with pytest.raises(ValueError):
             ratio_scan(
@@ -332,6 +339,32 @@ class TestRatioScan:
                 HalfOpenInterval.parse("0.1", "0.2", base=2),
                 [(0, 2)],
             )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ChampernowneTail(), MultipleTail(7), MultipleTail(13), PolyTail(NSQ), PolyTail(IntPoly((5, -3, 1))),
+         PolyTail(IntPoly((1, 0, 0, 2)))],
+    )
+    @pytest.mark.parametrize("lo,hi", [("0.1", "0.2"), ("0.123", "0.1231"), ("0.99", "1")])
+    def test_one_walk_matches_a_count_per_point(self, spec, lo, hi):
+        interval = HalfOpenInterval.parse(lo, hi)
+        for rec in ratio_scan(spec, interval, scan_points(spec, 12)).records:
+            res = count_A(spec, interval, rec.N)
+            assert (rec.count, rec.ratio) == (res.count, res.ratio)
+
+    @pytest.mark.parametrize("lo,hi", [("0.1", "0.2"), ("0.123", "0.1231")])
+    def test_index_le_calls_per_decade(self, lo, hi, monkeypatch):
+        # one walk for all 200 points: two calls per decade and at most one per tie,
+        # where a count per point made 40 600
+        spec = PolyTail(IntPoly((1, 0, 0, 2)))
+        points = scan_points(spec, 200)
+        calls, ties = [], []
+        index_le, budget = PolyTail.index_le, counting.default_max_digits
+        monkeypatch.setattr(PolyTail, "index_le", lambda self, m: calls.append(m) or index_le(self, m))
+        monkeypatch.setattr(counting, "default_max_digits", lambda spec, n: ties.append(n) or budget(spec, n))
+        ratio_scan(spec, HalfOpenInterval.parse(lo, hi), points)
+        decades = len(str(spec.term(spec.n_min + points[-1][1] - 1))) - len(str(spec.term(spec.n_min))) + 1
+        assert len(calls) <= 2 * decades + len(ties)
 
     def test_nonuniform_evidence(self):
         # final ratio sits far above the 1/9 density u.d. would force

@@ -37,13 +37,13 @@ def _patched_names(tracer_module):
 
 def test_tracer_counts_streamed_indices_and_restores_originals(tracer_cls, capsys, monkeypatch):
     streamed = []
-    stream = counting._membership_stream
+    stream = counting._below
 
-    def recording_stream(spec, n, interval, max_digits):
+    def recording_stream(spec, n, interval, c, max_digits):
         streamed.append(n)
-        return stream(spec, n, interval, max_digits)
+        return stream(spec, n, interval, c, max_digits)
 
-    monkeypatch.setattr(counting, "_membership_stream", recording_stream)
+    monkeypatch.setattr(counting, "_below", recording_stream)
     originals = {
         (module, attr): getattr(module, attr)
         for module, attr in [
@@ -72,13 +72,15 @@ def test_tracer_counts_streamed_indices_and_restores_originals(tracer_cls, capsy
 
     calls = {name: stat[0] for name, stat in tracer.stats.items()}
     assert calls["counting.count_A"] == 1
-    # below the 4-digit endpoints only the ties a_n = 1, 12, 123 (prefixes of
-    # 0.1231 longer than the term) are streamed, one budget each; the terms
-    # are the two decade ends, a check per tie, the budgets' and the stream's
-    # 4 + 2 + 2 for x_1 = 0.1234..., x_12 = 0.1213..., x_123 = 0.123124...
-    assert streamed == [1, 12, 123]
+    # below the endpoints' 3 and 4 digits only a_n = 1 and 12 tie with both
+    # endpoints' prefixes, and a_n = 123 with hi's alone.  Each is streamed on
+    # one budget: a double tie against lo and, unless x_n < lo, against hi.
+    # The terms are the two decade ends, one check per tie, the budgets', and
+    # the streams' (3 + 4) + 2 + 2 for x_1 = 0.1234..., x_12 = 0.1213... < lo
+    # and x_123 = 0.123124...
+    assert streamed == [1, 1, 12, 123]
     assert calls["counting.default_max_digits"] == 3
-    assert calls["seqgen.term"] == 2 + 3 + 3 + 8
+    assert calls["seqgen.term"] == 2 + 3 + 3 + 11
     assert tracer.indices == 2000
 
     for (module, attr), original in originals.items():

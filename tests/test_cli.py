@@ -38,6 +38,13 @@ class TestTail:
         assert code == 0
         assert out == "0.149162536\n"
 
+    def test_three_terms_of_20001_digits(self, capsys, deadline):
+        # one divmod per digit took about 0.6 s here; splitting each term in halves about 0.02 s
+        with deadline(0.25, "tail of three 20001-digit terms"):
+            code, out, _ = run(capsys, "tail", "--kind", "mult", "--k", "1" * 20001, "--n", "1", "--digits", "60000")
+        assert code == 0
+        assert out == "0." + "1" * 20001 + "2" * 20001 + "3" * 19998 + "\n"
+
 
 class TestCount:
     def test_csv(self, capsys):
@@ -618,7 +625,7 @@ class TestExitCodes:
             "1",
         )
         assert code == 3
-        assert "undecided" in err
+        assert "undecided membership: membership of x_1 in [0.12345678910111213141516171819202122232425,0.9)" in err
 
     @pytest.mark.parametrize(
         "argv,code",

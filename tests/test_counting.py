@@ -2,13 +2,14 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from concat_equidist import counting
 from concat_equidist.asymptotics import lemma1_main_term
 from concat_equidist.counting import (
     UndecidedMembershipError,
-    _membership_stream,
+    _counts,
+    _member,
     count_A,
     default_max_digits,
     in_interval,
@@ -72,12 +73,12 @@ class TestLeadingDigit:
 
 class TestInInterval:
     def test_champ_20_examples(self):
-        assert in_interval(CHAMP, 20, HalfOpenInterval.parse("0.2", "0.3"), 64)
-        assert not in_interval(CHAMP, 20, I12, 64)
+        assert in_interval(CHAMP, 20, HalfOpenInterval.parse("0.2", "0.3"))
+        assert not in_interval(CHAMP, 20, I12)
 
     def test_multiple_example(self):
         # x_4 of the 3n family is 0.1215182124...
-        assert in_interval(MultipleTail(3), 4, I12, 64)
+        assert in_interval(MultipleTail(3), 4, I12)
 
     @pytest.mark.parametrize("spec", FAMILIES)
     @pytest.mark.parametrize("n", [1, 7, 19, 99, 123])
@@ -87,13 +88,17 @@ class TestInInterval:
             expected = brute_member(spec, n, lo, hi)
             assert in_interval(spec, n, interval) == expected
 
-    def test_undecided_raises_with_prefix(self):
-        # endpoint equal to a long prefix of x_1 starves the comparison
+    def test_undecided_raises_with_index_and_prefix(self):
+        # endpoint equal to a 23-digit prefix of x_1 starves x_1's budget 4 + 16
         lo = ExactEndpoint.parse("0." + "12345678910111213141516")
         interval = HalfOpenInterval(lo, ExactEndpoint.parse("0.9"))
         with pytest.raises(UndecidedMembershipError) as exc:
-            in_interval(CHAMP, 1, interval, max_digits=20)
-        assert len(exc.value.prefix) == 20
+            in_interval(CHAMP, 1, interval)
+        assert exc.value.n == 1
+        assert exc.value.prefix == DigitString(10, "12345678910111213141")
+        assert str(exc.value) == (
+            f"membership of x_1 in {interval} undecided after 20 digits (prefix 0.12345678910111213141)"
+        )
 
     def test_base_mismatch(self):
         with pytest.raises(ValueError):
@@ -161,7 +166,7 @@ def _outcome(fn):
     try:
         return fn()
     except UndecidedMembershipError as exc:
-        return ("undecided", exc.prefix)
+        return ("undecided", exc.n, exc.prefix)
 
 
 @st.composite
@@ -189,8 +194,8 @@ def _endpoint(base, digits):
 
 @st.composite
 def _cases(draw, max_n, max_len=5, max_budget=24, min_len=0, huge=False):
-    """(spec, interval, N or index, max_digits), endpoints of min_len-max_len
-    digits before trailing zeros are dropped.
+    """(spec, interval, N or index, digit budget or None), endpoints of
+    min_len-max_len digits before trailing zeros are dropped.
 
     Some endpoints are prefixes of tail values in range, so that narrow
     intervals still catch members.
@@ -215,21 +220,43 @@ def _cases(draw, max_n, max_len=5, max_budget=24, min_len=0, huge=False):
         if a == b:
             b = ExactEndpoint(base, (), is_one=True)
     lo, hi = (a, b) if a < b else (b, a)
-    max_digits = draw(st.one_of(st.none(), st.integers(1, max_budget)))
-    return spec, HalfOpenInterval(lo, hi), n, max_digits
+    budget = draw(st.one_of(st.none(), st.integers(1, max_budget)))
+    return spec, HalfOpenInterval(lo, hi), n, budget
 
 
 def _decade(spec, n):
     return digit_length(term(spec, n, 0), spec.base)
 
 
+@st.composite
+def _walks(draw, cases):
+    """(spec, interval, stops): 1-4 ascending stops up to a case's N."""
+    spec, interval, N, _ = draw(cases)
+    return spec, interval, sorted(draw(st.lists(st.integers(1, N), min_size=1, max_size=4)))
+
+
+def _on_tail(spec, m, length):
+    """The endpoint of x_m's first ``length`` digits."""
+    return _endpoint(spec.base, tail_digits(spec, m, length).digits)
+
+
+# x_12 = 0.1213..., x_4 = 0.1215... (3n) and x_4 = 0.1625... (n^2): endpoints of
+# 26 digits on them outlast the budget 4 * 2 + 16 below the last stop
+_SQUARE = PolyTail(IntPoly((0, 0, 1)))
+_UNDECIDED_WALKS = [
+    (CHAMP, HalfOpenInterval(_on_tail(CHAMP, 12, 26), ExactEndpoint(10, (), is_one=True)), [5, 12, 13, 40]),
+    (MultipleTail(3), HalfOpenInterval(ExactEndpoint(10), _on_tail(MultipleTail(3), 4, 26)), [3, 4, 50]),
+    (_SQUARE, HalfOpenInterval(_on_tail(_SQUARE, 4, 26), ExactEndpoint.parse("0.2")), [2, 10]),
+]
+
+
 class TestClosedFormMatchesOracle:
     @settings(max_examples=500)
     @given(_cases(max_n=1500))
     def test_count_A(self, case):
-        spec, interval, N, max_digits = case
-        fast = _outcome(lambda: count_A(spec, interval, N, max_digits))
-        oracle = _outcome(lambda: count_A(spec, interval, N, max_digits, fast=False))
+        spec, interval, N, _ = case
+        fast = _outcome(lambda: count_A(spec, interval, N))
+        oracle = _outcome(lambda: count_A(spec, interval, N, fast=False))
         assert fast == oracle
 
     # endpoints of 9-30 digits: terms shorter than them tie with their
@@ -237,10 +264,26 @@ class TestClosedFormMatchesOracle:
     @settings(max_examples=300)
     @given(_cases(max_n=1500, max_len=30, max_budget=40, min_len=9, huge=True))
     def test_count_A_long_endpoints(self, case):
-        spec, interval, N, max_digits = case
-        fast = _outcome(lambda: count_A(spec, interval, N, max_digits))
-        oracle = _outcome(lambda: count_A(spec, interval, N, max_digits, fast=False))
+        spec, interval, N, _ = case
+        fast = _outcome(lambda: count_A(spec, interval, N))
+        oracle = _outcome(lambda: count_A(spec, interval, N, fast=False))
         assert fast == oracle
+
+    @settings(max_examples=300)
+    @given(_walks(_cases(max_n=1000) | _cases(max_n=1000, max_len=30, max_budget=40, min_len=9, huge=True)))
+    @example(_UNDECIDED_WALKS[0])
+    @example(_UNDECIDED_WALKS[1])
+    @example(_UNDECIDED_WALKS[2])
+    def test_one_walk_counts_every_stop(self, walk):
+        # the counts, digits consulted and first undecided index of the oracle at each stop
+        spec, interval, stops = walk
+        oracle = _outcome(lambda: [count_A(spec, interval, N, fast=False) for N in stops])
+        assert _outcome(lambda: _counts(spec, interval, stops)) == oracle
+
+    @pytest.mark.parametrize("spec,interval,stops", _UNDECIDED_WALKS)
+    def test_pinned_walks_are_undecided(self, spec, interval, stops):
+        with pytest.raises(UndecidedMembershipError):
+            _counts(spec, interval, stops)
 
     @settings(max_examples=200)
     @given(st.integers(2, 16).flatmap(_specs), st.integers(0, 30), st.integers(1, 14), st.integers(1, 300), st.booleans())
@@ -256,14 +299,14 @@ class TestClosedFormMatchesOracle:
     @settings(max_examples=300)
     @given(_cases(max_n=1500, max_len=30, max_budget=40, min_len=9, huge=True))
     def test_at_most_two_streamed_indices_per_decade_below_L(self, case):
-        spec, interval, N, max_digits = case
-        L = interval.window[0]
-        if max_digits is not None and max_digits < L:
-            max_digits = L
-        with mock.patch.object(counting, "_membership_stream", wraps=counting._membership_stream) as stream:
-            _outcome(lambda: count_A(spec, interval, N, max_digits))
-        decades = Counter(_decade(spec, c.args[1]) for c in stream.call_args_list)
-        assert all(e < L and calls <= 2 for e, calls in decades.items())
+        # each endpoint c streams at most one index per decade, and only below len(c)
+        spec, interval, N, _ = case
+        with mock.patch.object(counting, "_below", wraps=counting._below) as stream:
+            _outcome(lambda: count_A(spec, interval, N))
+        streams = Counter((_decade(spec, c.args[1]), c.args[3]) for c in stream.call_args_list)
+        assert all(e < len(c.digits) and calls == 1 for (e, c), calls in streams.items())
+        indices = {(_decade(spec, c.args[1]), c.args[1]) for c in stream.call_args_list}
+        assert max(Counter(e for e, _ in indices).values(), default=0) <= 2
 
     @pytest.mark.parametrize(
         "lo,hi,ties",
@@ -278,18 +321,18 @@ class TestClosedFormMatchesOracle:
     )
     def test_ties_are_the_endpoint_prefixes(self, lo, hi, ties):
         interval = HalfOpenInterval.parse(lo, hi)
-        with mock.patch.object(counting, "_membership_stream", wraps=counting._membership_stream) as stream:
+        with mock.patch.object(counting, "_below", wraps=counting._below) as stream:
             count_A(CHAMP, interval, 10**7)
-        assert [c.args[1] for c in stream.call_args_list] == ties
+        # an index tied to both endpoints is streamed against lo, then against hi
+        assert list(dict.fromkeys(c.args[1] for c in stream.call_args_list)) == ties
         assert count_A(CHAMP, interval, 3000) == count_A(CHAMP, interval, 3000, fast=False)
 
-    @pytest.mark.parametrize("max_digits", [None, 9, 12, 40])
-    def test_first_term_longer_than_the_endpoints(self, max_digits):
+    def test_first_term_longer_than_the_endpoints(self):
         # a 31-digit k, and f(2) = 10^31 - 2 with n_min = 2: every decade is at or above L
         for spec in (MultipleTail(10**30 + 7), PolyTail(IntPoly((10**31, -3, 1)))):
             interval = HalfOpenInterval.parse("0.100000000000000000000000000003", "0.31622776601683793319988935444")
-            fast = _outcome(lambda: count_A(spec, interval, 2000, max_digits))
-            assert fast == _outcome(lambda: count_A(spec, interval, 2000, max_digits, fast=False))
+            fast = _outcome(lambda: count_A(spec, interval, 2000))
+            assert fast == _outcome(lambda: count_A(spec, interval, 2000, fast=False))
 
     # stop = n_min + N with a_{stop-1} = 10^e - 1 or 10^e
     @pytest.mark.parametrize(
@@ -335,17 +378,18 @@ def digit_list_stream(spec, n, interval, max_digits):
             and hi_state is PrefixOrder.DEFINITELY_LESS
         ):
             return True, len(prefix)
-    raise UndecidedMembershipError(DigitString(base, buf[:max_digits]), interval)
+    raise UndecidedMembershipError(n, DigitString(base, buf[:max_digits]), interval)
 
 
 class TestIntegerStreamMatchesDigitList:
     @settings(max_examples=600)
     @given(_cases(max_n=3000, max_len=8, max_budget=30))
     def test_same_outcome_and_digits_used(self, case):
-        spec, interval, i, max_digits = case
+        spec, interval, i, budget = case
         n = spec.n_min + i - 1
-        budget = max_digits if max_digits is not None else default_max_digits(spec, n)
-        new = _outcome(lambda: _membership_stream(spec, n, interval, budget))
+        if budget is None:
+            budget = default_max_digits(spec, n)
+        new = _outcome(lambda: _member(spec, n, interval, budget))
         old = _outcome(lambda: digit_list_stream(spec, n, interval, budget))
         assert new == old
 
@@ -365,30 +409,9 @@ class TestIntegerStreamMatchesDigitList:
         if endpoint == edge:
             return
         interval = HalfOpenInterval(endpoint, edge) if as_lo else HalfOpenInterval(edge, endpoint)
-        new = _outcome(lambda: _membership_stream(spec, n, interval, budget))
+        new = _outcome(lambda: _member(spec, n, interval, budget))
         old = _outcome(lambda: digit_list_stream(spec, n, interval, budget))
         assert new == old
-
-    @pytest.mark.parametrize("max_digits", [0, -1])
-    def test_empty_budget_is_undecided_with_empty_prefix(self, max_digits):
-        with pytest.raises(UndecidedMembershipError) as exc:
-            _membership_stream(CHAMP, 1, I12, max_digits)
-        assert exc.value.prefix == DigitString(10, "")
-
-
-class TestDigitBudget:
-    @pytest.mark.parametrize("fast", [True, False])
-    @pytest.mark.parametrize("max_digits", [0, -1])
-    def test_nonpositive_budget_is_rejected_by_both(self, max_digits, fast):
-        message = f"max_digits must be >= 1, got {max_digits}"
-        with pytest.raises(ValueError, match=message):
-            count_A(CHAMP, I12, 20, max_digits, fast=fast)
-        with pytest.raises(ValueError, match=message):
-            in_interval(CHAMP, 1, I12, max_digits)
-
-    def test_one_digit_budget_decides_a_one_digit_interval(self):
-        assert count_A(CHAMP, I12, 20, max_digits=1).count == 11
-        assert in_interval(CHAMP, 1, I12, max_digits=1)
 
 
 class TestFirstDigitReduction:

@@ -15,8 +15,10 @@ from concat_equidist.exactnum import (
     compare_prefix,
     decimal_head,
     STR_BELOW,
+    _DIGIT_CHARS,
     decimal_int,
     digit_length,
+    digit_text,
     int_to_digits,
 )
 
@@ -58,6 +60,34 @@ class TestIntToDigits:
     @given(st.one_of(st.integers(1, 10**12), st.integers(STR_BELOW, 10**400)), st.integers(2, 36))
     def test_matches_oracle(self, n, base):
         assert int_to_digits(n, base).digits == brute_digits(n, base)
+
+
+def divmod_digit_text(n, base):
+    """Oracle: one divmod per digit, as ``digit_text`` wrote every long term before it split them."""
+    out = []
+    while n:
+        n, r = divmod(n, base)
+        out.append(_DIGIT_CHARS[r])
+    return "".join(reversed(out))
+
+
+@st.composite
+def _long_ints(draw):
+    """(n, base): n of up to 3000 digits, often b^m or b^m - 1, whose low halves are all 0 or b - 1."""
+    base = draw(st.integers(2, 36))
+    m = draw(st.integers(1, 3000))
+    n = draw(st.sampled_from([base**m, base**m - 1, draw(st.integers(1, base**m))]))
+    return n, base
+
+
+class TestDigitText:
+    @settings(max_examples=300)
+    @given(_long_ints())
+    @example((10**600, 10))
+    @example((7**5000 - 1, 7))
+    def test_matches_one_divmod_per_digit(self, case):
+        n, base = case
+        assert digit_text(n, base) == divmod_digit_text(n, base)
 
 
 class TestDigitString:
@@ -253,23 +283,6 @@ class TestHalfOpenInterval:
     def test_base_mismatch(self):
         with pytest.raises(ValueError):
             HalfOpenInterval(ExactEndpoint.parse("0.1", 10), ExactEndpoint.parse("0.2", 16))
-
-    @pytest.mark.parametrize(
-        "lo,hi,base,window",
-        [
-            ("0.1", "0.2", 10, (1, 1, 2)),
-            ("0.123", "0.1231", 10, (4, 1230, 1231)),
-            ("0", "0.1", 10, (1, 0, 1)),
-            ("0.9", "1", 10, (1, 9, 10)),
-            ("0", "1", 10, (1, 0, 10)),
-            ("0.101", "0.11", 2, (3, 5, 6)),
-        ],
-    )
-    def test_window(self, lo, hi, base, window):
-        interval = HalfOpenInterval.parse(lo, hi, base)
-        assert interval.window == window
-        assert interval.window is interval.window  # computed once per interval
-        assert interval == HalfOpenInterval.parse(lo, hi, base)  # the cache is not a field
 
 
 def str_decimal_head(m):
