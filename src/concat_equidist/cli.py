@@ -72,15 +72,16 @@ def _check_cap(value: int, cap: int, what: str, uncapped: bool) -> None:
         raise ValueError(f"{what} = {_show(value)} exceeds the cap {cap}; pass --unsafe-uncapped to override")
 
 
-def _write_output(text: str, args) -> None:
+def _write_output(args, *texts: str) -> None:
+    """Write the texts in turn, with no joined copy, to ``--output`` or stdout."""
     if getattr(args, "output", None):
         try:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(texts)
         except OSError as exc:
             raise ValueError(f"cannot write {args.output}: {exc}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 def render_csv(rows: list[dict], meta: dict) -> str:
@@ -118,15 +119,15 @@ def render_json(rows: list[dict], meta: dict) -> str:
 
 def _emit(args, rows: list[dict], meta: dict) -> None:
     if getattr(args, "format", "csv") == "json":
-        _write_output(render_json(rows, meta), args)
+        _write_output(args, render_json(rows, meta))
     else:
-        _write_output(render_csv(rows, meta), args)
+        _write_output(args, render_csv(rows, meta))
 
 
 def cmd_tail(args) -> int:
     spec = _build_spec(args)
     digits = seqgen.tail_digits(spec, args.n, args.digits)
-    _write_output(f"0.{digits}\n", args)
+    _write_output(args, "0.", digits.text, "\n")
     return EXIT_OK
 
 

@@ -1,7 +1,9 @@
 """Interval membership of tail values and the counting function A([a,b); N)."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 # bench/tracer.py wraps term, compare_prefix (unused here), int_to_digits and
 # default_max_digits at these module-level names, so they must stay here.
@@ -34,13 +36,9 @@ def default_max_digits(spec: TailSpec, n: int) -> int:
     return 4 * digit_length(term(spec, n, 0), spec.base) + 16
 
 
-def _below(spec: TailSpec, n: int, interval: HalfOpenInterval, c: ExactEndpoint, max_digits: int) -> tuple[bool, int]:
-    """(x_n < c, digits used) for an endpoint c of ``interval``.  The prefix of
-    x_n, one integer of ``used`` <= max_digits digits, grows term by term
-    until it differs from c's first ``used`` digits or c has no more."""
+def _prefixes(spec: TailSpec, n: int, max_digits: int) -> Iterator[tuple[int, int]]:
+    """(prefix, used) after each term of x_n: its first ``used`` <= max_digits digits as one integer."""
     base = spec.base
-    length = len(c.digits)
-    scaled = c.scaled(length)
     prefix = used = offset = 0
     while used < max_digits:
         a = term(spec, n, offset)
@@ -51,20 +49,34 @@ def _below(spec: TailSpec, n: int, interval: HalfOpenInterval, c: ExactEndpoint,
             d = max_digits - used
         prefix = prefix * base**d + a
         used += d
+        yield prefix, used
+
+
+def _below(
+    spec: TailSpec, n: int, interval: HalfOpenInterval, c: ExactEndpoint, prefixes: Iterator[tuple[int, int]]
+) -> tuple[bool, int, int]:
+    """(x_n < c, digits used, prefix) for an endpoint c of ``interval``: the
+    ``prefixes`` of x_n are read until one differs from c's first ``used``
+    digits or c has no more."""
+    length = len(c.digits)
+    scaled = c.scaled(length)
+    for prefix, used in prefixes:
         if used >= length:
-            return prefix < scaled * base ** (used - length), used
-        head = scaled // base ** (length - used)
+            return prefix < scaled * spec.base ** (used - length), used, prefix
+        head = scaled // spec.base ** (length - used)
         if prefix != head:
-            return prefix < head, used
-    raise UndecidedMembershipError(n, int_to_digits(prefix, base), interval)
+            return prefix < head, used, prefix
+    raise UndecidedMembershipError(n, int_to_digits(prefix, spec.base), interval)
 
 
 def _member(spec: TailSpec, n: int, interval: HalfOpenInterval, max_digits: int) -> tuple[bool, int]:
-    """(lo <= x_n < hi, digits used): x_n < lo decides it, else x_n < hi does."""
-    below, used = _below(spec, n, interval, interval.lo, max_digits)
+    """(lo <= x_n < hi, digits used): x_n < lo decides it, else x_n < hi does,
+    read on from the prefix that decided lo, so each term is built once."""
+    prefixes = _prefixes(spec, n, max_digits)
+    below, used, prefix = _below(spec, n, interval, interval.lo, prefixes)
     if below:
         return False, used
-    below, used_hi = _below(spec, n, interval, interval.hi, max_digits)
+    below, used_hi, _ = _below(spec, n, interval, interval.hi, itertools.chain([(prefix, used)], prefixes))
     return below, max(used, used_hi)
 
 
@@ -137,7 +149,7 @@ def _counts(spec: TailSpec, interval: HalfOpenInterval, stops: list[int]) -> lis
                 if len(tied_to) == 2:
                     share, used = _member(spec, n, interval, budget)
                 else:
-                    below, used = _below(spec, n, interval, tied_to[0], budget)
+                    below, used, _ = _below(spec, n, interval, tied_to[0], _prefixes(spec, n, budget))
                     share = below if tied_to[0] is interval.hi else -below
                 tied += share
                 digits_max = max(digits_max, used)

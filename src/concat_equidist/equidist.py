@@ -21,21 +21,24 @@ BENFORD_FREQ = tuple(math.log10(1 + 1 / c) for c in range(1, 10))
 
 
 class PointSet:
-    """A finite multiset of reals in [0, 1), held as one read-only float64 array.
+    """A finite multiset of reals in [0, 1), held as read-only float64 arrays.
 
-    The values are checked once, on construction; ``values`` gives them back
-    as a tuple of Python floats, -0.0 included.
+    ``array`` keeps the order given and ``sorted`` the ascending order, built
+    once with NumPy's run-adaptive stable sort, or the same array when the
+    values come ``presorted``.  The range is checked on the sorted ends: NaN
+    sorts last and fails, -0.0 passes.  A float64 array is held as it is, not
+    copied, and is read-only from then on; other values are converted.
     """
 
-    __slots__ = ("array",)
+    __slots__ = ("array", "sorted")
 
-    def __init__(self, values: Sequence[float] | np.ndarray) -> None:
-        v = np.array(values, dtype=np.float64)
-        # one vectorised pass; NaN fails both comparisons, -0.0 passes
-        if not np.all((v >= 0.0) & (v < 1.0)):
+    def __init__(self, values: Sequence[float] | np.ndarray, presorted: bool = False) -> None:
+        v = np.asarray(values, dtype=np.float64)
+        s = v if presorted else np.sort(v, kind="stable")
+        if len(s) and not (s[0] >= 0.0 and s[-1] < 1.0):
             raise ValueError("all points must lie in [0, 1)")
-        v.flags.writeable = False
-        self.array = v
+        v.flags.writeable = s.flags.writeable = False
+        self.array, self.sorted = v, s
 
     @classmethod
     def of(cls, values: Iterable[float]) -> "PointSet":
@@ -60,15 +63,16 @@ class BenfordReport:
 
 _INT64_END = 2**63
 _BATCH = 4096  # terms or points per NumPy batch
+_STAR_BLOCK = 2 * _BATCH  # ranks per block of D* terms: 64 KiB temporaries
 
 
 def _int64_reader(
     spec: TailSpec, n: int, bound: int, cut: Callable[[Iterator[int]], Iterator[int]]
-) -> Callable[[int], np.ndarray]:
-    """read(j): the next j terms of ``spec.terms(n)`` as an int64 array.
+) -> tuple[int, Callable[[int], np.ndarray]]:
+    """(below, read): read(j) gives the next j terms of ``spec.terms(n)`` as an int64 array.
 
     The terms increase from n_min, so one ``index_le(bound - 1)`` call counts
-    those below ``bound`` (at most 2^63), and ``_term_block`` builds them
+    the ``below`` ones under ``bound`` (at most 2^63), and ``_term_block`` builds them
     from the family's difference column with no Python step per term.  The
     terms from there on come from ``spec.terms`` through ``cut``, which maps
     them lazily to values that fit in int64.
@@ -87,7 +91,7 @@ def _int64_reader(
         tail = np.fromiter(itertools.islice(rest, j - run), dtype=np.int64, count=j - run)
         return np.concatenate((head, tail))
 
-    return read
+    return below, read
 
 
 def _term_block(column: list[int], size: int) -> np.ndarray:
@@ -117,17 +121,18 @@ def tail_points(spec: TailSpec, n: int, count: int, depth: int = 18) -> PointSet
     ``tail_prefixes`` and divide them in Python.  Either way each term is
     read once, and each point is Python's P_m / b^depth, rounded once,
     correctly; converting P_m to float64 first would round twice.  An
-    18-digit prefix such as 0.999...9 rounds to 1.0, hence the clamp.  A
-    count below 1 gives an empty set.
+    18-digit prefix such as 0.999...9 rounds to 1.0, hence the clamp.  The
+    points fill one array; a count below 1 gives an empty set.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     scale = spec.base**depth
+    points = np.empty(max(count, 0))
     if scale < _INT64_END:
-        parts = [_quotients(block, scale) for block in _prefix_blocks(spec, n, count, depth)]
+        for start, block in zip(itertools.count(0, _BATCH), _prefix_blocks(spec, n, count, depth)):
+            points[start : start + _BATCH] = _quotients(block, scale)
     else:
-        parts = [_python_quotients(tail_prefixes(spec, n, count, depth), scale)]
-    points = np.concatenate(parts) if parts else np.empty(0)
+        points[:] = _python_quotients(tail_prefixes(spec, n, count, depth), scale)
     return PointSet(np.minimum(points, np.nextafter(1.0, 0.0), out=points))
 
 
@@ -184,7 +189,7 @@ def _prefix_blocks(spec: TailSpec, n: int, count: int, depth: int) -> Iterator[n
     while powers[-1] * base < _INT64_END:
         powers.append(powers[-1] * base)
     pows = np.array(powers, dtype=np.int64)  # every power of the base below 2^63
-    read = _int64_reader(spec, n, _INT64_END, lambda rest: _leading_digits(rest, base, depth))
+    _, read = _int64_reader(spec, n, _INT64_END, lambda rest: _leading_digits(rest, base, depth))
 
     def extend(head: np.ndarray, length: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         h = read(k)
@@ -221,26 +226,22 @@ def _leading_digits(terms: Iterator[int], base: int, depth: int) -> Iterator[int
 
 
 def star_discrepancy(points: PointSet) -> float:
-    """Exact D*_N via order statistics, O(N log N).
+    """Exact D*_N via order statistics, O(N) on the points' sorted array.
 
     D*_N = max_i max(i/N - v_(i), v_(i) - (i-1)/N) over the sorted points.
     """
     if len(points) == 0:
         raise ValueError("empty point set")
-    rise, fall = _star_terms(np.sort(points.array))
-    return float(max(rise.max(), fall.max()))
+    return float(max(max(rise.max(), fall.max()) for _, rise, fall in _star_blocks(points.sorted)))
 
 
-def _star_terms(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The terms i/N - v_(i) and v_(i) - (i-1)/N of D*_N, for the sorted points v."""
+def _star_blocks(v: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(v_(i), i/N - v_(i), v_(i) - (i-1)/N) in blocks of ranks of the sorted v, bitwise as whole arrays."""
     n = len(v)
-    rise = np.arange(1, n + 1, dtype=np.float64)
-    rise /= n
-    rise -= v
-    fall = np.arange(n, dtype=np.float64)
-    fall /= n
-    np.subtract(v, fall, out=fall)
-    return rise, fall
+    for start in range(0, n, _STAR_BLOCK):
+        part = v[start : start + _STAR_BLOCK]
+        q = np.arange(start, start + len(part) + 1, dtype=np.float64) / n  # i/N from i = start
+        yield part, q[1:] - part, part - q[:-1]
 
 
 def ud_deviation(points: PointSet, alpha: ExactEndpoint, beta: ExactEndpoint, first_index: int = 0) -> float:
@@ -248,18 +249,22 @@ def ud_deviation(points: PointSet, alpha: ExactEndpoint, beta: ExactEndpoint, fi
 
     Measures the worst deviation of empirical interval mass from the density (b-a)/(beta-alpha)
     required by u.d. mod 1 over [alpha, beta).  A point outside is named x_n, n = first_index + position.
+    (v - a)/(b - a) is monotone in IEEE arithmetic, so the sorted points stay sorted.
     """
     a = float(alpha.value())
     b = float(beta.value())
     if not a < b:
         raise ValueError("require alpha < beta")
-    v = points.array
-    if len(v) == 0:
+    if len(points) == 0:
         raise ValueError("empty point set")
-    if len(outside := np.flatnonzero((v < a) | (v >= b))):
-        raise ValueError(f"x_{first_index + outside[0]} = {float(v[outside[0]])!r} outside [{alpha}, {beta})")
-    rescaled = np.minimum((v - a) / (b - a), np.nextafter(1.0, 0.0))
-    return star_discrepancy(PointSet(rescaled))
+    v, u = points.sorted, points.array
+    if not (v[0] >= a and v[-1] < b):
+        i = np.flatnonzero((u < a) | (u >= b))[0]
+        raise ValueError(f"x_{first_index + i} = {float(u[i])!r} outside [{alpha}, {beta})")
+    rescaled = v - a
+    rescaled /= b - a
+    np.minimum(rescaled, np.nextafter(1.0, 0.0), out=rescaled)
+    return star_discrepancy(PointSet(rescaled, presorted=True))
 
 
 def weyl_sum(points: PointSet, h: int) -> float:
@@ -274,7 +279,8 @@ def weyl_sum(points: PointSet, h: int) -> float:
         angle = complex(0, math.inf)
     if not math.isfinite(angle.imag):  # h or 2 pi h past the float range
         raise ValueError(f"h = {_show(h)} is too large to convert to float")
-    return float(abs(np.exp(angle * points.array).mean()))
+    z = angle * points.array
+    return float(abs(np.exp(z, out=z).mean()))
 
 
 def log10_fracpart(m: int) -> float:
@@ -332,7 +338,7 @@ def benford_report(terms: Iterable[int]) -> BenfordReport:
     One pass reads each term's decimal digits once, cut to an int64
     ``_mantissa``.  NumPy takes the leading digits and the logarithms from
     those, with ``math.log10`` only where it can decide D*
-    (``_certified_parts``).  The results equal those of ``census`` and
+    (``_certified_points``).  The results equal those of ``census`` and
     ``star_discrepancy(log_fracparts(terms))``, bit for bit.
     """
     return _report(_mantissas(terms))
@@ -345,7 +351,7 @@ def family_benford_report(spec: TailSpec, n: int, count: int) -> BenfordReport:
     int64 blocks (``_int64_reader``) with no Python step per term; only
     later terms are cut to their ``_mantissa`` one by one.
     """
-    return _report(_family_mantissas(spec, n, count))
+    return _report(*_family_mantissas(spec, n, count))
 
 
 def pow2_benford_report(N: int) -> BenfordReport:
@@ -359,7 +365,7 @@ def pow2_benford_report(N: int) -> BenfordReport:
     n = 1, 2 and 3, which lie on log10 2, 4 and 8, take it from the exact
     ``_mantissa(1 << n)``.  The part ``_exact_parts`` reads from that
     mantissa lies within 3 2^-48 + 2^-52 of frac(n log10 2), so within
-    2^-52 + 3 2^-48 + 2^-52 < _EPS of w, and ``_certified_parts`` certifies
+    2^-52 + 3 2^-48 + 2^-52 < _EPS of w, and ``_certified_points`` certifies
     D* as it does for any mantissas.  2^n is built only for the points that
     decide a digit or D*, each at most once.  Needs N < 2^32.
     """
@@ -388,9 +394,9 @@ def pow2_benford_report(N: int) -> BenfordReport:
         edge += (start + np.flatnonzero(~far)).tolist()
     for i in edge:
         counts[int(str(mantissa(i))[0])] += 1
-    points = PointSet(_certified_parts(w, exact_parts))
-    del w  # free before the N-float arrays of star_discrepancy
-    return _summary(counts[1:].tolist(), points)
+    # the rotation's points have no runs for the stable sort to take: NumPy's
+    # default sort is 4-6x faster on them at N = 1000 to 15000
+    return _summary(counts[1:].tolist(), _certified_points(w, exact_parts, "quicksort"))
 
 
 # floor(log10(2) * 2^128), split into 64-, 32- and 32-bit words for _pow2_parts
@@ -421,18 +427,19 @@ def _pow2_parts(n: np.ndarray) -> np.ndarray:
     return top.astype(np.float64) * 2.0**-53
 
 
-def _report(mant: np.ndarray) -> BenfordReport:
-    """The report of the terms with these ``_mantissa`` values."""
+def _report(mant: np.ndarray, rising: int = 0) -> BenfordReport:
+    """The report of these ``_mantissa`` values.  The first ``rising`` increase strictly below
+    10^17, so one search for the edges c 10^e counts their leading digits; ``bincount`` the rest."""
     if not len(mant):
         raise ValueError("empty term stream")
-    length = np.searchsorted(_POW10, mant, side="right")
-    counts = np.bincount(mant // _POW10[length - 1], minlength=10)[1:].tolist()
-    del length  # free before the N-float arrays of the certification
+    below = np.searchsorted(mant[:rising], _DIGIT_FLOORS).reshape(HEAD_DIGITS, 10)  # how many lie below c 10^e
+    counts = np.diff(below, axis=1).sum(axis=0)
+    rest = mant[rising:]
+    length = np.searchsorted(_POW10, rest, side="right")
+    counts += np.bincount(rest // _POW10[length - 1], minlength=10)[1:]
     w = np.log10(mant)
     w -= np.floor(w)
-    points = PointSet(_certified_parts(w, lambda idx: _exact_parts(mant[idx])))
-    del w  # free before the N-float arrays of star_discrepancy
-    return _summary(counts, points)
+    return _summary(counts.tolist(), _certified_points(w, lambda idx: _exact_parts(mant[idx])))
 
 
 def _summary(counts: list[int], points: PointSet) -> BenfordReport:
@@ -445,6 +452,7 @@ def _summary(counts: list[int], points: PointSet) -> BenfordReport:
 
 _POW10 = 10 ** np.arange(HEAD_DIGITS + 1, dtype=np.int64)  # 10^0 ... 10^17
 _HEAD_BELOW = 10**HEAD_DIGITS
+_DIGIT_FLOORS = np.array([c * 10**e for e in range(HEAD_DIGITS) for c in range(1, 11)], np.int64)  # c 10^e, c = 1..10
 
 
 def _mantissa(m: int) -> int:
@@ -468,13 +476,14 @@ def _mantissas(terms: Iterable[int]) -> np.ndarray:
     return np.fromiter(map(_mantissa, terms), dtype=np.int64)
 
 
-def _family_mantissas(spec: TailSpec, n: int, count: int) -> np.ndarray:
-    """The ``_mantissa`` values of a_n, ..., a_{n+count-1}, read in blocks of up to ``_BATCH``."""
-    read = _int64_reader(spec, n, _HEAD_BELOW, lambda rest: map(_mantissa, rest))
+def _family_mantissas(spec: TailSpec, n: int, count: int) -> tuple[np.ndarray, int]:
+    """The ``_mantissa`` values of a_n, ..., a_{n+count-1}, read in blocks of up to ``_BATCH``,
+    and how many of them lead below 10^17: those are the terms themselves."""
+    below, read = _int64_reader(spec, n, _HEAD_BELOW, lambda rest: map(_mantissa, rest))
     mant = np.empty(max(count, 0), dtype=np.int64)
     for start in range(0, count, _BATCH):
         mant[start : start + _BATCH] = read(min(_BATCH, count - start))
-    return mant
+    return mant, min(below, len(mant))
 
 
 def _exact_parts(mant: np.ndarray) -> np.ndarray:
@@ -504,39 +513,46 @@ def _exact_parts(mant: np.ndarray) -> np.ndarray:
 _EPS = 2.0**-40
 
 
-def _certified_parts(w: np.ndarray, exact_parts: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """{log10 a_i} whose star discrepancy is bitwise that of the exact parts.
+def _certified_points(w: np.ndarray, exact_parts: Callable[[np.ndarray], np.ndarray], kind: str = "stable") -> PointSet:
+    """The sorted {log10 a_i}, as a presorted set whose D* is bitwise that of the exact parts.
 
     ``exact_parts(idx)`` gives the ``_exact_parts`` of the terms at the
-    indices ``idx``, and w (updated in place and returned) holds points
-    within _EPS of them, except near the wrap at 0 and 1: points within _EPS
-    of it take their exact parts.  Sorting then moves no rank by more than
-    _EPS, so only a rank whose D* term lies within 4 _EPS of the largest
-    can attain D*, and its exact value is that of one of the points within
-    2 _EPS of its own: those take their exact parts too.  Now every such
-    rank holds its exact value, and no other rank comes near, so
-    ``star_discrepancy`` gives the exact D*.  Each point is made exact at
-    most once.
+    indices ``idx``; w (patched in place) holds points within e = _EPS of
+    them, except near the wrap at 0 and 1, where points within e take their
+    exact parts before w is sorted into v.  Sorting then moves no rank by
+    more than e, so only a rank whose D* term lies within 4e of the largest
+    can attain D*, and its exact value is that of a point within 2e of its
+    own: those take their exact parts too, each point at most once.  Every
+    such rank then holds its exact value, and no other rank comes near.
+
+    v needs no second sort.  A patched point lay within 2e of a rank value
+    r, up to rounding, and moves less than e/80, so it stays within 3e of r;
+    no other point moves.  So the points within 3e of the rank values are
+    the same before and after, as is each run of them between the others:
+    v with their positions given them, patched and sorted, is the sorted w.
     """
-    exact = np.zeros(len(w), dtype=bool)
+    wrap = np.flatnonzero((w < _EPS) | (w > 1 - _EPS))
+    w[wrap] = exact_parts(wrap)
+    v = np.sort(w, kind=kind)
+    blocks = []  # per block of ranks: its largest D* term, and the values and terms within 4e of it
+    for part, rise, fall in _star_blocks(v):
+        term = np.maximum(rise, fall)
+        top = term.max()
+        keep = term >= top - 4 * _EPS
+        blocks.append((top, part[keep], term[keep]))
+    near_top = max(top for top, _, _ in blocks) - 4 * _EPS
+    ranks = np.concatenate([part[term >= near_top] for top, part, term in blocks if top >= near_top])
 
-    def patch(idx: np.ndarray) -> None:
-        idx = idx[~exact[idx]]
-        if idx.size:
-            w[idx] = exact_parts(idx)
-            exact[idx] = True
+    def within(x: np.ndarray, width: float) -> np.ndarray:
+        # the positions of x within width of a rank value, tested against the least r with r + width >= x
+        upper = ranks + width
+        idx = np.flatnonzero((x >= ranks[0] - width) & (x <= upper[-1]))
+        return idx[ranks[np.searchsorted(upper, x[idx])] - width <= x[idx]]
 
-    patch(np.flatnonzero((w < _EPS) | (w > 1 - _EPS)))
-    v = np.sort(w)
-    rise, fall = _star_terms(v)
-    near_top = max(rise.max(), fall.max()) - 4 * _EPS
-    ranks = v[(rise >= near_top) | (fall >= near_top)]  # ascending
-    del v, rise, fall
-    # a point lies within 2 _EPS of a rank value iff it does of the least
-    # rank value r with r + 2 _EPS >= the point
-    top = ranks + 2 * _EPS
-    near = np.flatnonzero((w >= ranks[0] - 2 * _EPS) & (w <= top[-1]))
-    least = ranks[np.searchsorted(top, w[near])]
-    patch(near[least - 2 * _EPS <= w[near]])
-    return w
-
+    band = within(w, 3 * _EPS)
+    near = np.setdiff1d(band[within(w[band], 2 * _EPS)], wrap, assume_unique=True)
+    w[near] = exact_parts(near)
+    patched = w[band]
+    patched.sort()
+    v[within(v, 3 * _EPS)] = patched
+    return PointSet(v, presorted=True)

@@ -39,9 +39,9 @@ def test_tracer_counts_streamed_indices_and_restores_originals(tracer_cls, capsy
     streamed = []
     stream = counting._below
 
-    def recording_stream(spec, n, interval, c, max_digits):
+    def recording_stream(spec, n, interval, c, prefixes):
         streamed.append(n)
-        return stream(spec, n, interval, c, max_digits)
+        return stream(spec, n, interval, c, prefixes)
 
     monkeypatch.setattr(counting, "_below", recording_stream)
     originals = {
@@ -74,13 +74,14 @@ def test_tracer_counts_streamed_indices_and_restores_originals(tracer_cls, capsy
     assert calls["counting.count_A"] == 1
     # below the endpoints' 3 and 4 digits only a_n = 1 and 12 tie with both
     # endpoints' prefixes, and a_n = 123 with hi's alone.  Each is streamed on
-    # one budget: a double tie against lo and, unless x_n < lo, against hi.
-    # The terms are the two decade ends, one check per tie, the budgets', and
-    # the streams' (3 + 4) + 2 + 2 for x_1 = 0.1234..., x_12 = 0.1213... < lo
-    # and x_123 = 0.123124...
+    # one budget: a double tie against lo and, unless x_n < lo, on against hi
+    # from lo's last prefix.  The terms are the two decade ends, one check
+    # per tie, the budgets', and the streams' 4 + 2 + 2 for x_1 = 0.1234...
+    # (3 terms decide lo, a fourth hi), x_12 = 0.1213... < lo and
+    # x_123 = 0.123124...
     assert streamed == [1, 1, 12, 123]
     assert calls["counting.default_max_digits"] == 3
-    assert calls["seqgen.term"] == 2 + 3 + 3 + 11
+    assert calls["seqgen.term"] == 2 + 3 + 3 + 8
     assert tracer.indices == 2000
 
     for (module, attr), original in originals.items():

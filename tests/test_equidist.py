@@ -14,11 +14,15 @@ from hypothesis import example, given, settings, strategies as st
 from concat_equidist import equidist
 from concat_equidist.equidist import (
     _BATCH,
+    _EPS,
     _EXTENDED,
     _LOG10_2_FIXED,
+    _certified_points,
+    _family_mantissas,
     _int64_reader,
     _mantissa,
     _pow2_parts,
+    _report,
     BENFORD_FREQ,
     BenfordReport,
     PointSet,
@@ -836,7 +840,7 @@ class TestInt64Reader:
     @example((PolyTail(IntPoly(from_roots([10**5] * 6, 1, 1))), 10**5, 2**63, [_BATCH, 7]))
     def test_blocks_equal_the_term_stream(self, case):
         spec, n, bound, sizes = case
-        read = _int64_reader(spec, n, bound, lambda rest: (-(a % 1000) - 1 for a in rest))
+        _, read = _int64_reader(spec, n, bound, lambda rest: (-(a % 1000) - 1 for a in rest))
         got = np.concatenate([read(j) for j in sizes])
         terms = itertools.islice(spec.terms(n), sum(sizes))
         want = [a if a < bound else -(a % 1000) - 1 for a in terms]
@@ -855,3 +859,97 @@ def _report_or_error_of(build):
         return repr(dataclasses.astuple(build()))
     except ValueError as exc:
         return str(exc)
+
+
+@st.composite
+def near_rank_values(draw):
+    """Exact parts in [0, 1) of the shapes that stress the certification: a
+    grid, where every rank is near D*; runs of ties; points at the wrap; and
+    clusters a few _EPS apart, so that the bands about the ranks overlap."""
+    n = draw(st.integers(1, 400))
+    kind = draw(st.sampled_from(["grid", "centered", "ties", "wrap", "clusters", "mixed"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "grid":
+        return [i / n for i in range(n)]
+    if kind == "centered":
+        return [(2 * i + 1) / (2 * n) for i in range(n)]
+    pool = [rng.random() for _ in range(draw(st.integers(1, 6)))]
+    if kind == "ties":
+        return [rng.choice(pool) for _ in range(n)]
+    if kind == "wrap":
+        return [rng.choice([j * _EPS, 1 - (j + 1) * _EPS]) for j in (rng.randint(0, 5) for _ in range(n))]
+    if kind == "clusters":
+        return [min(max(rng.choice(pool) + rng.randint(-8, 8) * _EPS / 2, 0.0), 0.9) for _ in range(n)]
+    return [rng.choice([i / n, rng.choice(pool), rng.randint(0, 3) * _EPS, 1 - rng.randint(1, 3) * _EPS]) for i in range(n)]
+
+
+class TestOneSort:
+    """The certified Benford points come out of one sort, with D* read from
+    that sorted array; ud_deviation rescales it; the census of a rising run
+    is one search."""
+
+    @settings(max_examples=300)
+    @given(near_rank_values(), st.integers(0, 2**32))
+    @example([i / 3000 for i in range(3000)], 0)  # every rank attains D*
+    @example([0.5] * 1000 + [1 - _EPS / 4] * 1000, 1)  # ties, and ties at the wrap
+    def test_banded_points_equal_the_exact_parts(self, values, seed):
+        # w is each exact part moved by less than _EPS / 80, wrapped mod 1,
+        # as the np.log10 parts are
+        exact = np.array(values)
+        rng = np.random.default_rng(seed)
+        w = (exact + rng.uniform(-_EPS / 100, _EPS / 100, len(exact))) % 1.0
+        w = np.minimum(w, math.nextafter(1.0, 0.0))
+        points = _certified_points(w, lambda idx: exact[idx])
+        assert np.array_equal(points.sorted, np.sort(w))  # the band holds the patched points, sorted
+        assert points.array is points.sorted and not points.sorted.flags.writeable
+        assert repr(star_discrepancy(points)) == repr(formula_star_discrepancy(PointSet(exact)))
+
+    @settings(max_examples=80)
+    @given(family_cases())
+    @example((PolyTail(IntPoly((99999999999999000, 1))), 1, 3000))  # crosses 10^17 at n = 1000
+    @example((MultipleTail(10**16), 1, 2 * _BATCH + 1))  # 10^16, 2 10^16, ..., past 10^17 at n = 10
+    def test_rising_census_equals_bincount(self, case):
+        spec, n, count = case
+        mant, rising = _family_mantissas(spec, n, count)
+        run = mant[:rising].tolist()
+        assert all(a < b for a, b in zip(run, run[1:])) and all(a < 10**17 for a in run)
+        assert run == list(itertools.islice(spec.terms(n), rising))
+        pow10 = 10 ** np.arange(18, dtype=np.int64)
+        counts = np.bincount(mant // pow10[np.searchsorted(pow10, mant, side="right") - 1], minlength=10)[1:]
+        assert _report(mant, rising).digit_freq == tuple(c / count for c in counts.tolist())
+
+    @settings(max_examples=200)
+    @given(
+        st.sampled_from([("0", "1"), ("0.1", "1"), ("0.1", "0.9"), ("0.25", "0.2501"), ("0.3333", "0.77777")]),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300),
+        st.integers(0, 3),
+    )
+    def test_ud_deviation_equals_rescale_then_sort(self, window, fractions, repeat):
+        alpha, beta = (ExactEndpoint.parse(x) for x in window)
+        a, b = float(alpha.value()), float(beta.value())
+        # points spread over [a, b), with a itself and the floats just below b
+        v = np.minimum(a + np.array(fractions * (1 + repeat)) * (b - a), math.nextafter(b, 0.0))
+        v[::7] = a
+        points = PointSet(v)
+        old = np.minimum((points.array - a) / (b - a), np.nextafter(1.0, 0.0))
+        assert repr(ud_deviation(points, alpha, beta)) == repr(formula_star_discrepancy(PointSet(old)))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["benford", "--gen", "naturals", "--N", "85000"],
+            ["benford", "--gen", "poly", "--coeffs", "41,1,1", "--N", "30000"],
+            ["benford", "--gen", "pow2", "--N", "4000"],
+            ["discrepancy", "--kind", "champ", "--N", "27500"],
+            ["discrepancy", "--kind", "mult", "--k", "7", "--N", "10000", "--alpha", "0"],
+        ],
+        ids=["benford-naturals", "benford-poly", "benford-pow2", "discrepancy-champ", "discrepancy-mult"],
+    )
+    def test_np_sort_runs_once_per_report(self, capsys, argv):
+        from concat_equidist.cli import main
+
+        # the certification's band is sorted in place, over the few points near the ranks
+        with mock.patch.object(np, "sort", wraps=np.sort) as sort:
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert [len(c.args[0]) for c in sort.call_args_list] == [int(argv[argv.index("--N") + 1])]
