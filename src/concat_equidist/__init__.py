@@ -16,7 +16,7 @@ from .asymptotics import (
     subsequence_points_poly,
     y_sequence,
 )
-from .counting import CountResult, UndecidedMembershipError, count_A, in_interval
+from .counting import CountResult, UndecidedMembershipError, count_A
 from .exactnum import (
     DigitString,
     ExactEndpoint,
@@ -67,11 +67,10 @@ __all__ = sorted(
         "ChampernowneTail", "CountResult", "DigitString", "DomainError", "ExactEndpoint",
         "HalfOpenInterval", "IntPoly", "LimitConstants", "MultipleTail", "PolyTail",
         "PrefixOrder", "RatioScanReport", "ScanRecord", "TailSpec", "UndecidedMembershipError",
-        "Y_LIMIT", "compare_prefix", "count_A", "digit_length", "in_interval",
-        "int_to_digits", "inverse_epsilon", "lemma1_main_term", "lemma2_main_term",
-        "limit_constants", "poly_floor_inverse", "ratio_scan", "scan_points",
-        "subsequence_points_linear", "subsequence_points_poly", "tail_digits", "tail_prefixes",
-        "term", "y_sequence",
+        "Y_LIMIT", "compare_prefix", "count_A", "digit_length", "int_to_digits",
+        "inverse_epsilon", "lemma1_main_term", "lemma2_main_term", "limit_constants",
+        "poly_floor_inverse", "ratio_scan", "scan_points", "subsequence_points_linear",
+        "subsequence_points_poly", "tail_digits", "tail_prefixes", "term", "y_sequence",
         *_EQUIDIST_NAMES,
     ]
 )

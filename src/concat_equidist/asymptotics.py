@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .counting import _counts, count_A  # count_A unused here: bench/tracer.py wraps it at this name
+from .counting import _cells, count_A  # count_A unused here: bench/tracer.py wraps it at this name
 from .exactnum import HalfOpenInterval, _show
 from .seqgen import IntPoly, PolyTail, TailSpec, _iroot, poly_floor_inverse
 
@@ -221,10 +221,11 @@ def ratio_scan(
         terms = (10**i // spec.k for i in range(max(j for j, _ in points) + 1))
         mains = dict(enumerate(itertools.accumulate(terms)))  # Lemma 1 at every j
     records = []
-    for (j, N), res in zip(points, _counts(spec, interval, [N for _, N in points])):
+    cells = _cells(spec, interval, [interval.lo, interval.hi], [N for _, N in points])
+    for (j, N), ((_, count), _) in zip(points, cells):
         main, digits = mains[j], j // d + 20
-        residual = _rounded(res.count * den - main, den, digits)
-        records.append(ScanRecord(j, N, res.count, res.ratio, _rounded(main, den, digits), residual))
+        residual = _rounded(count * den - main, den, digits)
+        records.append(ScanRecord(j, N, count, count / N, _rounded(main, den, digits), residual))
     return RatioScanReport(kind, tuple(records), limit_constants(d))
 
 

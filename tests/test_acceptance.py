@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from every_index import in_interval
 from concat_equidist.asymptotics import (
     Y_LIMIT,
     inverse_epsilon,
@@ -18,7 +19,7 @@ from concat_equidist.asymptotics import (
     subsequence_points_linear,
     y_sequence,
 )
-from concat_equidist.counting import count_A, in_interval
+from concat_equidist.counting import count_A
 from concat_equidist.equidist import benford_report, census, leading_digit, log_fracparts, star_discrepancy, PointSet
 from concat_equidist.exactnum import HalfOpenInterval
 from concat_equidist.seqgen import ChampernowneTail, IntPoly, MultipleTail, PolyTail, term

@@ -37,13 +37,13 @@ def _patched_names(tracer_module):
 
 def test_tracer_counts_streamed_indices_and_restores_originals(tracer_cls, capsys, monkeypatch):
     streamed = []
-    stream = counting._below
+    stream = counting._rank
 
-    def recording_stream(spec, n, interval, c, prefixes):
+    def recording_stream(spec, n, interval, cuts, budget):
         streamed.append(n)
-        return stream(spec, n, interval, c, prefixes)
+        return stream(spec, n, interval, cuts, budget)
 
-    monkeypatch.setattr(counting, "_below", recording_stream)
+    monkeypatch.setattr(counting, "_rank", recording_stream)
     originals = {
         (module, attr): getattr(module, attr)
         for module, attr in [
@@ -73,13 +73,13 @@ def test_tracer_counts_streamed_indices_and_restores_originals(tracer_cls, capsy
     calls = {name: stat[0] for name, stat in tracer.stats.items()}
     assert calls["counting.count_A"] == 1
     # below the endpoints' 3 and 4 digits only a_n = 1 and 12 tie with both
-    # endpoints' prefixes, and a_n = 123 with hi's alone.  Each is streamed on
-    # one budget: a double tie against lo and, unless x_n < lo, on against hi
-    # from lo's last prefix.  The terms are the two decade ends, one check
-    # per tie, the budgets', and the streams' 4 + 2 + 2 for x_1 = 0.1234...
+    # endpoints' prefixes, and a_n = 123 with hi's alone.  Each is streamed
+    # once, on one budget, against the endpoints it ties: hi from the prefix
+    # that decided lo.  The terms are the two decade ends, one check per
+    # tie, the budgets', and the streams' 4 + 2 + 2 for x_1 = 0.1234...
     # (3 terms decide lo, a fourth hi), x_12 = 0.1213... < lo and
     # x_123 = 0.123124...
-    assert streamed == [1, 1, 12, 123]
+    assert streamed == [1, 12, 123]
     assert calls["counting.default_max_digits"] == 3
     assert calls["seqgen.term"] == 2 + 3 + 3 + 8
     assert tracer.indices == 2000

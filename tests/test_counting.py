@@ -1,18 +1,20 @@
 from collections import Counter
+from functools import partial
+from itertools import pairwise
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import every_index
 from concat_equidist import counting
 from concat_equidist.asymptotics import lemma1_main_term
 from concat_equidist.counting import (
     UndecidedMembershipError,
-    _counts,
-    _member,
+    _cells,
+    _rank,
     count_A,
     default_max_digits,
-    in_interval,
 )
 from concat_equidist.equidist import census, leading_digit
 from concat_equidist.exactnum import (
@@ -73,12 +75,12 @@ class TestLeadingDigit:
 
 class TestInInterval:
     def test_champ_20_examples(self):
-        assert in_interval(CHAMP, 20, HalfOpenInterval.parse("0.2", "0.3"))
-        assert not in_interval(CHAMP, 20, I12)
+        assert every_index.in_interval(CHAMP, 20, HalfOpenInterval.parse("0.2", "0.3"))
+        assert not every_index.in_interval(CHAMP, 20, I12)
 
     def test_multiple_example(self):
         # x_4 of the 3n family is 0.1215182124...
-        assert in_interval(MultipleTail(3), 4, I12)
+        assert every_index.in_interval(MultipleTail(3), 4, I12)
 
     @pytest.mark.parametrize("spec", FAMILIES)
     @pytest.mark.parametrize("n", [1, 7, 19, 99, 123])
@@ -86,14 +88,14 @@ class TestInInterval:
         for lo, hi in [("0.1", "0.2"), ("0.15", "0.35"), ("0.2", "1"), ("0", "0.5")]:
             interval = HalfOpenInterval.parse(lo, hi)
             expected = brute_member(spec, n, lo, hi)
-            assert in_interval(spec, n, interval) == expected
+            assert every_index.in_interval(spec, n, interval) == expected
 
     def test_undecided_raises_with_index_and_prefix(self):
         # endpoint equal to a 23-digit prefix of x_1 starves x_1's budget 4 + 16
         lo = ExactEndpoint.parse("0." + "12345678910111213141516")
         interval = HalfOpenInterval(lo, ExactEndpoint.parse("0.9"))
         with pytest.raises(UndecidedMembershipError) as exc:
-            in_interval(CHAMP, 1, interval)
+            every_index.in_interval(CHAMP, 1, interval)
         assert exc.value.n == 1
         assert exc.value.prefix == DigitString(10, "12345678910111213141")
         assert str(exc.value) == (
@@ -102,7 +104,7 @@ class TestInInterval:
 
     def test_base_mismatch(self):
         with pytest.raises(ValueError):
-            in_interval(ChampernowneTail(base=2), 1, I12)
+            every_index.in_interval(ChampernowneTail(base=2), 1, I12)
 
 
 class TestCountA:
@@ -144,9 +146,9 @@ class TestCountA:
             assert cur - prev in (0, 1)
             prev = cur
 
-    def test_slow_path_matches_fast_path(self):
+    def test_every_index_matches_the_walk(self):
         for spec in FAMILIES:
-            assert count_A(spec, I12, 300, fast=False).count == count_A(spec, I12, 300).count
+            assert every_index.count_A(spec, I12, 300).count == count_A(spec, I12, 300).count
 
     def test_closed_form_at_huge_N(self):
         # indices 1 .. 2*10^j with leading digit 1: sum of 10^i for i = 0..j
@@ -230,9 +232,10 @@ def _decade(spec, n):
 
 @st.composite
 def _walks(draw, cases):
-    """(spec, interval, stops): 1-4 ascending stops up to a case's N."""
+    """(spec, interval, cuts, stops): the cuts lo and hi, and 1-4 ascending stops up to a case's N."""
     spec, interval, N, _ = draw(cases)
-    return spec, interval, sorted(draw(st.lists(st.integers(1, N), min_size=1, max_size=4)))
+    stops = sorted(draw(st.lists(st.integers(1, N), min_size=1, max_size=4)))
+    return spec, interval, [interval.lo, interval.hi], stops
 
 
 def _on_tail(spec, m, length):
@@ -240,14 +243,50 @@ def _on_tail(spec, m, length):
     return _endpoint(spec.base, tail_digits(spec, m, length).digits)
 
 
+@st.composite
+def _grids(draw, max_n=1000):
+    """(spec, interval, cuts, stops): 2-8 ascending cuts, the interval from
+    the first to the last, and 1-4 ascending stops up to ``max_n``.
+
+    A cut is 0, 1, random digits, or a prefix of a tail value in range:
+    short, or of 9-40 digits, which can outlast the budget 4e + 16 of the
+    terms it ties.  The prefixes are of at most three tail values, so that
+    one term often ties several cuts.
+    """
+    base = draw(st.integers(2, 16))
+    spec = draw(_specs(base, huge=draw(st.booleans())))
+    stops = sorted(draw(st.lists(st.integers(1, max_n), min_size=1, max_size=4)))
+    tails = draw(st.lists(st.integers(spec.n_min, spec.n_min + stops[-1] - 1), min_size=1, max_size=3))
+
+    def cut():
+        choice = draw(st.sampled_from(["zero", "one", "digits", "prefix", "long"]))
+        if choice in ("zero", "one"):
+            return ExactEndpoint(base, (), is_one=choice == "one")
+        if choice == "digits":
+            return _endpoint(base, draw(st.lists(st.integers(0, base - 1), max_size=6)))
+        m = draw(st.sampled_from(tails))
+        return _on_tail(spec, m, draw(st.integers(1, 8) if choice == "prefix" else st.integers(9, 40)))
+
+    cuts = {cut() for _ in range(draw(st.integers(2, 8)))}
+    if len(cuts) < 2:
+        cuts |= {ExactEndpoint(base), ExactEndpoint(base, (), is_one=True)}
+    cuts = sorted(cuts)
+    return spec, HalfOpenInterval(cuts[0], cuts[-1]), cuts, stops
+
+
 # x_12 = 0.1213..., x_4 = 0.1215... (3n) and x_4 = 0.1625... (n^2): endpoints of
 # 26 digits on them outlast the budget 4 * 2 + 16 below the last stop
 _SQUARE = PolyTail(IntPoly((0, 0, 1)))
 _UNDECIDED_WALKS = [
-    (CHAMP, HalfOpenInterval(_on_tail(CHAMP, 12, 26), ExactEndpoint(10, (), is_one=True)), [5, 12, 13, 40]),
-    (MultipleTail(3), HalfOpenInterval(ExactEndpoint(10), _on_tail(MultipleTail(3), 4, 26)), [3, 4, 50]),
-    (_SQUARE, HalfOpenInterval(_on_tail(_SQUARE, 4, 26), ExactEndpoint.parse("0.2")), [2, 10]),
+    (spec, interval, [interval.lo, interval.hi], stops)
+    for spec, interval, stops in [
+        (CHAMP, HalfOpenInterval(_on_tail(CHAMP, 12, 26), ExactEndpoint(10, (), is_one=True)), [5, 12, 13, 40]),
+        (MultipleTail(3), HalfOpenInterval(ExactEndpoint(10), _on_tail(MultipleTail(3), 4, 26)), [3, 4, 50]),
+        (_SQUARE, HalfOpenInterval(_on_tail(_SQUARE, 4, 26), ExactEndpoint.parse("0.2")), [2, 10]),
+    ]
 ]
+# 0.100, ..., 0.999, 1
+_GRID = [ExactEndpoint.parse(f"0.{c}") for c in range(100, 1000)] + [ExactEndpoint.parse("1")]
 
 
 class TestClosedFormMatchesOracle:
@@ -256,7 +295,7 @@ class TestClosedFormMatchesOracle:
     def test_count_A(self, case):
         spec, interval, N, _ = case
         fast = _outcome(lambda: count_A(spec, interval, N))
-        oracle = _outcome(lambda: count_A(spec, interval, N, fast=False))
+        oracle = _outcome(lambda: every_index.count_A(spec, interval, N))
         assert fast == oracle
 
     # endpoints of 9-30 digits: terms shorter than them tie with their
@@ -266,24 +305,41 @@ class TestClosedFormMatchesOracle:
     def test_count_A_long_endpoints(self, case):
         spec, interval, N, _ = case
         fast = _outcome(lambda: count_A(spec, interval, N))
-        oracle = _outcome(lambda: count_A(spec, interval, N, fast=False))
+        oracle = _outcome(lambda: every_index.count_A(spec, interval, N))
         assert fast == oracle
 
-    @settings(max_examples=300)
-    @given(_walks(_cases(max_n=1000) | _cases(max_n=1000, max_len=30, max_budget=40, min_len=9, huge=True)))
+    @settings(max_examples=600)
+    @given(
+        _walks(_cases(max_n=1000) | _cases(max_n=1000, max_len=30, max_budget=40, min_len=9, huge=True))
+        | _grids()
+    )
     @example(_UNDECIDED_WALKS[0])
     @example(_UNDECIDED_WALKS[1])
     @example(_UNDECIDED_WALKS[2])
     def test_one_walk_counts_every_stop(self, walk):
-        # the counts, digits consulted and first undecided index of the oracle at each stop
-        spec, interval, stops = walk
-        oracle = _outcome(lambda: [count_A(spec, interval, N, fast=False) for N in stops])
-        assert _outcome(lambda: _counts(spec, interval, stops)) == oracle
+        # the F differences, digits consulted and first undecided index of the
+        # oracle at each stop, on an interval's two endpoints or on a grid
+        spec, interval, cuts, stops = walk
+        oracle = _outcome(lambda: [every_index.cells(spec, interval, cuts, N) for N in stops])
+        assert _outcome(lambda: _cells(spec, interval, cuts, stops)) == oracle
 
-    @pytest.mark.parametrize("spec,interval,stops", _UNDECIDED_WALKS)
-    def test_pinned_walks_are_undecided(self, spec, interval, stops):
+    @pytest.mark.parametrize("spec,interval,cuts,stops", _UNDECIDED_WALKS)
+    def test_pinned_walks_are_undecided(self, spec, interval, cuts, stops):
         with pytest.raises(UndecidedMembershipError):
-            _counts(spec, interval, stops)
+            _cells(spec, interval, cuts, stops)
+
+    @pytest.mark.parametrize("spec,decades", [(_SQUARE, 61), (CHAMP, 31)])
+    def test_astronomical_N_costs_one_index_le_per_cut_and_decade(self, spec, decades, deadline):
+        # the grid at N = 10^30: a_N = 10^60 for n^2 and 10^30 for champ
+        N, interval = 10**30, HalfOpenInterval(_GRID[0], _GRID[-1])
+        index_le = type(spec).index_le
+        with deadline(10.0, "901 cuts at N = 10^30, one walk and a count per cell"):
+            with mock.patch.object(type(spec), "index_le", autospec=True, side_effect=index_le) as calls:
+                [(cells, _)] = _cells(spec, interval, _GRID, [N])
+            assert calls.call_count == len(_GRID) * decades
+            per_cell = [count_A(spec, HalfOpenInterval(lo, hi), N).count for lo, hi in pairwise(_GRID)]
+        assert [b - a for a, b in pairwise(cells)] == per_cell
+        assert cells[-1] == N
 
     @settings(max_examples=200)
     @given(st.integers(2, 16).flatmap(_specs), st.integers(0, 30), st.integers(1, 14), st.integers(1, 300), st.booleans())
@@ -294,19 +350,23 @@ class TestClosedFormMatchesOracle:
         edge = ExactEndpoint(spec.base, (), is_one=as_lo)
         interval = HalfOpenInterval(endpoint, edge) if as_lo else HalfOpenInterval(edge, endpoint)
         fast = _outcome(lambda: count_A(spec, interval, N))
-        assert fast == _outcome(lambda: count_A(spec, interval, N, fast=False))
+        assert fast == _outcome(lambda: every_index.count_A(spec, interval, N))
 
     @settings(max_examples=300)
     @given(_cases(max_n=1500, max_len=30, max_budget=40, min_len=9, huge=True))
     def test_at_most_two_streamed_indices_per_decade_below_L(self, case):
-        # each endpoint c streams at most one index per decade, and only below len(c)
+        # each index is streamed once, against the endpoints it ties: each
+        # endpoint c ties at most one index per decade, and only below len(c)
         spec, interval, N, _ = case
-        with mock.patch.object(counting, "_below", wraps=counting._below) as stream:
+        with mock.patch.object(counting, "_rank", wraps=counting._rank) as stream:
             _outcome(lambda: count_A(spec, interval, N))
-        streams = Counter((_decade(spec, c.args[1]), c.args[3]) for c in stream.call_args_list)
-        assert all(e < len(c.digits) and calls == 1 for (e, c), calls in streams.items())
-        indices = {(_decade(spec, c.args[1]), c.args[1]) for c in stream.call_args_list}
-        assert max(Counter(e for e, _ in indices).values(), default=0) <= 2
+        indices = [c.args[1] for c in stream.call_args_list]
+        assert len(set(indices)) == len(indices)
+        ties = Counter(
+            (_decade(spec, c.args[1]), cut) for c in stream.call_args_list for cut in c.args[3]
+        )
+        assert all(e < length and calls == 1 for (e, (length, _)), calls in ties.items())
+        assert max(Counter(map(partial(_decade, spec), indices)).values(), default=0) <= 2
 
     @pytest.mark.parametrize(
         "lo,hi,ties",
@@ -321,18 +381,18 @@ class TestClosedFormMatchesOracle:
     )
     def test_ties_are_the_endpoint_prefixes(self, lo, hi, ties):
         interval = HalfOpenInterval.parse(lo, hi)
-        with mock.patch.object(counting, "_below", wraps=counting._below) as stream:
+        with mock.patch.object(counting, "_rank", wraps=counting._rank) as stream:
             count_A(CHAMP, interval, 10**7)
-        # an index tied to both endpoints is streamed against lo, then against hi
-        assert list(dict.fromkeys(c.args[1] for c in stream.call_args_list)) == ties
-        assert count_A(CHAMP, interval, 3000) == count_A(CHAMP, interval, 3000, fast=False)
+        # an index tied to both endpoints (x_1 in the first two rows) is streamed once
+        assert [c.args[1] for c in stream.call_args_list] == ties
+        assert count_A(CHAMP, interval, 3000) == every_index.count_A(CHAMP, interval, 3000)
 
     def test_first_term_longer_than_the_endpoints(self):
         # a 31-digit k, and f(2) = 10^31 - 2 with n_min = 2: every decade is at or above L
         for spec in (MultipleTail(10**30 + 7), PolyTail(IntPoly((10**31, -3, 1)))):
             interval = HalfOpenInterval.parse("0.100000000000000000000000000003", "0.31622776601683793319988935444")
             fast = _outcome(lambda: count_A(spec, interval, 2000))
-            assert fast == _outcome(lambda: count_A(spec, interval, 2000, fast=False))
+            assert fast == _outcome(lambda: every_index.count_A(spec, interval, 2000))
 
     # stop = n_min + N with a_{stop-1} = 10^e - 1 or 10^e
     @pytest.mark.parametrize(
@@ -350,7 +410,13 @@ class TestClosedFormMatchesOracle:
     def test_decade_boundaries(self, spec, N, lo, hi):
         assert term(spec, spec.n_min + N - 1, 0) in (9, 99, 999, 100, 1000, 10**4)
         interval = HalfOpenInterval.parse(lo, hi)
-        assert count_A(spec, interval, N) == count_A(spec, interval, N, fast=False)
+        assert count_A(spec, interval, N) == every_index.count_A(spec, interval, N)
+
+
+def _member(spec, n, interval, budget):
+    """(lo <= x_n < hi, digits used), from one ``_rank`` against both endpoints."""
+    r, used = _rank(spec, n, interval, every_index.as_pairs([interval.lo, interval.hi]), budget)
+    return r == 1, used
 
 
 def digit_list_stream(spec, n, interval, max_digits):
@@ -421,7 +487,7 @@ class TestFirstDigitReduction:
             hi = "1" if c == 9 else f"0.{c + 1}"
             interval = HalfOpenInterval.parse(f"0.{c}", hi)
             for n in range(1, 400):
-                assert in_interval(spec, n, interval) == (
+                assert every_index.in_interval(spec, n, interval) == (
                     leading_digit(term(spec, n, 0), 10) == c
                 )
 

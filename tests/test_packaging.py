@@ -1,5 +1,6 @@
 """What the package declares: its test dependencies and its public names."""
 import ast
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -7,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import concat_equidist
-from concat_equidist import equidist
+from concat_equidist import counting, equidist
 
 ROOT = Path(__file__).resolve().parents[1]
-IN_REPO_MODULES = {"concat_equidist", "tracer", "conftest"}
+IN_REPO_MODULES = {"concat_equidist", "tracer", "conftest", "every_index"}
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -59,3 +60,10 @@ class TestPackageSurface:
         assert name not in concat_equidist.__all__
         assert not hasattr(concat_equidist, name)
         assert not hasattr(equidist, name)
+
+    def test_every_index_oracle_stays_in_the_tests(self):
+        # the every-index oracle is a test helper (every_index.py), not library API
+        assert "in_interval" not in concat_equidist.__all__
+        assert not hasattr(concat_equidist, "in_interval")
+        assert not hasattr(counting, "in_interval")
+        assert list(inspect.signature(counting.count_A).parameters) == ["spec", "interval", "N"]
