@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 # bench/tracer.py wraps term, compare_prefix (unused here), int_to_digits and
 # default_max_digits at these module-level names, so they must stay here.
-from .exactnum import DigitString, ExactEndpoint, HalfOpenInterval, _show, compare_prefix, digit_length, int_to_digits
+from .exactnum import DigitString, ExactEndpoint, HalfOpenInterval, _brief, _show, compare_prefix, digit_length, int_to_digits
 from .seqgen import TailSpec, term
 
 
@@ -16,7 +16,7 @@ class UndecidedMembershipError(RuntimeError):
         self.n = n
         self.prefix = prefix
         self.interval = interval
-        shown = f"x_{_show(n)} in {interval}"
+        shown = f"x_{_show(n)} in {_brief(str(interval))}"
         super().__init__(f"membership of {shown} undecided after {len(prefix)} digits (prefix 0.{prefix})")
 
 
@@ -111,7 +111,7 @@ def _cells(
     _check(spec, interval, stops[0])
     base, start = spec.base, spec.n_min
     last = start + stops[-1]
-    pairs = [(len(c.digits), c.scaled(len(c.digits))) for c in cuts]
+    pairs = [(c.length, c.scaled) for c in cuts]
     stop_decades = [digit_length(term(spec, start + N - 1, 0), base) for N in stops]
     results: list[tuple[list[int], int]] = []
     below = [0] * len(cuts)  # per cut: index_le(max(v, b^(e-1)) - 1) in the current decade

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .exactnum import HEAD_DIGITS, ExactEndpoint, _show, decimal_head
+from .exactnum import HEAD_DIGITS, ExactEndpoint, _brief, _show, decimal_head
 from .seqgen import TailSpec, tail_prefixes
 
 BENFORD_FREQ = tuple(math.log10(1 + 1 / c) for c in range(1, 10))
@@ -260,7 +260,7 @@ def ud_deviation(points: PointSet, alpha: ExactEndpoint, beta: ExactEndpoint, fi
     v, u = points.sorted, points.array
     if not (v[0] >= a and v[-1] < b):
         i = np.flatnonzero((u < a) | (u >= b))[0]
-        raise ValueError(f"x_{first_index + i} = {float(u[i])!r} outside [{alpha}, {beta})")
+        raise ValueError(f"x_{first_index + i} = {float(u[i])!r} outside {_brief(f'[{alpha}, {beta})')}")
     rescaled = v - a
     rescaled /= b - a
     np.minimum(rescaled, np.nextafter(1.0, 0.0), out=rescaled)

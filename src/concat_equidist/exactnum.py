@@ -41,6 +41,11 @@ def _show(x: object) -> str:
     return repr(x)
 
 
+def _brief(text: str) -> str:
+    """``text`` itself up to 80 characters, else shortened as ``_show`` does."""
+    return text if len(text) <= 80 else _show(text)
+
+
 def decimal_int(text: str) -> int:
     """int(text) for a literal of any length: the same texts refused, the same values.
 
@@ -48,23 +53,29 @@ def decimal_int(text: str) -> int:
     (4300 by default), a limit set for the whole process, which stays as it
     is.  It takes a longer text exactly when it takes the text with each
     group of digits (joined by single underscores) written as one 0; the
-    digits of the one group are then read in pieces it never checks.
-    Pythons without the limit (before 3.10.7) convert any length at once.
+    digits of the one group are then read by ``_read_int``.
     """
-    threshold = getattr(sys.int_info, "str_digits_check_threshold", None)
-    if threshold is None or len(text) <= threshold:
+    if len(text) <= _INT_CHUNK:
         return int(text)
     frame = re.sub(_DIGIT_GROUP, "0", text)
     int(frame)  # raises for a text that int refuses
-    digits = re.search(_DIGIT_GROUP, text)[0].replace("_", "")
-    value = 0
-    for i in range(0, len(digits), threshold):
-        piece = digits[i : i + threshold]
-        value = value * 10 ** len(piece) + int(piece)
+    value = _read_int(re.search(_DIGIT_GROUP, text)[0].replace("_", ""), 10)
     return -value if "-" in frame else value
 
 
+def _read_int(digits: str, base: int) -> int:
+    """int(digits, base) for a run of digits of any length, read in pieces
+    of ``_INT_CHUNK`` digits, which ``int`` never checks against the limit."""
+    value = 0
+    for i in range(0, len(digits), _INT_CHUNK):
+        piece = digits[i : i + _INT_CHUNK]
+        value = value * base ** len(piece) + int(piece, base)
+    return value
+
+
 _DIGIT_GROUP = r"\d+(?:_\d+)*"  # compiled on first use, not at start-up
+# int checks the digit limit only on texts longer than this; Pythons without the limit (before 3.10.7) never do
+_INT_CHUNK = getattr(sys.int_info, "str_digits_check_threshold", sys.maxsize)
 
 
 class PrefixOrder(enum.Enum):
@@ -94,10 +105,6 @@ class DigitString:
             bad = next(c for c in self.text if c not in valid)
             d = _DIGIT_CHARS.find(bad)
             raise ValueError(f"digit {d if d >= 0 else repr(bad)} out of range for base {self.base}")
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        return tuple(map(_DIGIT_CHARS.index, self.text))
 
     def __len__(self) -> int:
         return len(self.text)
@@ -198,25 +205,22 @@ def digit_length(n: int, base: int) -> int:
 
 @dataclass(frozen=True)
 class ExactEndpoint:
-    """A terminating base-b decimal in [0, 1], in canonical form.
+    """A terminating base-b decimal c in [0, 1], as the pair c = scaled / b^length.
 
-    Canonical means no trailing zeros, so representations are unique; 0 is the
-    empty digit list and 1.0 is the distinguished ``is_one`` flag (no digits).
+    The pair is in lowest terms (b does not divide ``scaled`` when length > 0),
+    so each value has one form: 0 is (0, 0), 1 is (0, 1), 0.25 is (2, 25).
     """
 
     base: int
-    digits: tuple[int, ...] = ()
-    is_one: bool = False
+    length: int
+    scaled: int
 
     def __post_init__(self) -> None:
         _check_base(self.base)
-        if self.is_one and self.digits:
-            raise ValueError("the endpoint 1.0 carries no digits")
-        for d in self.digits:
-            if not (0 <= d < self.base):
-                raise ValueError(f"digit {d} out of range for base {self.base}")
-        if self.digits and self.digits[-1] == 0:
-            raise ValueError("endpoint digits must be in canonical form (no trailing zeros)")
+        if self.length < 0 or not 0 <= self.scaled <= self.base**self.length:
+            raise ValueError(f"endpoint {_show(self.scaled)} / {self.base}^{_show(self.length)} outside [0, 1]")
+        if self.length and not self.scaled % self.base:
+            raise ValueError(f"endpoint {_show(self.scaled)} / {self.base}^{_show(self.length)} not in lowest terms")
 
     @classmethod
     def parse(cls, text: str, base: int = 10) -> "ExactEndpoint":
@@ -225,85 +229,58 @@ class ExactEndpoint:
         s = text.strip().lower()
         if not s:
             raise ValueError("empty endpoint string")
-        if "." in s:
-            whole, frac = s.split(".", 1)
-        else:
-            whole, frac = s, ""
+        whole, _, frac = s.partition(".")
         whole = whole or "0"
-        try:
-            digits = tuple(_DIGIT_CHARS.index(ch) for ch in frac)
-        except ValueError:
-            raise ValueError(f"invalid digit in endpoint {_show(text)}") from None
-        if any(d >= base for d in digits):
+        bad = set(frac) - set(_DIGIT_CHARS[:base])
+        if bad - set(_DIGIT_CHARS):
+            raise ValueError(f"invalid digit in endpoint {_show(text)}")
+        if bad:
             raise ValueError(f"endpoint {_show(text)} has digits out of range for base {base}")
-        while digits and digits[-1] == 0:
-            digits = digits[:-1]
+        frac = frac.rstrip("0")
         if whole == "0":
-            return cls(base, digits)
+            return cls(base, len(frac), _read_int(frac, base))
         if whole == "1":
-            if digits:
+            if frac:
                 raise ValueError(f"endpoint {_show(text)} exceeds 1")
-            return cls(base, (), is_one=True)
+            return cls(base, 0, 1)
         raise ValueError(f"endpoint {_show(text)} outside [0, 1]")
-
-    def scaled(self, L: int) -> int:
-        """The endpoint times base**L, an integer for L >= len(digits)."""
-        if self.is_one:
-            return self.base**L
-        value = 0
-        for d in self.digits:
-            value = value * self.base + d
-        return value * self.base ** (L - len(self.digits))
 
     def value(self) -> Fraction:
         """Exact rational value of the endpoint."""
-        return Fraction(self.scaled(len(self.digits)), self.base ** len(self.digits))
+        return Fraction(self.scaled, self.base**self.length)
 
     def __lt__(self, other: "ExactEndpoint") -> bool:
         if self.base != other.base:
             raise ValueError("cannot compare endpoints with different bases")
-        # canonical digits order like their values: a proper prefix is smaller
-        return (self.is_one, self.digits) < (other.is_one, other.digits)
+        return self.scaled * self.base**other.length < other.scaled * self.base**self.length
 
     def __le__(self, other: "ExactEndpoint") -> bool:
         return self == other or self < other
 
     def __str__(self) -> str:
-        if self.is_one:
-            return "1"
-        if not self.digits:
-            return "0"
-        return "0." + "".join(_DIGIT_CHARS[d] for d in self.digits)
+        if not self.length:
+            return str(self.scaled)
+        return "0." + digit_text(self.scaled, self.base).rjust(self.length, "0")
 
 
 def compare_prefix(prefix: DigitString, endpoint: ExactEndpoint) -> PrefixOrder:
     """Compare every digit-stream extension of ``prefix`` against ``endpoint``.
 
-    ``prefix`` is the known start of a fractional expansion 0.d1d2...; the
-    comparison is lexicographic on digit strings (concatenation streams never
-    terminate in an all-(b-1) tail, so this coincides with numeric order).
+    ``prefix`` is the known start of a fractional expansion 0.d1d2...; as an
+    integer p of m digits it is compared against h = floor(c b^m): p < h
+    gives less, p > h greater or equal, and p = h greater or equal once m
+    reaches the endpoint's length (concatenation streams never terminate in
+    an all-(b-1) tail, so only those digits decide).
     """
     if prefix.base != endpoint.base:
-        raise ValueError(
-            f"base mismatch: prefix base {prefix.base} vs endpoint base {endpoint.base}"
-        )
-    if endpoint.is_one:
-        # a digit stream 0.d1d2... never reaches 1
+        raise ValueError(f"base mismatch: prefix base {prefix.base} vs endpoint base {endpoint.base}")
+    base, m = prefix.base, len(prefix)
+    p = _read_int(prefix.text, base)
+    h = endpoint.scaled * base**m // base**endpoint.length
+    if p < h:
         return PrefixOrder.DEFINITELY_LESS
-    p = prefix.digits
-    e = endpoint.digits
-    m = len(p)
-    if m <= len(e):
-        head = e[:m]
-        if p < head:
-            return PrefixOrder.DEFINITELY_LESS
-        if p > head:
-            return PrefixOrder.DEFINITELY_GREATER_OR_EQUAL
-        return PrefixOrder.UNDECIDED if m < len(e) else PrefixOrder.DEFINITELY_GREATER_OR_EQUAL
-    padded = e + (0,) * (m - len(e))
-    if p < padded:
-        return PrefixOrder.DEFINITELY_LESS
-    # p == padded means the prefix value already equals the endpoint
+    if p == h and m < endpoint.length:
+        return PrefixOrder.UNDECIDED
     return PrefixOrder.DEFINITELY_GREATER_OR_EQUAL
 
 
@@ -318,7 +295,7 @@ class HalfOpenInterval:
         if self.lo.base != self.hi.base:
             raise ValueError("interval endpoints must share a base")
         if not self.lo < self.hi:
-            raise ValueError(f"require lo < hi, got [{self.lo}, {self.hi})")
+            raise ValueError(f"require lo < hi, got {_brief(f'[{self.lo}, {self.hi})')}")
 
     @property
     def base(self) -> int:

@@ -16,7 +16,7 @@ from concat_equidist.seqgen import TailSpec
 
 def as_pairs(cuts: list[ExactEndpoint]) -> list[tuple[int, int]]:
     """The cuts as ``_rank`` takes them: (l, c b^l) for a cut c of l digits."""
-    return [(len(c.digits), c.scaled(len(c.digits))) for c in cuts]
+    return [(c.length, c.scaled) for c in cuts]
 
 
 def in_interval(spec: TailSpec, n: int, interval: HalfOpenInterval) -> bool:

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import concat_equidist
+import every_index
 from concat_equidist.asymptotics import lemma1_main_term
 from concat_equidist.cli import main, read_csv
-from concat_equidist.seqgen import MultipleTail
+from concat_equidist.exactnum import HalfOpenInterval
+from concat_equidist.seqgen import ChampernowneTail, MultipleTail, tail_digits
 
 
 def run(capsys, *args):
@@ -550,6 +552,63 @@ class TestLiteralsOfAnyLength:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert len(err) < 300 and err.endswith(shown + "\n")
+
+
+LONG_LO = "0.1" + "2" * 4999  # a 5000-digit endpoint
+LONG_ALPHA = "0.1" + "0" * 4998 + "1"  # 0.1 to within 10^-5000, in any base
+X1 = tail_digits(ChampernowneTail(), 1, 5000).text
+
+
+class TestEndpointsOfAnyLength:
+    @pytest.mark.parametrize("limit", [None, 640], ids=["default limit", "limit 640"])
+    @pytest.mark.parametrize("base", [10, 7])
+    def test_5000_digit_endpoints_past_the_int_limit(self, capsys, base, limit):
+        # int(LONG_LO[2:], base) refuses 5000 digits under either limit
+        saved = sys.get_int_max_str_digits()
+        if limit:
+            sys.set_int_max_str_digits(limit)
+        try:
+            spec = ["--kind", "champ", "--base", str(base)]
+            count = run(capsys, "count", *spec, "--lo", LONG_LO, "--hi", "1", "--N", "300")
+            interval = HalfOpenInterval.parse(LONG_LO, "1", base)
+            expected = every_index.count_A(ChampernowneTail(base), interval, 300).count
+            long_alpha = run(capsys, "discrepancy", *spec, "--N", "300", "--alpha", LONG_ALPHA)
+            short_alpha = run(capsys, "discrepancy", *spec, "--N", "300", "--alpha", "0.1")
+        finally:
+            sys.set_int_max_str_digits(saved)
+        code, out, err = count
+        assert (code, err) == (0, "")
+        [row], _ = read_csv(out)
+        assert (row["interval"], int(row["count"])) == (f"[{LONG_LO},1)", expected)
+        # the float of alpha is that of 0.1, so the report is the same
+        assert long_alpha == short_alpha and long_alpha[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["count", "--kind", "champ", "--N", "5", "--lo", "0.3", "--hi", "0.1" + "2" * 5000],
+                "error: require lo < hi, got '[0.3, 0.12222222222222222222222222222222'...'2222222222222222222)'"
+                " (5010 characters)",
+            ),
+            (["count", "--kind", "champ", "--N", "5", "--lo", "0.2", "--hi", "0.1"], "error: require lo < hi, got [0.2, 0.1)"),
+            (
+                ["discrepancy", "--kind", "champ", "--N", "10", "--alpha", "0.5" + "1" * 4999],
+                "error: x_1 = 0.12345678910111213 outside '[0.5111111111111111111111111111111111111'...'1111111111111111, 1)'"
+                " (5007 characters)",
+            ),
+            (
+                ["count", "--kind", "champ", "--N", "1", "--lo", "0." + X1, "--hi", "0.9"],
+                "undecided membership: membership of x_1 in '[0.1234567891011121314151617181920212223'...'152415251526152,0.9)'"
+                " (5008 characters) undecided after 20 digits (prefix 0.12345678910111213141)",
+            ),
+        ],
+        ids=["interval", "short interval", "ud_deviation", "undecided"],
+    )
+    def test_a_long_endpoint_is_shortened_in_messages(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3 if "undecided" in message else 1, "", message + "\n")
+        assert len(err) < 300
 
 
 class TestStartup:

@@ -18,6 +18,7 @@ from concat_equidist.counting import (
 )
 from concat_equidist.equidist import census, leading_digit
 from concat_equidist.exactnum import (
+    _DIGIT_CHARS,
     DigitString,
     ExactEndpoint,
     HalfOpenInterval,
@@ -188,10 +189,8 @@ def _specs(draw, base, huge=False):
 
 
 def _endpoint(base, digits):
-    digits = list(digits)
-    while digits and digits[-1] == 0:
-        digits.pop()
-    return ExactEndpoint(base, tuple(digits))
+    """The endpoint 0.<digits> of a base-b digit text."""
+    return ExactEndpoint.parse("0." + digits, base)
 
 
 @st.composite
@@ -209,18 +208,17 @@ def _cases(draw, max_n, max_len=5, max_budget=24, min_len=0, huge=False):
     def endpoint():
         choice = draw(st.sampled_from(["one", "digits", "prefix"]))
         if choice == "one":
-            return ExactEndpoint(base, (), is_one=True)
+            return ExactEndpoint(base, 0, 1)
         if choice == "digits":
-            digits = st.lists(st.integers(0, base - 1), min_size=min_len, max_size=max_len)
-            return _endpoint(base, draw(digits))
+            return _endpoint(base, draw(st.text(_DIGIT_CHARS[:base], min_size=min_len, max_size=max_len)))
         m = spec.n_min + draw(st.integers(0, n - 1))
-        return _endpoint(base, tail_digits(spec, m, draw(st.integers(max(min_len, 1), max_len))).digits)
+        return _on_tail(spec, m, draw(st.integers(max(min_len, 1), max_len)))
 
     a, b = endpoint(), endpoint()
     if a == b:
-        a = ExactEndpoint(base)
+        a = ExactEndpoint(base, 0, 0)
         if a == b:
-            b = ExactEndpoint(base, (), is_one=True)
+            b = ExactEndpoint(base, 0, 1)
     lo, hi = (a, b) if a < b else (b, a)
     budget = draw(st.one_of(st.none(), st.integers(1, max_budget)))
     return spec, HalfOpenInterval(lo, hi), n, budget
@@ -240,7 +238,7 @@ def _walks(draw, cases):
 
 def _on_tail(spec, m, length):
     """The endpoint of x_m's first ``length`` digits."""
-    return _endpoint(spec.base, tail_digits(spec, m, length).digits)
+    return _endpoint(spec.base, tail_digits(spec, m, length).text)
 
 
 @st.composite
@@ -261,15 +259,15 @@ def _grids(draw, max_n=1000):
     def cut():
         choice = draw(st.sampled_from(["zero", "one", "digits", "prefix", "long"]))
         if choice in ("zero", "one"):
-            return ExactEndpoint(base, (), is_one=choice == "one")
+            return ExactEndpoint(base, 0, int(choice == "one"))
         if choice == "digits":
-            return _endpoint(base, draw(st.lists(st.integers(0, base - 1), max_size=6)))
+            return _endpoint(base, draw(st.text(_DIGIT_CHARS[:base], max_size=6)))
         m = draw(st.sampled_from(tails))
         return _on_tail(spec, m, draw(st.integers(1, 8) if choice == "prefix" else st.integers(9, 40)))
 
     cuts = {cut() for _ in range(draw(st.integers(2, 8)))}
     if len(cuts) < 2:
-        cuts |= {ExactEndpoint(base), ExactEndpoint(base, (), is_one=True)}
+        cuts |= {ExactEndpoint(base, 0, 0), ExactEndpoint(base, 0, 1)}
     cuts = sorted(cuts)
     return spec, HalfOpenInterval(cuts[0], cuts[-1]), cuts, stops
 
@@ -280,8 +278,8 @@ _SQUARE = PolyTail(IntPoly((0, 0, 1)))
 _UNDECIDED_WALKS = [
     (spec, interval, [interval.lo, interval.hi], stops)
     for spec, interval, stops in [
-        (CHAMP, HalfOpenInterval(_on_tail(CHAMP, 12, 26), ExactEndpoint(10, (), is_one=True)), [5, 12, 13, 40]),
-        (MultipleTail(3), HalfOpenInterval(ExactEndpoint(10), _on_tail(MultipleTail(3), 4, 26)), [3, 4, 50]),
+        (CHAMP, HalfOpenInterval(_on_tail(CHAMP, 12, 26), ExactEndpoint(10, 0, 1)), [5, 12, 13, 40]),
+        (MultipleTail(3), HalfOpenInterval(ExactEndpoint(10, 0, 0), _on_tail(MultipleTail(3), 4, 26)), [3, 4, 50]),
         (_SQUARE, HalfOpenInterval(_on_tail(_SQUARE, 4, 26), ExactEndpoint.parse("0.2")), [2, 10]),
     ]
 ]
@@ -346,8 +344,8 @@ class TestClosedFormMatchesOracle:
     def test_undecided_in_a_short_decade(self, spec, i, extra, N, as_lo):
         # an endpoint that is a prefix of x_m longer than m's budget 4e + 16
         m = spec.n_min + i
-        endpoint = _endpoint(spec.base, tail_digits(spec, m, 4 * _decade(spec, m) + 16 + extra).digits)
-        edge = ExactEndpoint(spec.base, (), is_one=as_lo)
+        endpoint = _on_tail(spec, m, 4 * _decade(spec, m) + 16 + extra)
+        edge = ExactEndpoint(spec.base, 0, int(as_lo))
         interval = HalfOpenInterval(endpoint, edge) if as_lo else HalfOpenInterval(edge, endpoint)
         fast = _outcome(lambda: count_A(spec, interval, N))
         assert fast == _outcome(lambda: every_index.count_A(spec, interval, N))
@@ -470,8 +468,8 @@ class TestIntegerStreamMatchesDigitList:
     def test_endpoint_on_the_tail(self, spec, i, length, budget, as_lo):
         # an endpoint that is a prefix of x_n itself is undecided below its length
         n = spec.n_min + i - 1
-        endpoint = _endpoint(spec.base, tail_digits(spec, n, length).digits)
-        edge = ExactEndpoint(spec.base, (), is_one=as_lo)
+        endpoint = _on_tail(spec, n, length)
+        edge = ExactEndpoint(spec.base, 0, int(as_lo))
         if endpoint == edge:
             return
         interval = HalfOpenInterval(endpoint, edge) if as_lo else HalfOpenInterval(edge, endpoint)

@@ -72,8 +72,8 @@ def champ_values(n_max, depth=18):
     for n in range(1, n_max + 1):
         ds = tail_digits(spec, n, depth)
         acc = 0
-        for d in ds.digits:
-            acc = acc * 10 + d
+        for c in ds.text:
+            acc = acc * 10 + int(c)
         vals.append(acc / 10**depth)
     return PointSet.of(vals)
 

@@ -27,20 +27,20 @@ def brute_digits(n, base):
     # independent oracle: repeated division, collected LSB-first
     out = []
     while n:
-        out.append(n % base)
+        out.append(_DIGIT_CHARS[n % base])
         n //= base
-    return tuple(reversed(out))
+    return "".join(reversed(out))
 
 
 class TestIntToDigits:
     def test_single_digit(self):
-        assert int_to_digits(1, 10).digits == (1,)
+        assert str(int_to_digits(1, 10)) == "1"
 
     def test_twenty(self):
-        assert int_to_digits(20, 10).digits == (2, 0)
+        assert str(int_to_digits(20, 10)) == "20"
 
     def test_hex_255(self):
-        assert int_to_digits(255, 16).digits == brute_digits(255, 16) == (15, 15)
+        assert str(int_to_digits(255, 16)) == brute_digits(255, 16) == "ff"
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -59,16 +59,7 @@ class TestIntToDigits:
     # past STR_BELOW no base converts through str()
     @given(st.one_of(st.integers(1, 10**12), st.integers(STR_BELOW, 10**400)), st.integers(2, 36))
     def test_matches_oracle(self, n, base):
-        assert int_to_digits(n, base).digits == brute_digits(n, base)
-
-
-def divmod_digit_text(n, base):
-    """Oracle: one divmod per digit, as ``digit_text`` wrote every long term before it split them."""
-    out = []
-    while n:
-        n, r = divmod(n, base)
-        out.append(_DIGIT_CHARS[r])
-    return "".join(reversed(out))
+        assert str(int_to_digits(n, base)) == brute_digits(n, base)
 
 
 @st.composite
@@ -87,13 +78,14 @@ class TestDigitText:
     @example((7**5000 - 1, 7))
     def test_matches_one_divmod_per_digit(self, case):
         n, base = case
-        assert digit_text(n, base) == divmod_digit_text(n, base)
+        # one division per digit, as digit_text wrote every long term before it split them
+        assert digit_text(n, base) == brute_digits(n, base)
 
 
 class TestDigitString:
     def test_holds_its_digits_as_text(self):
         ds = DigitString(16, "1f0")
-        assert (ds.base, str(ds), len(ds), ds.digits) == (16, "1f0", 3, (1, 15, 0))
+        assert (ds.base, str(ds), len(ds), ds.text) == (16, "1f0", 3, "1f0")
         assert ds == int_to_digits(0x1F0, 16) != DigitString(10, "1")
 
     @pytest.mark.parametrize(
@@ -138,10 +130,11 @@ class TestDigitLength:
 
 class TestExactEndpoint:
     def test_parse_basic(self):
-        assert ExactEndpoint.parse("0.1").digits == (1,)
-        assert ExactEndpoint.parse("0").digits == ()
-        assert ExactEndpoint.parse("1").is_one
-        assert ExactEndpoint.parse("1.0").is_one
+        assert ExactEndpoint.parse("0.1") == ExactEndpoint(10, 1, 1)
+        assert ExactEndpoint.parse("0.250") == ExactEndpoint(10, 2, 25)
+        assert ExactEndpoint.parse("0") == ExactEndpoint(10, 0, 0)
+        assert ExactEndpoint.parse("1") == ExactEndpoint.parse("1.0") == ExactEndpoint(10, 0, 1)
+        assert ExactEndpoint.parse("0.0Z", 36) == ExactEndpoint(36, 2, 35)
 
     def test_parse_canonicalizes(self):
         assert ExactEndpoint.parse("0.10") == ExactEndpoint.parse("0.1")
@@ -152,12 +145,12 @@ class TestExactEndpoint:
             ExactEndpoint.parse(bad)
 
     def test_no_trailing_zeros(self):
-        with pytest.raises(ValueError):
-            ExactEndpoint(10, (1, 0))
+        with pytest.raises(ValueError, match="not in lowest terms"):
+            ExactEndpoint(10, 2, 10)
 
     def test_one_has_no_digits(self):
-        with pytest.raises(ValueError):
-            ExactEndpoint(10, (5,), is_one=True)
+        with pytest.raises(ValueError, match="not in lowest terms"):
+            ExactEndpoint(10, 1, 10)
 
     def test_values(self):
         assert ExactEndpoint.parse("0.25").value() == Fraction(1, 4)
@@ -169,44 +162,21 @@ class TestExactEndpoint:
         st.lists(st.integers(0, 9), max_size=6),
     )
     def test_order_agrees_with_rationals(self, a, b):
-        def mk(ds):
-            t = tuple(ds)
-            while t and t[-1] == 0:
-                t = t[:-1]
-            return ExactEndpoint(10, t)
-
-        ea, eb = mk(a), mk(b)
-        frac = lambda e: sum(Fraction(d, 10 ** (i + 1)) for i, d in enumerate(e.digits))
-        assert (ea < eb) == (frac(ea) < frac(eb))
+        mk = lambda ds: ExactEndpoint.parse("0." + "".join(map(str, ds)))
+        frac = lambda ds: sum(Fraction(d, 10 ** (i + 1)) for i, d in enumerate(ds))
+        assert (mk(a) < mk(b)) == (frac(a) < frac(b))
 
 
 @st.composite
 def _endpoint_pairs(draw, base):
     """Two canonical endpoints of one base: 0, 1, digit strings, and extensions
     of each other (the cases where padding decides the order)."""
-
-    def canonical(digits):
-        digits = tuple(digits)
-        while digits and digits[-1] == 0:
-            digits = digits[:-1]
-        return ExactEndpoint(base, digits)
-
-    digit_lists = st.lists(st.integers(0, base - 1), max_size=6)
-
-    def endpoint():
-        choice = draw(st.sampled_from(["zero", "one", "digits"]))
-        if choice == "zero":
-            return ExactEndpoint(base)
-        if choice == "one":
-            return ExactEndpoint(base, (), is_one=True)
-        return canonical(draw(digit_lists))
-
-    a = endpoint()
-    if draw(st.booleans()) and not a.is_one:
-        b = canonical(a.digits + tuple(draw(digit_lists)))
-    else:
-        b = endpoint()
-    return (a, b) if draw(st.booleans()) else (b, a)
+    fracs = st.text(_DIGIT_CHARS[:base], max_size=6)
+    texts = st.sampled_from(["0", "1"]) | fracs.map("0.".__add__)
+    a = draw(texts)
+    b = "0." + a[2:] + draw(fracs) if a != "1" and draw(st.booleans()) else draw(texts)
+    pair = (ExactEndpoint.parse(a, base), ExactEndpoint.parse(b, base))
+    return pair if draw(st.booleans()) else pair[::-1]
 
 
 class TestEndpointOrder:
@@ -228,6 +198,69 @@ class TestEndpointOrder:
             a < b
         with pytest.raises(ValueError, match="different bases"):
             a <= b
+
+
+def _with_value(base, length, scaled):
+    """The endpoint of the pair, and its value as a Fraction."""
+    return ExactEndpoint(base, length, scaled), Fraction(scaled, base**length)
+
+
+@st.composite
+def _long_endpoints(draw, base, max_length=300):
+    """(c, value): 0, 1, or c = scaled / b^length of up to ``max_length``
+    digits, built from the pair, never from text."""
+    length = draw(st.integers(0, max_length))
+    if not length:
+        return _with_value(base, 0, draw(st.integers(0, 1)))
+    scaled = draw(st.integers(1, base**length - 1))
+    return _with_value(base, length, scaled + (scaled % base == 0))  # a last digit 0 becomes 1
+
+
+@st.composite
+def _long_endpoint_pairs(draw, base):
+    """Two endpoints of ``_long_endpoints``, the second often the first with up to 20 digits appended."""
+    a, b = draw(_long_endpoints(base)), draw(_long_endpoints(base))
+    c = a[0]
+    if c.length and draw(st.booleans()):
+        k = draw(st.integers(1, 20))
+        scaled = c.scaled * base**k + draw(st.integers(1, base**k - 1))
+        b = _with_value(base, c.length + k, scaled + (scaled % base == 0))
+    return a, b
+
+
+class TestEndpointForm:
+    """The pair (length, scaled) against texts and Fractions: bases 2-36, up to 300 digits, 0 and 1."""
+
+    @settings(max_examples=300)
+    @given(st.integers(2, 36).flatmap(_long_endpoints))
+    def test_parse_of_str_is_the_endpoint(self, case):
+        e, _ = case
+        assert ExactEndpoint.parse(str(e), e.base) == e
+
+    @settings(max_examples=300)
+    @given(st.integers(2, 36), st.data())
+    def test_str_of_parse_is_the_canonical_text(self, base, data):
+        digits = data.draw(st.text(_DIGIT_CHARS[:base], max_size=300)).rstrip("0")
+        e = ExactEndpoint.parse("0." + digits + "0" * data.draw(st.integers(0, 3)), base)
+        assert (e.length, e.scaled) == (len(digits), int(digits or "0", base))
+        assert str(e) == ("0." + digits if digits else "0")
+
+    @settings(max_examples=300)
+    @given(st.integers(2, 36).flatmap(_long_endpoint_pairs))
+    def test_order_matches_fractions(self, pair):
+        (a, x), (b, y) = pair
+        assert (a < b, a <= b, b < a, b <= a) == (x < y, x <= y, y < x, y <= x)
+
+    @settings(max_examples=300)
+    @given(st.integers(2, 36), st.integers(-2, 40), st.data())
+    def test_constructor_takes_only_lowest_terms_in_0_1(self, base, length, data):
+        top = base ** max(length, 0)
+        scaled = data.draw(st.integers(-2, top + 2) | st.integers(-1, top // base + 1).map(lambda q: q * base))
+        if length >= 0 and 0 <= scaled <= top and (length == 0 or scaled % base):
+            assert ExactEndpoint(base, length, scaled).value() == Fraction(scaled, top)
+        else:
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]|not in lowest terms"):
+                ExactEndpoint(base, length, scaled)
 
 
 class TestComparePrefix:
@@ -253,16 +286,31 @@ class TestComparePrefix:
         with pytest.raises(ValueError):
             compare_prefix(DigitString(16, "1"), ExactEndpoint.parse("0.1", base=10))
 
+    @settings(max_examples=500)
+    @given(
+        st.integers(2, 36).flatmap(lambda b: st.tuples(_long_endpoints(b, 30), st.text(_DIGIT_CHARS[:b], max_size=35))),
+        st.integers(0, 35),
+        st.booleans(),
+    )
+    def test_decides_when_every_extension_lies_on_one_side(self, case, m, own):
+        (c, value), text = case
+        if own:  # the endpoint's own first m digits, so that p = floor(c b^m)
+            text = (str(c)[2:] + "0" * m)[:m]
+        base, m = c.base, len(text)
+        low = Fraction(int(text or "0", base), base**m)  # the extensions fill [low, low + b^-m)
+        if low + Fraction(1, base**m) <= value:
+            expected = PrefixOrder.DEFINITELY_LESS
+        else:
+            expected = PrefixOrder.DEFINITELY_GREATER_OR_EQUAL if low >= value else PrefixOrder.UNDECIDED
+        assert compare_prefix(DigitString(base, text), c) is expected
+
     @given(
         st.lists(st.integers(0, 9), min_size=1, max_size=8),
         st.lists(st.integers(0, 9), min_size=0, max_size=6),
         st.integers(0, 9),
     )
     def test_extension_never_flips(self, prefix, endpoint_digits, extra):
-        t = tuple(endpoint_digits)
-        while t and t[-1] == 0:
-            t = t[:-1]
-        e = ExactEndpoint(10, t)
+        e = ExactEndpoint.parse("0." + "".join(map(str, endpoint_digits)))
         text = "".join(map(str, prefix))
         before = compare_prefix(DigitString(10, text), e)
         after = compare_prefix(DigitString(10, text + str(extra)), e)

@@ -1,5 +1,6 @@
 """What the package declares: its test dependencies and its public names."""
 import ast
+import dataclasses
 import inspect
 import re
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import concat_equidist
-from concat_equidist import counting, equidist
+from concat_equidist import DigitString, ExactEndpoint, counting, equidist
 
 ROOT = Path(__file__).resolve().parents[1]
 IN_REPO_MODULES = {"concat_equidist", "tracer", "conftest", "every_index"}
@@ -60,6 +61,19 @@ class TestPackageSurface:
         assert name not in concat_equidist.__all__
         assert not hasattr(concat_equidist, name)
         assert not hasattr(equidist, name)
+
+    @pytest.mark.parametrize(
+        "value,name",
+        [(ExactEndpoint.parse("0.25"), "is_one"), (ExactEndpoint.parse("0.25"), "digits"), (DigitString(10, "25"), "digits")],
+    )
+    def test_removed_digit_tuples_stay_removed(self, value, name):
+        assert not hasattr(value, name)
+        assert not hasattr(type(value), name)
+
+    def test_an_endpoint_is_the_integer_pair(self):
+        # c = scaled / base^length; scaled is the field, no longer the method scaled(L)
+        assert [f.name for f in dataclasses.fields(ExactEndpoint)] == ["base", "length", "scaled"]
+        assert ExactEndpoint.parse("0.25").scaled == 25
 
     def test_every_index_oracle_stays_in_the_tests(self):
         # the every-index oracle is a test helper (every_index.py), not library API

@@ -235,8 +235,8 @@ def digit_list_tail(spec, n, p):
 def digits_to_int(ds):
     """Oracle for ``tail_prefixes``: the integer of a digit string."""
     value = 0
-    for d in ds.digits:
-        value = value * ds.base + d
+    for c in ds.text:
+        value = value * ds.base + int(c, 36)
     return value
 
 
@@ -317,8 +317,8 @@ class TestTailDigits:
     @given(st.integers(1, 200), st.integers(1, 30), st.sampled_from(["champ", "mult", "poly"]))
     def test_prefix_stability(self, n, p, kind):
         spec = {"champ": ChampernowneTail(), "mult": MultipleTail(7), "poly": PolyTail(NSQ)}[kind]
-        shorter = tail_digits(spec, n, p).digits
-        longer = tail_digits(spec, n, p + 1).digits
+        shorter = tail_digits(spec, n, p).text
+        longer = tail_digits(spec, n, p + 1).text
         assert longer[:p] == shorter
 
     def test_base_parametric(self):
@@ -331,14 +331,14 @@ class TestTailDigits:
         spec, n, p = case
         expected = digit_list_tail(spec, n, p)
         got = tail_digits(spec, n, p)
-        assert got.digits == expected
         assert str(got) == "".join("0123456789abcdefghijklmnopqrstuvwxyz"[d] for d in expected)
 
     @pytest.mark.parametrize("base", [3, 10, 36])
     def test_many_full_blocks_match_the_oracle(self, base):
         # from n = 1 the terms of 1-4 digits run past 4096 terms per block
         p = 40_000
-        assert tail_digits(ChampernowneTail(base), 1, p).digits == digit_list_tail(ChampernowneTail(base), 1, p)
+        got = tail_digits(ChampernowneTail(base), 1, p).text
+        assert tuple(int(c, 36) for c in got) == digit_list_tail(ChampernowneTail(base), 1, p)
 
     def test_a_long_term_is_cut_before_it_is_written(self, deadline):
         # a 100 000-digit term written one divmod per digit takes seconds
