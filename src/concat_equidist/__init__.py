@@ -6,14 +6,11 @@ from .asymptotics import (
     ScanRecord,
     Y_LIMIT,
     inverse_epsilon,
-    lemma1_main_term,
     lemma2_main_term,
     limit_constants,
     poly_floor_inverse,
     ratio_scan,
     scan_points,
-    subsequence_points_linear,
-    subsequence_points_poly,
     y_sequence,
 )
 from .counting import CountResult, UndecidedMembershipError, count_A
@@ -33,6 +30,7 @@ from .seqgen import (
     MultipleTail,
     PolyTail,
     TailSpec,
+    lemma1_main_term,
     tail_digits,
     tail_prefixes,
     term,
@@ -69,8 +67,8 @@ __all__ = sorted(
         "PrefixOrder", "RatioScanReport", "ScanRecord", "TailSpec", "UndecidedMembershipError",
         "Y_LIMIT", "compare_prefix", "count_A", "digit_length", "int_to_digits",
         "inverse_epsilon", "lemma1_main_term", "lemma2_main_term", "limit_constants",
-        "poly_floor_inverse", "ratio_scan", "scan_points", "subsequence_points_linear",
-        "subsequence_points_poly", "tail_digits", "tail_prefixes", "term", "y_sequence",
+        "poly_floor_inverse", "ratio_scan", "scan_points", "tail_digits", "tail_prefixes",
+        "term", "y_sequence",
         *_EQUIDIST_NAMES,
     ]
 )

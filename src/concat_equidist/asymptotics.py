@@ -1,20 +1,19 @@
 """Closed-form main terms, polynomial floor inverse, ratio scans, limit constants.
 
-The scans track the counting ratio A([0.1,0.2); n_j)/n_j along the
-subsequences n_j = floor(2*10^j / k) (linear families) and
-N_J = g(2*10^J) (polynomial families, g the floor inverse of f), together
-with the exact/closed-form main terms and their residuals.
+The scans track the counting ratio A([0.1,0.2); n_j)/n_j along each
+family's subsequence (``scan_points``: n_j = floor(2*10^j / k) for a linear
+family, N_J = g(2*10^J) for a polynomial one, g the floor inverse of f),
+together with the family's main terms (``main_terms``) and their residuals.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .counting import _cells, count_A  # count_A unused here: bench/tracer.py wraps it at this name
-from .exactnum import HalfOpenInterval, _show
-from .seqgen import IntPoly, PolyTail, TailSpec, _iroot, poly_floor_inverse
+from .exactnum import HalfOpenInterval
+from .seqgen import IntPoly, TailSpec, _iroot, _lemma2_numerators, poly_floor_inverse
 
 if TYPE_CHECKING:
     from decimal import Decimal  # imported where used, past the float range
@@ -48,7 +47,7 @@ class LimitConstants:
 
 @dataclass(frozen=True)
 class RatioScanReport:
-    kind: str  # "linear-k" or "poly-d"
+    kind: str  # the family's label: "linear-k" or "poly-d"
     records: tuple[ScanRecord, ...]
     constants: LimitConstants
 
@@ -59,26 +58,6 @@ class RatioScanReport:
     @property
     def final_ratio(self) -> float:
         return self.records[-1].ratio
-
-
-def lemma1_main_term(k: int, J: int) -> int:
-    """Exact main term sum_{i=0..J} floor(10^i / k) of the linear-family count."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if J < 0:
-        raise ValueError(f"J must be >= 0, got {J}")
-    return sum(10**i // k for i in range(J + 1))
-
-
-def subsequence_points_linear(k: int, j_max: int) -> list[tuple[int, int]]:
-    """Scan points (j, n_j) with n_j = floor(2*10^j / k).
-
-    Includes exactly the j in (log10(k/2), j_max], tested by the exact integer
-    condition 2*10^j > k; may be empty when j_max is below the threshold.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return [(j, 2 * 10**j // k) for j in range(j_max + 1) if 2 * 10**j > k]
 
 
 def inverse_epsilon(poly: IntPoly, m: int) -> float:
@@ -102,37 +81,6 @@ def lemma2_main_term(poly: IntPoly, J: int) -> float | Decimal:
         raise ValueError(f"J must be >= 1, got {J}")
     numerators, den = _lemma2_numerators(poly, {J})
     return _rounded(numerators[J], den, J // poly.degree + 20)
-
-
-_GUARD = 128  # bits: every Lemma 2 fraction is within 2^-_GUARD of its term
-
-
-def _lemma2_numerators(poly: IntPoly, Js: set[int]) -> tuple[dict[int, int], int]:
-    """{J: M_J} for each J in ``Js``, and D: M_J / D approximates the Lemma 2 term at J.
-
-    With B fractional bits, D = floor(c_d^(1/d) 2^B) >= 2^B, r =
-    floor(10^(1/d) 2^B), p_0 = floor(2^(1/d) 2^B) - 2^B, and each p_i =
-    floor(p_{i-1} r / 2^B) costs one product; M_J = p_1 + ... + p_J.  Each
-    floor only lowers a value, and p_i falls short of (2^(1/d) - 1)
-    10^(i/d) 2^B by less than (2i + 1) 10^(i/d).  With S = sum_{i<=J}
-    10^(i/d) < (d + 1) 10^(J/d), M_J / D is then within (2J + 1) S 2^-B of
-    the term, and within a relative 2 (2J + 2)(d + 1) 2^-B of it.  B =
-    _GUARD + log2((2J + 2)(d + 1)) + J log2(10)/d, rounded up at max(Js),
-    brings these below 2^-_GUARD and 2^(1-_GUARD) 10^(-J/d): the term,
-    count minus the term, and the Decimal of J/d + 20 digits all round
-    correctly unless the exact value lies that close to a rounding boundary.
-    """
-    d, J_max = poly.degree, max(Js)
-    B = _GUARD + ((2 * J_max + 2) * (d + 1)).bit_length() + 3322 * J_max // (1000 * d) + 1
-    r = _iroot(10 << B * d, d)
-    p = _iroot(2 << B * d, d) - (1 << B)
-    total, numerators = 0, {}
-    for J in range(1, J_max + 1):
-        p = p * r >> B
-        total += p
-        if J in Js:
-            numerators[J] = total
-    return numerators, _iroot(poly.coeffs[-1] << B * d, d)
 
 
 def limit_constants(d: int) -> LimitConstants:
@@ -167,29 +115,9 @@ def y_sequence(d_max: int) -> list[float]:
 Y_LIMIT = math.log(2) / (2 * math.log(10))
 
 
-def subsequence_points_poly(poly: IntPoly, J_max: int) -> list[tuple[int, int]]:
-    """Scan points (J, N_J) with N_J the number of indices up to g(2*10^J).
-
-    N_J may repeat while f is steep at small n (7n^5 + 3 has N_1 = N_2 = 1);
-    the first J of each N is kept, so the N increase as ``ratio_scan`` needs.
-    """
-    if J_max < 1:
-        raise ValueError(f"J_max must be >= 1, got {_show(J_max)}")
-    points: list[tuple[int, int]] = []
-    for J in range(1, J_max + 1):
-        if 2 * 10**J < poly.n_min_value:
-            continue
-        N = poly_floor_inverse(poly, 2 * 10**J) - poly.n_min + 1
-        if not points or N > points[-1][1]:
-            points.append((J, N))
-    return points
-
-
 def scan_points(spec: TailSpec, j_max: int) -> list[tuple[int, int]]:
-    """Subsequence points appropriate to the family of ``spec``."""
-    if isinstance(spec, PolyTail):
-        return subsequence_points_poly(spec.poly, j_max)
-    return subsequence_points_linear(spec.k, j_max)
+    """The subsequence points of the family of ``spec`` (``spec.scan_points``)."""
+    return spec.scan_points(j_max)
 
 
 def ratio_scan(
@@ -200,33 +128,25 @@ def ratio_scan(
     """Counting ratios with attached main terms and residuals at each point.
 
     The counts come from one walk over the decades for all points.  The
-    main term is Lemma 1's exact integer for a linear family, taken from one
-    running sum, and the ``_lemma2_numerators`` fraction for a polynomial
-    one.  It is rounded once, and so is the residual count - main, as one
-    int / int division.
+    main terms are the family's fractions M_j / D (``spec.main_terms``):
+    Lemma 1's exact integers over 1 for a linear family, Lemma 2's
+    ``_lemma2_numerators`` for a polynomial one.  Each is rounded once, and
+    so is the residual count - main, as one int / int division.
     """
     if not points:
         raise ValueError("no scan points: j_max is below the subsequence threshold")
-    if any(points[i][1] >= points[i + 1][1] for i in range(len(points) - 1)):
+    if any(N >= later for (_, N), (_, later) in zip(points, points[1:])):
         raise ValueError("scan points must have strictly increasing N")
-    if min(j for j, _ in points) < (1 if isinstance(spec, PolyTail) else 0):
-        raise ValueError("scan points need j >= 0, and J >= 1 for a polynomial")
+    mains, den = spec.main_terms({j for j, _ in points})  # refuses a j below the family's first
     if spec.base != 10:
         raise ValueError("ratio scans reproduce base-10 constants; spec.base must be 10")
-    if isinstance(spec, PolyTail):
-        kind, d = "poly-d", spec.poly.degree
-        mains, den = _lemma2_numerators(spec.poly, {j for j, _ in points})
-    else:
-        kind, d, den = "linear-k", 1, 1
-        terms = (10**i // spec.k for i in range(max(j for j, _ in points) + 1))
-        mains = dict(enumerate(itertools.accumulate(terms)))  # Lemma 1 at every j
     records = []
     cells = _cells(spec, interval, [interval.lo, interval.hi], [N for _, N in points])
     for (j, N), ((_, count), _) in zip(points, cells):
-        main, digits = mains[j], j // d + 20
+        main, digits = mains[j], j // spec.degree + 20
         residual = _rounded(count * den - main, den, digits)
         records.append(ScanRecord(j, N, count, count / N, _rounded(main, den, digits), residual))
-    return RatioScanReport(kind, tuple(records), limit_constants(d))
+    return RatioScanReport(spec.label, tuple(records), limit_constants(spec.degree))
 
 
 def _rounded(num: int, den: int, digits: int) -> float | int | Decimal:

@@ -20,8 +20,6 @@ from .exactnum import ExactEndpoint, HalfOpenInterval, _show, decimal_int
 from .seqgen import ChampernowneTail, DomainError, IntPoly, MultipleTail, PolyTail, TailSpec
 
 DEFAULT_N_CAP = 10**7
-DEFAULT_JMAX_CAP = 6
-DEFAULT_JMAX_POLY_CAP = 8
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,19 +48,30 @@ def _jsonify(x):
     return int(type(x)(f"{x:.12g}"))
 
 
-def _build_spec(args) -> TailSpec:
-    """The family named by ``--kind``, or by benford's ``--gen`` (naturals is champ)."""
+# kind -> (the options and commands that offer it; the option it requires, without its "--";
+# the family built from that option's value and the base, None for pow2, whose census benford
+# takes on its own; scan's cap on jmax and its name)
+_FAMILIES = {
+    "naturals": ("--gen", None, lambda _, base: ChampernowneTail(base), None),
+    "champ": ("--kind", None, lambda _, base: ChampernowneTail(base), None),
+    "pow2": ("--gen", None, None, None),
+    "mult": ("--kind --gen scan", "k", MultipleTail, (6, "jmax")),
+    "poly": ("--kind --gen scan", "coeffs", lambda text, base: PolyTail(IntPoly.parse(text), base), (8, "Jmax")),
+}
+
+
+def _choices(offered_by: str) -> list[str]:  # in table order
+    return [kind for kind, (offered, *_) in _FAMILIES.items() if offered_by in offered.split()]
+
+
+def _build_spec(args) -> TailSpec | None:
+    """The family named by ``--kind``, or by benford's ``--gen``; None for pow2."""
     option, kind = ("--gen", args.gen) if hasattr(args, "gen") else ("--kind", args.kind)
-    base = getattr(args, "base", 10)
-    if kind in ("champ", "naturals"):
-        return ChampernowneTail(base)
-    if kind == "mult":
-        if args.k is None:
-            raise ValueError(f"{option} mult requires --k")
-        return MultipleTail(args.k, base)
-    if args.coeffs is None:  # poly
-        raise ValueError(f"{option} poly requires --coeffs")
-    return PolyTail(IntPoly.parse(args.coeffs), base)
+    _, required, family, _ = _FAMILIES[kind]
+    value = required and getattr(args, required)
+    if required and value is None:
+        raise ValueError(f"{option} {kind} requires --{required}")
+    return family and family(value, getattr(args, "base", 10))
 
 
 def _check_cap(value: int, cap: int, what: str, uncapped: bool) -> None:
@@ -144,7 +153,7 @@ def cmd_count(args) -> int:
 def cmd_scan(args) -> int:
     spec = _build_spec(args)
     interval = HalfOpenInterval.parse(args.lo, args.hi, spec.base)
-    cap, name = (DEFAULT_JMAX_POLY_CAP, "Jmax") if args.kind == "poly" else (DEFAULT_JMAX_CAP, "jmax")
+    cap, name = _FAMILIES[args.kind][3]
     jmax = cap if args.jmax is None else args.jmax
     _check_cap(jmax, cap, name, args.unsafe_uncapped)
     points = asymptotics.scan_points(spec, jmax)
@@ -192,11 +201,8 @@ def cmd_benford(args) -> int:
         if args.N is None:
             raise ValueError("--gen requires --N")
         _check_cap(args.N, DEFAULT_N_CAP, "N", args.unsafe_uncapped)
-        if args.gen == "pow2":
-            report = equidist.pow2_benford_report(args.N)
-        else:
-            spec = _build_spec(args)
-            report = equidist.family_benford_report(spec, spec.n_min, args.N)
+        spec = _build_spec(args)
+        report = equidist.family_benford_report(spec, spec.n_min, args.N) if spec else equidist.pow2_benford_report(args.N)
     else:
         raise ValueError("benford requires --gen or --file")
     rows = [
@@ -261,7 +267,7 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {_show(text)}") from None
 
 
-def _add_spec_args(p: argparse.ArgumentParser, kinds=("champ", "mult", "poly")) -> None:
+def _add_spec_args(p: argparse.ArgumentParser, kinds=_choices("--kind")) -> None:
     p.add_argument("--kind", required=True, choices=kinds)
     p.add_argument("--k", type=_int)
     p.add_argument("--coeffs", help="comma-separated coefficients, constant first (0,0,1 = n^2)")
@@ -300,7 +306,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("scan", help="ratio scan along the theorem subsequences")
-    _add_spec_args(p, kinds=("mult", "poly"))
+    _add_spec_args(p, kinds=_choices("scan"))
     p.add_argument("--lo", default="0.1")
     p.add_argument("--hi", default="0.2")
     p.add_argument("--jmax", "--Jmax", dest="jmax", type=_int, default=None)
@@ -308,7 +314,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("benford", help="leading-digit census vs the Benford reference")
-    p.add_argument("--gen", choices=("naturals", "pow2", "mult", "poly"))
+    p.add_argument("--gen", choices=_choices("--gen"))
     p.add_argument("--k", type=_int)
     p.add_argument("--coeffs")
     p.add_argument("--N", type=_int)

@@ -17,7 +17,7 @@ class UndecidedMembershipError(RuntimeError):
         self.prefix = prefix
         self.interval = interval
         shown = f"x_{_show(n)} in {_brief(str(interval))}"
-        super().__init__(f"membership of {shown} undecided after {len(prefix)} digits (prefix 0.{prefix})")
+        super().__init__(f"membership of {shown} undecided after {len(prefix)} digits (prefix {_brief(f'0.{prefix}')})")
 
 
 @dataclass(frozen=True)

@@ -64,13 +64,14 @@ def decimal_int(text: str) -> int:
 
 
 def _read_int(digits: str, base: int) -> int:
-    """int(digits, base) for a run of digits of any length, read in pieces
-    of ``_INT_CHUNK`` digits, which ``int`` never checks against the limit."""
-    value = 0
-    for i in range(0, len(digits), _INT_CHUNK):
-        piece = digits[i : i + _INT_CHUNK]
-        value = value * base ** len(piece) + int(piece, base)
-    return value
+    """int(digits, base) for a run of digits of any length (0 for none): ``int``
+    reads up to ``_INT_CHUNK`` digits, which it never checks against the limit;
+    a longer run is its high part times b^h plus its last h digits, h about
+    half of them, the mirror of ``digit_text``: a few big products per halving."""
+    if len(digits) <= _INT_CHUNK:
+        return int(digits or "0", base)
+    h = len(digits) // 2
+    return _read_int(digits[:-h], base) * base**h + _read_int(digits[-h:], base)
 
 
 _DIGIT_GROUP = r"\d+(?:_\d+)*"  # compiled on first use, not at start-up

@@ -3,13 +3,17 @@
 Two families are supported: the multiple-of-k tail 0.(kn)(k(n+1))..., whose
 k = 1 case is the Champernowne tail 0.(n)(n+1)(n+2)..., and the polynomial
 tail 0.f(n)f(n+1)... for an eventually increasing integer polynomial f.
-Each family streams its consecutive terms (``terms``), the one route by
-which tail digits, prefixes and the Benford pass walk a sequence in Python,
-gives the difference column that stream starts from (``differences``), from
-which the diagnostics build int64 blocks of terms in NumPy, and counts its
-terms up to a bound in closed form (``index_le``), which exact counting
-uses decade by decade.  Both families stream the same way: d nested running
-sums over the constant last entry of the column, so each term costs d exact
+Other modules use a family only through its protocol: ``base``; ``n_min``,
+the least index; ``term(n, offset)``; the consecutive terms ``terms(n)``, the
+one route by which tail digits, prefixes and the Benford pass walk a sequence
+in Python; the difference column that stream starts from (``differences(n)``),
+from which the diagnostics build int64 blocks of terms in NumPy; the count of
+terms up to a bound in closed form (``index_le(m)``), which exact counting
+uses decade by decade; the ``degree`` that picks the limit constants and the
+``label`` a scan report prints; and the scan: the paper's subsequence
+(``scan_points``) and the main terms there as integer fractions
+(``main_terms``).  Both families stream the same way: d nested running sums
+over the constant last entry of the column, so each term costs d exact
 integer additions (Knuth, TAOCP vol. 2, §4.6.4); a multiple's column is
 [kn, k].  A polynomial's column is its table of difference polynomials f,
 Δf, ..., Δ^d f evaluated at n (``IntPoly.table``).  The same table certifies
@@ -186,14 +190,30 @@ def _first_above(value: Callable[[int], int], m: int, floor: int, start: int) ->
     return hi
 
 
+class _Family:
+    """What both families derive from their difference column."""
+
+    def terms(self, n: int) -> Iterator[int]:
+        """The consecutive terms a_n, a_{n+1}, ..., with the domain checked once: in the
+        column [a_n, Δa_n, ..., c] of ``differences(n)``, Δ^i a_n, Δ^i a_{n+1}, ... is the
+        running sum of Δ^(i+1) a from Δ^i a_n, so a term costs d integer additions."""
+        column = self.differences(n)
+        stream: Iterator[int] = itertools.repeat(column[-1])
+        for start in reversed(column[:-1]):
+            stream = itertools.accumulate(stream, initial=start)
+        return stream
+
+
 @dataclass(frozen=True)
-class MultipleTail:
+class MultipleTail(_Family):
     """x_n = 0.(kn)(k(n+1))(k(n+2))... for a positive integer k."""
 
     k: int
     base: int = 10
 
     n_min = 1
+    degree = 1
+    label = "linear-k"
 
     def __post_init__(self) -> None:
         _check_base(self.base)
@@ -204,10 +224,6 @@ class MultipleTail:
         _check_index(self, n, offset)
         return self.k * (n + offset)
 
-    def terms(self, n: int) -> Iterator[int]:
-        """The consecutive terms a_n, a_{n+1}, ..., with the domain checked once."""
-        return _running_sums(self.differences(n))
-
     def differences(self, n: int) -> list[int]:
         """[a_n, k]: the terms from a_n on are the running sums of the constant k."""
         _check_index(self, n, 0)
@@ -217,6 +233,26 @@ class MultipleTail:
         """#{n >= n_min : a_n <= m}."""
         return max(m // self.k, 0)
 
+    def scan_points(self, j_max: int) -> list[tuple[int, int]]:
+        """Scan points (j, n_j), n_j = floor(2*10^j / k) (Lemma 1), at exactly the j in
+        (log10(k/2), j_max], by the exact test 2*10^j > k; empty when j_max is below it."""
+        return [(j, 2 * 10**j // self.k) for j in range(j_max + 1) if 2 * 10**j > self.k]
+
+    def main_terms(self, js: set[int]) -> tuple[dict[int, int], int]:
+        """({j: sum_{i=0..j} floor(10^i / k)} for every j <= max(js), 1): Lemma 1's
+        exact main terms, from one running sum; every j in ``js`` must be >= 0."""
+        if min(js) < 0:
+            raise ValueError(_SCAN_INDICES)
+        return dict(enumerate(itertools.accumulate(10**i // self.k for i in range(max(js) + 1)))), 1
+
+
+def lemma1_main_term(k: int, J: int) -> int:
+    """Exact main term sum_{i=0..J} floor(10^i / k) of the linear-family count."""
+    family = MultipleTail(k)
+    if J < 0:
+        raise ValueError(f"J must be >= 0, got {J}")
+    return family.main_terms({J})[0][J]
+
 
 def ChampernowneTail(base: int = 10) -> MultipleTail:
     """x_n = 0.(n)(n+1)(n+2)..., the Champernowne expansion started at n: k = 1."""
@@ -224,11 +260,13 @@ def ChampernowneTail(base: int = 10) -> MultipleTail:
 
 
 @dataclass(frozen=True)
-class PolyTail:
+class PolyTail(_Family):
     """x_n = 0.f(n)f(n+1)f(n+2)... for an eventually increasing integer polynomial."""
 
     poly: IntPoly
     base: int = 10
+
+    label = "poly-d"
 
     def __post_init__(self) -> None:
         _check_base(self.base)
@@ -237,16 +275,13 @@ class PolyTail:
     def n_min(self) -> int:
         return self.poly.n_min
 
+    @property
+    def degree(self) -> int:
+        return self.poly.degree
+
     def term(self, n: int, offset: int = 0) -> int:
         _check_index(self, n, offset)
         return self.poly.eval(n + offset)
-
-    def terms(self, n: int) -> Iterator[int]:
-        """The consecutive terms a_n, a_{n+1}, ..., with the domain checked once.
-
-        Each later term takes d integer additions instead of a Horner pass.
-        """
-        return _running_sums(self.differences(n))
 
     def differences(self, n: int) -> list[int]:
         """The column f(n), Δf(n), ..., Δ^d f(n), with the domain checked.
@@ -263,17 +298,23 @@ class PolyTail:
             return 0
         return poly_floor_inverse(self.poly, m) - self.n_min + 1
 
+    def scan_points(self, J_max: int) -> list[tuple[int, int]]:
+        """Scan points (J, N_J), N_J the number of indices up to g(2*10^J) (Lemma 2), at the
+        J <= J_max with 2*10^J >= f(n_min).  N_J may repeat while f is steep at small n
+        (7n^5 + 3 has N_1 = N_2 = 1): the first J of each N is kept, so the N increase."""
+        if J_max < 1:
+            raise ValueError(f"J_max must be >= 1, got {_show(J_max)}")
+        first = {}  # N -> its first J, in ascending N
+        for J in range(1, J_max + 1):
+            first.setdefault(self.index_le(2 * 10**J), J)
+        return [(J, N) for N, J in first.items() if N]  # N is 0 while 2*10^J < f(n_min)
+
+    def main_terms(self, js: set[int]) -> tuple[dict[int, int], int]:
+        """Lemma 2's main terms at the J of ``js``, each >= 1, as fractions (``_lemma2_numerators``)."""
+        return _lemma2_numerators(self.poly, js)
+
 
 TailSpec = Union[MultipleTail, PolyTail]
-
-
-def _running_sums(column: list[int]) -> Iterator[int]:
-    """The terms a_n, a_{n+1}, ... of a difference column [a_n, Δa_n, ..., c]:
-    Δ^i a_n, Δ^i a_{n+1}, ... is the running sum of Δ^(i+1) a from Δ^i a_n."""
-    stream: Iterator[int] = itertools.repeat(column[-1])
-    for start in reversed(column[:-1]):
-        stream = itertools.accumulate(stream, initial=start)
-    return stream
 
 
 def poly_floor_inverse(poly: IntPoly, m: int) -> int:
@@ -312,6 +353,40 @@ def _iroot(x: int, d: int) -> int:
         if s >= r:
             return r
         r = s
+
+
+_SCAN_INDICES = "scan points need j >= 0, and J >= 1 for a polynomial"  # main_terms below the first j
+_GUARD = 128  # bits: every Lemma 2 fraction is within 2^-_GUARD of its term
+
+
+def _lemma2_numerators(poly: IntPoly, Js: set[int]) -> tuple[dict[int, int], int]:
+    """{J: M_J} for each J in ``Js``, and D: M_J / D approximates the Lemma 2 term at J.
+
+    With B fractional bits, D = floor(c_d^(1/d) 2^B) >= 2^B, r =
+    floor(10^(1/d) 2^B), p_0 = floor(2^(1/d) 2^B) - 2^B, and each p_i =
+    floor(p_{i-1} r / 2^B) costs one product; M_J = p_1 + ... + p_J.  Each
+    floor only lowers a value, and p_i falls short of (2^(1/d) - 1)
+    10^(i/d) 2^B by less than (2i + 1) 10^(i/d).  With S = sum_{i<=J}
+    10^(i/d) < (d + 1) 10^(J/d), M_J / D is then within (2J + 1) S 2^-B of
+    the term, and within a relative 2 (2J + 2)(d + 1) 2^-B of it.  B =
+    _GUARD + log2((2J + 2)(d + 1)) + J log2(10)/d, rounded up at max(Js),
+    brings these below 2^-_GUARD and 2^(1-_GUARD) 10^(-J/d): the term,
+    count minus the term, and the Decimal of J/d + 20 digits all round
+    correctly unless the exact value lies that close to a rounding boundary.
+    """
+    if min(Js) < 1:
+        raise ValueError(_SCAN_INDICES)
+    d, J_max = poly.degree, max(Js)
+    B = _GUARD + ((2 * J_max + 2) * (d + 1)).bit_length() + 3322 * J_max // (1000 * d) + 1
+    r = _iroot(10 << B * d, d)
+    p = _iroot(2 << B * d, d) - (1 << B)
+    total, numerators = 0, {}
+    for J in range(1, J_max + 1):
+        p = p * r >> B
+        total += p
+        if J in Js:
+            numerators[J] = total
+    return numerators, _iroot(poly.coeffs[-1] << B * d, d)
 
 
 def _check_index(spec: TailSpec, n: int, offset: int) -> None:
@@ -361,9 +436,7 @@ def tail_prefixes(spec: TailSpec, n: int, count: int, p: int) -> Iterator[int]:
     until it has at least p digits, its leading p digits are yielded, and the
     leading term is dropped.  So every term is evaluated once, count + O(p)
     terms in all.  Digit lengths come from tracking the next power of the
-    base, which is valid because the terms increase from n_min: a
-    ``MultipleTail`` is linear in n, and a ``PolyTail`` is certified strictly
-    increasing from ``IntPoly.n_min``.
+    base, which is valid because a family's terms increase from n_min.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")

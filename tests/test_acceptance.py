@@ -12,17 +12,15 @@ from every_index import in_interval
 from concat_equidist.asymptotics import (
     Y_LIMIT,
     inverse_epsilon,
-    lemma1_main_term,
     poly_floor_inverse,
     ratio_scan,
     scan_points,
-    subsequence_points_linear,
     y_sequence,
 )
 from concat_equidist.counting import count_A
 from concat_equidist.equidist import benford_report, census, leading_digit, log_fracparts, star_discrepancy, PointSet
 from concat_equidist.exactnum import HalfOpenInterval
-from concat_equidist.seqgen import ChampernowneTail, IntPoly, MultipleTail, PolyTail, term
+from concat_equidist.seqgen import ChampernowneTail, IntPoly, MultipleTail, PolyTail, lemma1_main_term, term
 
 I12 = HalfOpenInterval.parse("0.1", "0.2")
 CHAMP = ChampernowneTail()
@@ -64,7 +62,7 @@ def test_criterion_3_general_k():
     start = time.perf_counter()
     ok = True
     for k in (2, 3, 7):
-        report = ratio_scan(MultipleTail(k), I12, subsequence_points_linear(k, 6))
+        report = ratio_scan(MultipleTail(k), I12, scan_points(MultipleTail(k), 6))
         ok &= abs(report.final_ratio - 5 / 9) <= 0.02
         for rec in report.records:
             ok &= abs(rec.count - lemma1_main_term(k, rec.j)) <= 2 * (rec.j + 1)

@@ -9,19 +9,16 @@ from concat_equidist import counting
 from concat_equidist.asymptotics import (
     Y_LIMIT,
     inverse_epsilon,
-    lemma1_main_term,
     lemma2_main_term,
     limit_constants,
     poly_floor_inverse,
     ratio_scan,
     scan_points,
-    subsequence_points_linear,
-    subsequence_points_poly,
     y_sequence,
 )
 from concat_equidist.counting import count_A
 from concat_equidist.exactnum import HalfOpenInterval
-from concat_equidist.seqgen import ChampernowneTail, IntPoly, MultipleTail, PolyTail, _iroot
+from concat_equidist.seqgen import ChampernowneTail, IntPoly, MultipleTail, PolyTail, _iroot, lemma1_main_term
 
 I12 = HalfOpenInterval.parse("0.1", "0.2")
 NSQ = IntPoly((0, 0, 1))
@@ -85,21 +82,21 @@ class TestLemma1MainTerm:
 
 class TestSubsequencePoints:
     def test_k1(self):
-        assert subsequence_points_linear(1, 3) == [(0, 2), (1, 20), (2, 200), (3, 2000)]
+        assert scan_points(MultipleTail(1), 3) == [(0, 2), (1, 20), (2, 200), (3, 2000)]
 
     def test_k3(self):
-        assert subsequence_points_linear(3, 2) == [(1, 6), (2, 66)]
+        assert scan_points(MultipleTail(3), 2) == [(1, 6), (2, 66)]
 
     def test_threshold_exclusion(self):
-        assert subsequence_points_linear(200, 2) == []
+        assert scan_points(MultipleTail(200), 2) == []
 
     def test_all_points_valid(self):
         for k in (1, 2, 13, 999):
-            for j, n in subsequence_points_linear(k, 6):
+            for j, n in scan_points(MultipleTail(k), 6):
                 assert n == 2 * 10**j // k >= 1
 
     def test_poly_points(self):
-        pts = subsequence_points_poly(NSQ, 3)
+        pts = scan_points(PolyTail(NSQ), 3)
         assert pts == [(1, 4), (2, 14), (3, 44)]
 
 
@@ -293,7 +290,7 @@ class TestYSequence:
 
 class TestRatioScan:
     def test_champernowne_exact_counts(self):
-        report = ratio_scan(ChampernowneTail(), I12, subsequence_points_linear(1, 4))
+        report = ratio_scan(ChampernowneTail(), I12, scan_points(MultipleTail(1), 4))
         for rec in report.records:
             assert rec.count == 10**rec.j + (10**rec.j - 1) // 9
         ratios = [rec.ratio for rec in report.records[1:]]
@@ -302,7 +299,7 @@ class TestRatioScan:
 
     @pytest.mark.parametrize("k", [2, 3, 7])
     def test_lemma1_residual_bound(self, k):
-        report = ratio_scan(MultipleTail(k), I12, subsequence_points_linear(k, 4))
+        report = ratio_scan(MultipleTail(k), I12, scan_points(MultipleTail(k), 4))
         for rec in report.records:
             assert abs(rec.residual) <= 2 * (rec.j + 1)
 
@@ -321,7 +318,7 @@ class TestRatioScan:
 
     def test_rejects_empty_points(self):
         with pytest.raises(ValueError):
-            ratio_scan(MultipleTail(200), I12, subsequence_points_linear(200, 2))
+            ratio_scan(MultipleTail(200), I12, scan_points(MultipleTail(200), 2))
 
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):
@@ -333,10 +330,11 @@ class TestRatioScan:
             ratio_scan(spec, I12, [(j, 1), (j + 2, 5)])
 
     def test_rejects_non_decimal_base(self):
-        with pytest.raises(ValueError):
+        # "0.2" has no base-2 reading, so an interval of it never reached the base check
+        with pytest.raises(ValueError, match="spec.base must be 10"):
             ratio_scan(
                 ChampernowneTail(base=2),
-                HalfOpenInterval.parse("0.1", "0.2", base=2),
+                HalfOpenInterval.parse("0.1", "0.11", base=2),
                 [(0, 2)],
             )
 
@@ -368,7 +366,7 @@ class TestRatioScan:
 
     def test_nonuniform_evidence(self):
         # final ratio sits far above the 1/9 density u.d. would force
-        report = ratio_scan(MultipleTail(2), I12, subsequence_points_linear(2, 4))
+        report = ratio_scan(MultipleTail(2), I12, scan_points(MultipleTail(2), 4))
         assert report.final_ratio > 1 / 9 + 0.3
 
 

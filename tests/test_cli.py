@@ -12,10 +12,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import concat_equidist
 import every_index
-from concat_equidist.asymptotics import lemma1_main_term
 from concat_equidist.cli import main, read_csv
-from concat_equidist.exactnum import HalfOpenInterval
-from concat_equidist.seqgen import ChampernowneTail, MultipleTail, tail_digits
+from concat_equidist.exactnum import HalfOpenInterval, decimal_int
+from concat_equidist.seqgen import ChampernowneTail, MultipleTail, lemma1_main_term, tail_digits
 
 
 def run(capsys, *args):
@@ -608,6 +607,18 @@ class TestEndpointsOfAnyLength:
     def test_a_long_endpoint_is_shortened_in_messages(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (3 if "undecided" in message else 1, "", message + "\n")
+        assert len(err) < 300
+
+    def test_a_long_undecided_prefix_is_shortened(self, capsys):
+        # lo is x_1's first 20 100 digits, past its budget of 4 * 5000 + 16:
+        # the whole 20 016-digit prefix made a 20 187-character line
+        k = "1" * 5000
+        x1 = tail_digits(MultipleTail(decimal_int(k)), 1, 20100).text
+        code, out, err = run(capsys, "count", "--kind", "mult", "--k", k, "--lo", "0." + x1, "--hi", "1", "--N", "1")
+        assert (code, out) == (3, "")
+        assert err.endswith(
+            f"undecided after 20016 digits (prefix '0.{x1[:38]}'...'{x1[19996:20016]}' (20018 characters))\n"
+        )
         assert len(err) < 300
 
 

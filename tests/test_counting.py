@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import every_index
 from concat_equidist import counting
-from concat_equidist.asymptotics import lemma1_main_term
 from concat_equidist.counting import (
     UndecidedMembershipError,
     _cells,
@@ -32,6 +31,7 @@ from concat_equidist.seqgen import (
     IntPoly,
     MultipleTail,
     PolyTail,
+    lemma1_main_term,
     tail_digits,
     term,
 )

@@ -16,6 +16,8 @@ from concat_equidist.exactnum import (
     decimal_head,
     STR_BELOW,
     _DIGIT_CHARS,
+    _INT_CHUNK,
+    _read_int,
     decimal_int,
     digit_length,
     digit_text,
@@ -424,6 +426,27 @@ class TestDecimalInt:
         with pytest.raises(ValueError, match="Exceeds the limit"):
             int(text)
         assert decimal_int(text) == int(sign + "1") * (10**5000 - 1)
+
+    @settings(max_examples=200)
+    @given(st.integers(2, 36), st.integers(0, 8), st.integers(-2, 2), st.randoms(use_true_random=False))
+    def test_read_int_is_int_around_the_chunk_lengths(self, base, chunks, delta, rng):
+        # the halves split the text at every length; the oracle is int() with
+        # the str-digit limit lifted, _read_int runs under the default limit
+        digits = "".join(rng.choice(_DIGIT_CHARS[:base]) for _ in range(max(chunks * _INT_CHUNK + delta, 0)))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = int(digits or "0", base)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert _read_int(digits, base) == expected
+
+    def test_500000_digits_in_under_a_second(self, deadline):
+        # one multiply of the growing value per 640-digit piece took 2 s
+        text = "7" * 500_000
+        with deadline(1.0, "decimal_int of 500 000 digits"):
+            value = decimal_int(text)
+        assert value == 7 * (10**500_000 - 1) // 9
 
     def test_sign_of_a_zero_high_part(self):
         # the high part "-0" reads as 0, so the sign comes from the text

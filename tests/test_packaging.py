@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import concat_equidist
-from concat_equidist import DigitString, ExactEndpoint, counting, equidist
+from concat_equidist import DigitString, ExactEndpoint, asymptotics, cli, counting, equidist
 
 ROOT = Path(__file__).resolve().parents[1]
-IN_REPO_MODULES = {"concat_equidist", "tracer", "conftest", "every_index"}
+IN_REPO_MODULES = {"concat_equidist", "tracer", "conftest", "every_index", "test_asymptotics"}
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -75,9 +75,47 @@ class TestPackageSurface:
         assert [f.name for f in dataclasses.fields(ExactEndpoint)] == ["base", "length", "scaled"]
         assert ExactEndpoint.parse("0.25").scaled == 25
 
+    @pytest.mark.parametrize("name", ["subsequence_points_linear", "subsequence_points_poly"])
+    def test_removed_scan_helpers_stay_removed(self, name):
+        # each family gives its own scan points (MultipleTail.scan_points, PolyTail.scan_points)
+        assert name not in concat_equidist.__all__
+        assert not hasattr(concat_equidist, name)
+        assert not hasattr(asymptotics, name)
+
     def test_every_index_oracle_stays_in_the_tests(self):
         # the every-index oracle is a test helper (every_index.py), not library API
         assert "in_interval" not in concat_equidist.__all__
         assert not hasattr(concat_equidist, "in_interval")
         assert not hasattr(counting, "in_interval")
         assert list(inspect.signature(counting.count_A).parameters) == ["spec", "interval", "N"]
+
+
+def _ast(module) -> ast.Module:
+    return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+
+
+class TestFamilyProtocol:
+    """Scans read a family only through its protocol, and the CLI names each kind once."""
+
+    def test_asymptotics_does_not_branch_on_the_family_type(self):
+        tree = _ast(asymptotics)
+        calls = [n.func.id for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+        assert "isinstance" not in calls
+        imported = {a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+        assert imported.isdisjoint({"MultipleTail", "PolyTail"})
+
+    def test_every_kind_choice_has_a_row_in_the_family_table(self):
+        choices = [
+            action.choices
+            for sub in cli.build_parser()._subparsers._group_actions[0].choices.values()
+            for action in sub._actions
+            if action.dest in ("kind", "gen")
+        ]
+        assert len(choices) == 5  # tail, count, scan and discrepancy --kind, benford --gen
+        for offered in choices:
+            assert set(offered) <= cli._FAMILIES.keys()
+        assert set().union(*choices) == cli._FAMILIES.keys()
+
+    def test_cli_names_each_kind_once(self):
+        names = [n.value for n in ast.walk(_ast(cli)) if isinstance(n, ast.Constant) and n.value in cli._FAMILIES]
+        assert sorted(names) == sorted(cli._FAMILIES)
