@@ -5,6 +5,7 @@ characterization "strong Benford iff {log10 a_i} is u.d. mod 1".
 """
 from __future__ import annotations
 
+import decimal
 import functools
 import itertools
 import math
@@ -136,8 +137,8 @@ def tail_points(spec: TailSpec, n: int, count: int, depth: int = 18) -> PointSet
     return PointSet(np.minimum(points, np.nextafter(1.0, 0.0), out=points))
 
 
-# np.longdouble holds every int64 exactly: x87 extended or IEEE quad, not a plain double
-_EXTENDED = np.finfo(np.longdouble).nmant >= 63
+# np.longdouble's fraction bits below float64's: 11 in x87 extended and 60 in IEEE quad, each in 16 little-endian bytes
+_FINER = np.finfo(np.longdouble).nmant - 52 if np.little_endian and np.dtype(np.longdouble).itemsize == 16 else 0
 
 
 def _quotients(prefix: np.ndarray, scale: int) -> np.ndarray:
@@ -148,15 +149,14 @@ def _quotients(prefix: np.ndarray, scale: int) -> np.ndarray:
     The second rounding can differ from a single one only when the first
     lands exactly on a float64 midpoint: otherwise no midpoint lies between
     the exact and the extended quotient, so both round to the same float64.
-    Those few points, and every point where ``np.longdouble`` is only a
-    double, are divided by Python.
+    Those few points, whose ``_FINER`` bits in the low word read 10...0, and
+    every point where ``_FINER`` is neither 11 nor 60, are divided by Python.
     """
-    if not _EXTENDED:
+    if _FINER not in (11, 60):
         return _python_quotients(prefix.tolist(), scale)
     exact = prefix.astype(np.longdouble) / np.longdouble(scale)
     q = exact.astype(np.float64)
-    toward = np.nextafter(q, np.where(exact > q, np.inf, -np.inf))  # the float64 neighbour on exact's side
-    tie = np.flatnonzero(exact == (q.astype(np.longdouble) + toward) / 2)  # both sums are exact
+    tie = np.flatnonzero(exact.view(np.uint64)[::2] << (64 - _FINER) == 1 << 63)  # those bits at the top
     q[tie] = _python_quotients(prefix[tie].tolist(), scale)
     return q
 
@@ -338,7 +338,7 @@ def benford_report(terms: Iterable[int]) -> BenfordReport:
     One pass reads each term's decimal digits once, cut to an int64
     ``_mantissa``.  NumPy takes the leading digits and the logarithms from
     those, with ``math.log10`` only where it can decide D*
-    (``_certified_points``).  The results equal those of ``census`` and
+    (``_certified_star``).  The results equal those of ``census`` and
     ``star_discrepancy(log_fracparts(terms))``, bit for bit.
     """
     return _report(_mantissas(terms))
@@ -363,11 +363,12 @@ def pow2_benford_report(N: int) -> BenfordReport:
     lies in [log10 c, log10(c + 1)), so a w farther than _EPS from each of
     log10 1, ..., log10 10 takes its digit from them; the rest, such as
     n = 1, 2 and 3, which lie on log10 2, 4 and 8, take it from the exact
-    ``_mantissa(1 << n)``.  The part ``_exact_parts`` reads from that
-    mantissa lies within 3 2^-48 + 2^-52 of frac(n log10 2), so within
-    2^-52 + 3 2^-48 + 2^-52 < _EPS of w, and ``_certified_points`` certifies
-    D* as it does for any mantissas.  2^n is built only for the points that
-    decide a digit or D*, each at most once.  Needs N < 2^32.
+    mantissa of 2^n (``_pow2_mantissa``).  The part ``_exact_parts`` reads
+    from that mantissa lies within 3 2^-48 + 2^-52 of frac(n log10 2), so
+    within 2^-52 + 3 2^-48 + 2^-52 < _EPS of w, and ``_certified_star``
+    certifies D* as it does for any mantissas.  Only the points that decide
+    a digit or D* take a mantissa, each at most once, and 2^n itself is
+    built only below 10^17 or for a head in its error band.  Needs N < 2^32.
     """
     if N < 1:
         raise ValueError("empty term stream")
@@ -376,7 +377,7 @@ def pow2_benford_report(N: int) -> BenfordReport:
 
     @functools.cache
     def mantissa(i: int) -> int:  # of the point at index i, 2^(i + 1)
-        return _mantissa(1 << i + 1)
+        return _pow2_mantissa(i + 1)
 
     def exact_parts(idx: np.ndarray) -> np.ndarray:
         return _exact_parts(np.array([mantissa(i) for i in idx.tolist()], dtype=np.int64))
@@ -396,7 +397,24 @@ def pow2_benford_report(N: int) -> BenfordReport:
         counts[int(str(mantissa(i))[0])] += 1
     # the rotation's points have no runs for the stable sort to take: NumPy's
     # default sort is 4-6x faster on them at N = 1000 to 15000
-    return _summary(counts[1:].tolist(), _certified_points(w, exact_parts, "quicksort"))
+    return _summary(counts[1:].tolist(), _certified_star(w, exact_parts, "quicksort"))
+
+
+def _pow2_mantissa(m: int) -> int:
+    """``_mantissa(1 << m)`` for 0 <= m < 2^32, from the 17 leading digits of 2^m where they decide it.
+
+    Let y = 10^(16 + f), f = frac(m log10 2).  Past 10^17, 2^m has no
+    trailing zeros, so its mantissa is 10 floor(y) + 1; below, y is 2^m
+    times a power of ten, an integer.  F = m ``_LOG10_2_FIXED`` mod 2^128
+    puts f less than m 2^-128 < 2^-96 above F 2^-128, or near 0 past a
+    wrap, where y is near the integer 10^17.  40 ``decimal`` digits give
+    10^(16 + F 2^-128) within 10^-20, so within 10^17 ln(10) 2^-96 + 10^-20
+    < 3 10^-12 of y: only one within ``_HEAD_BAND`` of an integer builds 2^m.
+    """
+    ctx = decimal.Context(prec=40)
+    y = ctx.power(10, ctx.add(16, ctx.divide(m * _LOG10_2_FIXED % 2**128, 2**128)))
+    head = int(y)
+    return 10 * head + 1 if _HEAD_BAND < ctx.subtract(y, head) < 1 - _HEAD_BAND else _mantissa(1 << m)
 
 
 # floor(log10(2) * 2^128), split into 64-, 32- and 32-bit words for _pow2_parts
@@ -405,6 +423,7 @@ _LOG10_2_WORDS = tuple(
     np.uint64(word) for word in (_LOG10_2_FIXED >> 64, _LOG10_2_FIXED >> 32 & 2**32 - 1, _LOG10_2_FIXED & 2**32 - 1)
 )
 _DIGIT_EDGES = np.array([math.log10(c) for c in range(1, 11)])
+_HEAD_BAND = decimal.Decimal("1e-9")  # over 300 times the head's error bound
 _POW2_BATCH = 16 * _BATCH  # points per block of _pow2_parts
 
 
@@ -439,15 +458,15 @@ def _report(mant: np.ndarray, rising: int = 0) -> BenfordReport:
     counts += np.bincount(rest // _POW10[length - 1], minlength=10)[1:]
     w = np.log10(mant)
     w -= np.floor(w)
-    return _summary(counts.tolist(), _certified_points(w, lambda idx: _exact_parts(mant[idx])))
+    return _summary(counts.tolist(), _certified_star(w, lambda idx: _exact_parts(mant[idx])))
 
 
-def _summary(counts: list[int], points: PointSet) -> BenfordReport:
-    """The report from the nine leading-digit counts and the certified log parts."""
-    n = len(points)
+def _summary(counts: list[int], d_star: float) -> BenfordReport:
+    """The report from the nine leading-digit counts and the D* of the log parts."""
+    n = sum(counts)
     freq = tuple(c / n for c in counts)
     gap = max(abs(f - b) for f, b in zip(freq, BENFORD_FREQ))
-    return BenfordReport(n, freq, BENFORD_FREQ, gap, star_discrepancy(points))
+    return BenfordReport(n, freq, BENFORD_FREQ, gap, d_star)
 
 
 _POW10 = 10 ** np.arange(HEAD_DIGITS + 1, dtype=np.int64)  # 10^0 ... 10^17
@@ -513,8 +532,8 @@ def _exact_parts(mant: np.ndarray) -> np.ndarray:
 _EPS = 2.0**-40
 
 
-def _certified_points(w: np.ndarray, exact_parts: Callable[[np.ndarray], np.ndarray], kind: str = "stable") -> PointSet:
-    """The sorted {log10 a_i}, as a presorted set whose D* is bitwise that of the exact parts.
+def _certified_star(w: np.ndarray, exact_parts: Callable[[np.ndarray], np.ndarray], kind: str = "stable") -> float:
+    """D* of the exact {log10 a_i}, bitwise, from one sort of w and one scan of its ranks.
 
     ``exact_parts(idx)`` gives the ``_exact_parts`` of the terms at the
     indices ``idx``; w (patched in place) holds points within e = _EPS of
@@ -522,26 +541,24 @@ def _certified_points(w: np.ndarray, exact_parts: Callable[[np.ndarray], np.ndar
     exact parts before w is sorted into v.  Sorting then moves no rank by
     more than e, so only a rank whose D* term lies within 4e of the largest
     can attain D*, and its exact value is that of a point within 2e of its
-    own: those take their exact parts too, each point at most once.  Every
-    such rank then holds its exact value, and no other rank comes near.
-
-    v needs no second sort.  A patched point lay within 2e of a rank value
-    r, up to rounding, and moves less than e/80, so it stays within 3e of r;
-    no other point moves.  So the points within 3e of the rank values are
-    the same before and after, as is each run of them between the others:
-    v with their positions given them, patched and sorted, is the sorted w.
+    own, up to rounding: those take their exact parts too, each at most
+    once, and move less than e/80, so they stay within 3e of the rank value
+    r; no other point moves.  So the points within 3e of the rank values
+    are the same before and after, as is each run of them in v, from the
+    first value >= r - 3e to the last <= r + 3e: sorted, they fill the runs.
+    Every other term keeps its value, more than 3e below the largest: D* is
+    the largest term over the runs, computed as ``_star_blocks`` does.
     """
     wrap = np.flatnonzero((w < _EPS) | (w > 1 - _EPS))
     w[wrap] = exact_parts(wrap)
     v = np.sort(w, kind=kind)
-    blocks = []  # per block of ranks: its largest D* term, and the values and terms within 4e of it
+    blocks = []  # per block of ranks: the values and D* terms within 4e of its largest term
     for part, rise, fall in _star_blocks(v):
         term = np.maximum(rise, fall)
-        top = term.max()
-        keep = term >= top - 4 * _EPS
-        blocks.append((top, part[keep], term[keep]))
-    near_top = max(top for top, _, _ in blocks) - 4 * _EPS
-    ranks = np.concatenate([part[term >= near_top] for top, part, term in blocks if top >= near_top])
+        keep = term >= term.max() - 4 * _EPS
+        blocks.append((part[keep], term[keep]))
+    near_top = max(term.max() for _, term in blocks) - 4 * _EPS
+    ranks = np.concatenate([part[term >= near_top] for part, term in blocks])
 
     def within(x: np.ndarray, width: float) -> np.ndarray:
         # the positions of x within width of a rank value, tested against the least r with r + width >= x
@@ -552,7 +569,9 @@ def _certified_points(w: np.ndarray, exact_parts: Callable[[np.ndarray], np.ndar
     band = within(w, 3 * _EPS)
     near = np.setdiff1d(band[within(w[band], 2 * _EPS)], wrap, assume_unique=True)
     w[near] = exact_parts(near)
-    patched = w[band]
-    patched.sort()
-    v[within(v, 3 * _EPS)] = patched
-    return PointSet(v, presorted=True)
+    stop = np.searchsorted(v, ranks + 3 * _EPS, side="right")
+    start = np.maximum(np.searchsorted(v, ranks - 3 * _EPS), np.r_[0, stop[:-1]])  # from where the last run stops
+    i = np.concatenate([np.arange(a, b) for a, b in zip(start, stop)])  # the positions of the runs
+    x = w[band]
+    x.sort()
+    return float(max(((i + 1) / len(w) - x).max(), (x - i / len(w)).max()))

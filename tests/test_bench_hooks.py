@@ -111,12 +111,13 @@ def test_tracer_sees_every_diagnostics_point(tracer_module, capsys):
     assert traced == untraced
 
     calls = {name: stat[0] for name, stat in tracer.stats.items()}
-    # discrepancy: the points, and again rescaled inside ud_deviation; benford: the log parts
-    assert calls["equidist.star_discrepancy"] == 3
+    # discrepancy: the points, and again rescaled inside ud_deviation; benford takes the D* of its
+    # log parts from their certification (_certified_star), not from star_discrepancy
+    assert calls["equidist.star_discrepancy"] == 2
     assert calls["equidist.ud_deviation"] == 1
     # pow2 builds its points in pow2_benford_report, which the tracer does not wrap
     assert calls["equidist.benford_report"] == 0
-    assert tracer.points == 300 + 300 + 300
+    assert tracer.points == 300 + 300
     # the points come from integer prefixes and one digit read per term
     assert calls["seqgen.tail_digits"] == 0
     assert calls["counting.census"] == calls["equidist.log_fracparts"] == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import itertools
 import math
 import random
@@ -15,12 +16,13 @@ from concat_equidist import equidist
 from concat_equidist.equidist import (
     _BATCH,
     _EPS,
-    _EXTENDED,
     _LOG10_2_FIXED,
-    _certified_points,
+    _FINER,
+    _certified_star,
     _family_mantissas,
     _int64_reader,
     _mantissa,
+    _pow2_mantissa,
     _pow2_parts,
     _report,
     BENFORD_FREQ,
@@ -305,22 +307,47 @@ def quotient_cases(draw):
     return [min(max(v, 0), scale - 1) for v in values], scale
 
 
+def is_float64_midpoint(x):
+    """Whether the np.longdouble x lies halfway between two float64 neighbours, in Fractions."""
+    exact = Fraction(*x.as_integer_ratio())
+    near = float(exact)
+    toward = math.nextafter(near, math.inf if exact > near else -math.inf)
+    return exact != near and exact == (Fraction(near) + Fraction(toward)) / 2
+
+
 class TestQuotients:
     """``_quotients`` against Python's correctly rounded int / int."""
 
-    @pytest.mark.parametrize("extended", [_EXTENDED, False], ids=["this-host", "python-route"])
+    # 0 stands for a long-double layout the bit test does not know, a plain double among them
+    @pytest.mark.parametrize("finer", [_FINER, 0], ids=["this-host", "python-route"])
     @settings(max_examples=300)
     @given(quotient_cases())
     # the extended quotient is a float64 midpoint, the exact one lies above it
     @example(([677830477250592367, 10**18 - 1, 0], 10**18))
-    def test_bitwise_equal_to_python_division(self, extended, case):
+    def test_bitwise_equal_to_python_division(self, finer, case):
         prefixes, scale = case
-        with mock.patch.object(equidist, "_EXTENDED", extended):
+        with mock.patch.object(equidist, "_FINER", finer):
             got = _quotients(np.array(prefixes, dtype=np.int64), scale)
         want = np.array([p / scale for p in prefixes])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    @pytest.mark.skipif(not _EXTENDED, reason="np.longdouble is a double here")
+    @pytest.mark.skipif(_FINER not in (11, 60), reason="no bit test for this long-double layout")
+    @settings(max_examples=200)
+    @given(quotient_cases())
+    @example(([677830477250592367, 10**18 - 1, 0], 10**18))
+    def test_python_divides_exactly_the_midpoints(self, case):
+        prefixes, scale = case
+        with mock.patch.object(equidist, "_python_quotients", wraps=equidist._python_quotients) as python:
+            _quotients(np.array(prefixes, dtype=np.int64), scale)
+        (divided, _), _ = python.call_args
+        assert divided == [p for p in prefixes if is_float64_midpoint(np.longdouble(p) / np.longdouble(scale))]
+
+    def test_the_bit_test_knows_this_hosts_layout(self):
+        # x87 extended and IEEE quad, little-endian in 16 bytes, hold every int64; a plain double does not
+        known = np.finfo(np.longdouble).nmant in (63, 112) and np.dtype(np.longdouble).itemsize == 16
+        assert (_FINER in (11, 60)) == (known and sys.byteorder == "little")
+
+    @pytest.mark.skipif(_FINER not in (11, 60), reason="no bit test for this long-double layout")
     def test_a_midpoint_is_divided_again(self):
         # rounding the extended quotient straight to float64 would be one ulp low
         p, scale = 677830477250592367, 10**18
@@ -784,6 +811,7 @@ class TestPow2BenfordReport:
         built = sorted(m.bit_length() - 1 for (m,), _ in mantissa.call_args_list)
         assert built[:3] == [1, 2, 3]  # on the digit edges
         assert len(built) == len(set(built)) <= 8
+        assert built[-1] < 57  # past 10^17 the head comes from the fixed-point log10 2
 
     @pytest.mark.parametrize("N", [0, -5])
     def test_no_terms_is_an_empty_stream(self, N):
@@ -793,6 +821,46 @@ class TestPow2BenfordReport:
     def test_rejects_N_from_2_to_the_32(self):
         with pytest.raises(ValueError, match=r"N < 2\^32"):
             pow2_benford_report(2**32)
+
+
+def pow2_head_oracle(m):
+    """``_mantissa(1 << m)`` for 2^m >= 10^17 from 60-digit mpmath: 10 floor(10^(16 + {m log10 2})) + 1."""
+    with mpmath.workdps(60):
+        y = mpmath.power(10, 16 + mpmath.frac(m * mpmath.log10(2)))
+        assert min(y - mpmath.floor(y), mpmath.ceil(y) - y) > mpmath.mpf(10) ** -30  # the oracle itself is sure
+        return 10 * int(mpmath.floor(y)) + 1
+
+
+class TestPow2Mantissa:
+    """The mantissa of 2^m from the 17-digit head 10^(16 + {m log10 2}) against 2^m itself."""
+
+    def test_every_m_to_20000(self):
+        power = 1
+        for m in range(1, 20_001):
+            power <<= 1
+            assert _pow2_mantissa(m) == _mantissa(power), m
+
+    @settings(max_examples=60)
+    @given(st.one_of(st.integers(57, 10**6), st.integers(10**6, 2**32 - 1)))
+    @example(2**32 - 1)
+    def test_heads_below_2_to_the_32(self, m):
+        assert _pow2_mantissa(m) == (_mantissa(1 << m) if m <= 10**6 else pow2_head_oracle(m))
+
+    def test_the_rank_of_D_star_at_ten_million_builds_no_power(self):
+        # 2^9719029 holds D* of 2^1..2^(10^7); its exact mantissa took over a second to divide out
+        with mock.patch.object(equidist, "_mantissa", side_effect=AssertionError("2^m was built")):
+            assert _pow2_mantissa(9_719_029) == 181020644784451651 == pow2_head_oracle(9_719_029)
+
+    def test_a_head_in_the_band_takes_the_exact_power(self):
+        # a band of half a unit holds every value: each head is left to 2^m itself
+        with mock.patch.object(equidist, "_HEAD_BAND", decimal.Decimal("0.5")):
+            with mock.patch.object(equidist, "_mantissa", wraps=_mantissa) as mantissa:
+                got = [_pow2_mantissa(m) for m in (57, 1000, 20_000)]
+            assert repr(dataclasses.astuple(pow2_benford_report(3000))) == repr(
+                dataclasses.astuple(benford_report(1 << n for n in range(1, 3001)))
+            )
+        assert [m.bit_length() - 1 for (m,), _ in mantissa.call_args_list[:3]] == [57, 1000, 20_000]
+        assert got == [_mantissa(1 << m) for m in (57, 1000, 20_000)]
 
 
 def from_roots(roots, lead, shift):
@@ -884,14 +952,16 @@ def near_rank_values(draw):
 
 
 class TestOneSort:
-    """The certified Benford points come out of one sort, with D* read from
-    that sorted array; ud_deviation rescales it; the census of a rising run
-    is one search."""
+    """The certified Benford D* comes out of one sort and one scan of the
+    ranks, and is read from the band the certification patched;
+    ud_deviation rescales the sorted array; the census of a rising run is
+    one search."""
 
     @settings(max_examples=300)
     @given(near_rank_values(), st.integers(0, 2**32))
     @example([i / 3000 for i in range(3000)], 0)  # every rank attains D*
     @example([0.5] * 1000 + [1 - _EPS / 4] * 1000, 1)  # ties, and ties at the wrap
+    @example([0.5] * 7, 2)  # the first and last rank attain D*, and their runs overlap
     def test_banded_points_equal_the_exact_parts(self, values, seed):
         # w is each exact part moved by less than _EPS / 80, wrapped mod 1,
         # as the np.log10 parts are
@@ -899,10 +969,9 @@ class TestOneSort:
         rng = np.random.default_rng(seed)
         w = (exact + rng.uniform(-_EPS / 100, _EPS / 100, len(exact))) % 1.0
         w = np.minimum(w, math.nextafter(1.0, 0.0))
-        points = _certified_points(w, lambda idx: exact[idx])
-        assert np.array_equal(points.sorted, np.sort(w))  # the band holds the patched points, sorted
-        assert points.array is points.sorted and not points.sorted.flags.writeable
-        assert repr(star_discrepancy(points)) == repr(formula_star_discrepancy(PointSet(exact)))
+        d_star = _certified_star(w, lambda idx: exact[idx])
+        # the D* of the runs about the ranks is that of a full scan of the patched w, and of the exact parts
+        assert repr(d_star) == repr(star_discrepancy(PointSet(w))) == repr(formula_star_discrepancy(PointSet(exact)))
 
     @settings(max_examples=80)
     @given(family_cases())
@@ -933,6 +1002,22 @@ class TestOneSort:
         points = PointSet(v)
         old = np.minimum((points.array - a) / (b - a), np.nextafter(1.0, 0.0))
         assert repr(ud_deviation(points, alpha, beta)) == repr(formula_star_discrepancy(PointSet(old)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: benford_report(range(1, 20_001)),
+            lambda: family_benford_report(PolyTail(IntPoly((41, 1, 1))), 1, 30_000),
+            lambda: pow2_benford_report(15_000),
+        ],
+        ids=["naturals", "poly", "pow2"],
+    )
+    def test_a_report_scans_its_ranks_once(self, build):
+        with mock.patch.object(equidist, "_star_blocks", wraps=equidist._star_blocks) as blocks:
+            with mock.patch.object(equidist, "star_discrepancy") as second_pass:
+                report = build()
+        assert blocks.call_count == 1 and not second_pass.called
+        assert len(blocks.call_args.args[0]) == report.N
 
     @pytest.mark.parametrize(
         "argv",
