@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .counting import _cells, count_A  # count_A unused here: bench/tracer.py wraps it at this name
-from .exactnum import HalfOpenInterval
+from .exactnum import HalfOpenInterval, _show
 from .seqgen import IntPoly, TailSpec, _iroot, _lemma2_numerators, poly_floor_inverse
 
 if TYPE_CHECKING:
@@ -78,7 +78,7 @@ def lemma2_main_term(poly: IntPoly, J: int) -> float | Decimal:
     digits; ``_lemma2_numerators`` gives the fraction and its error bound.
     """
     if J < 1:
-        raise ValueError(f"J must be >= 1, got {J}")
+        raise ValueError(f"J must be >= 1, got {_show(J)}")
     numerators, den = _lemma2_numerators(poly, {J})
     return _rounded(numerators[J], den, J // poly.degree + 20)
 
@@ -90,7 +90,7 @@ def limit_constants(d: int) -> LimitConstants:
     ``y_sequence`` for the two-sided bound.
     """
     if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+        raise ValueError(f"d must be >= 1, got {_show(d)}")
     y_d = 5.0 ** (1.0 / d) * (2.0 ** (1.0 / d) - 1.0) / (2.0 * (10.0 ** (1.0 / d) - 1.0))
     return LimitConstants(d, y_d, 2.0 * y_d, 1.0 / 9.0)
 
@@ -108,7 +108,7 @@ def y_sequence(d_max: int) -> list[float]:
     at d = 122.
     """
     if d_max < 1:
-        raise ValueError(f"d_max must be >= 1, got {d_max}")
+        raise ValueError(f"d_max must be >= 1, got {_show(d_max)}")
     return [limit_constants(d).paper_lower_bound for d in range(1, d_max + 1)]
 
 

@@ -98,14 +98,21 @@ def _int64_reader(
 def _term_block(column: list[int], size: int) -> np.ndarray:
     """The next ``size`` terms of a difference ``column`` as int64, advancing the column past them.
 
-    Each entry of the column (a_m, Δa_m, ..., with a constant last entry)
-    runs as the sum of the one after it, so one ``np.cumsum`` per entry
-    gives the terms.  The sums wrap mod 2^64, as does the column kept
-    between blocks: that is exact for every term read, since each lies in
-    [1, 2^63), whatever the size of the differences on the way.
+    Each entry of the column (a_m, Δa_m, ..., with a constant last entry c)
+    runs as the sum of the one after it.  The entry before c runs as
+    Δ^(d-1)a_m + i c for i = 0..size, one ``arange`` multiply-add, and each
+    entry before that as one ``np.cumsum``: a linear family's block is the
+    multiply-add alone.  The sums and products wrap mod 2^64, as does the
+    column kept between blocks.  Addition and multiplication commute with
+    reduction mod 2^64, so every value equals its exact one mod 2^64, and a
+    term, which lies in [1, 2^63), is exact, whatever the size of the
+    differences on the way.
     """
-    run = np.full(size + 1, column[-1] % 2**64, dtype=np.uint64)
-    for j in range(len(column) - 2, -1, -1):
+    run = np.arange(size + 1, dtype=np.uint64)
+    run *= np.uint64(column[-1] % 2**64)
+    run += np.uint64(column[-2] % 2**64)
+    column[-2] = int(run[size])
+    for j in range(len(column) - 3, -1, -1):
         run[1:] = run[:size]  # NumPy copies overlapping slices safely
         run[0] = column[j] % 2**64
         column[j] = int(np.cumsum(run, out=run)[size])
@@ -126,7 +133,7 @@ def tail_points(spec: TailSpec, n: int, count: int, depth: int = 18) -> PointSet
     points fill one array; a count below 1 gives an empty set.
     """
     if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+        raise ValueError(f"depth must be >= 1, got {_show(depth)}")
     scale = spec.base**depth
     points = np.empty(max(count, 0))
     if scale < _INT64_END:
@@ -168,21 +175,38 @@ def _python_quotients(prefix: Iterable[int], scale: int) -> np.ndarray:
 def _prefix_blocks(spec: TailSpec, n: int, count: int, depth: int) -> Iterator[np.ndarray]:
     """The values of ``tail_prefixes(spec, n, count, depth)``, in int64 arrays of up to ``_BATCH``.
 
-    Needs b^depth < 2^63.  Each term enters as the int64 pair (L, h): its
-    digit length clipped to ``depth`` and its leading L digits.  A term of
-    ``depth`` digits or more ends every window that reaches it, so its
-    later digits never count.  With S the running sum of L, the prefix of
-    x_m is the sum over i of h_{m+i} * b^(depth - (S_{m+i+1} - S_m)) while
-    that exponent is positive, plus the next h floor-divided by b to its
-    negated exponent.  One vectorised step per window position adds a
-    term to every row still short of ``depth`` digits; all values stay
-    below b^depth.  The terms increase, so the window sums grow along a
-    block and the short rows are a leading slice.  Every term has a digit,
-    so a block of ``size`` windows needs at most size + depth - 1 terms; it
-    reads them in one call, the depth - 1 past its own carried into the
-    next block, so each term is read once.  The terms below 2^63 are read
-    as int64 runs (``_int64_reader``); later ones are cut to their leading
-    ``depth`` digits in Python as they are read.
+    Needs b^depth < 2^63.  Each term enters as its leading L digits h, L
+    its digit length clipped to ``depth``: a term of ``depth`` digits or
+    more ends every window that reaches it, so its later digits never
+    count.  P_m, the integer of the first ``depth`` digits of x_m, is h_m's
+    L_m digits followed by the first depth - L_m digits of x_{m+1}:
+
+        P_m = h_m b^(depth - L_m) + P_{m+1} // b^L_m.
+
+    The terms increase, so L never falls, and one search of the powers
+    b^1, ..., b^(depth-1) splits a block into runs of equal L (a term cut
+    to ``depth`` digits lies above each of them, as the whole term does).
+    In a run of L-digit terms, with q = ceil(depth / L), (q - 1) L < depth
+    <= q L, so a window whose q terms all lie in the run unrolls the
+    recurrence to
+
+        P_m = sum over i < q - 1 of h_{m+i} b^(depth - (i+1) L) + h_{m+q-1} // b^(qL - depth):
+
+    q shifted slices with scalar factors and one scalar division, every
+    partial sum below b^depth < 2^63.  The at most q - 1 windows that reach
+    past the run's end take the recurrence one by one, backward from the
+    first window of the next run, so the runs go from the last to the first.
+    Every term has a digit, so a block of ``size`` windows needs at most
+    size + depth - 1 terms; it reads them in one call, the depth - 1 past
+    its own carried into the next block, so each term is read once.  Past
+    the terms read, the recurrence starts from P = 0, as if every later
+    digit were 0: that changes only windows that reach past the terms read,
+    and none of the ``size`` windows does: at least ``depth`` terms, so
+    ``depth`` digits, are read from the first term of each.  The terms
+    below 2^63 are read as int64 runs (``_int64_reader``), and those longer
+    than ``depth`` digits, all in the last run, are cut in NumPy; later
+    ones are cut to their leading ``depth`` digits in Python as they are
+    read.
     """
     base = spec.base
     powers = [1]
@@ -190,29 +214,32 @@ def _prefix_blocks(spec: TailSpec, n: int, count: int, depth: int) -> Iterator[n
         powers.append(powers[-1] * base)
     pows = np.array(powers, dtype=np.int64)  # every power of the base below 2^63
     _, read = _int64_reader(spec, n, _INT64_END, lambda rest: _leading_digits(rest, base, depth))
-
-    def extend(head: np.ndarray, length: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        h = read(k)
-        L = np.searchsorted(pows, h, side="right")
-        over = np.flatnonzero(L > depth)
-        h[over] //= pows[L[over] - depth]
-        return np.concatenate((head, h)), np.concatenate((length, np.minimum(L, depth)))
-
-    head = length = np.empty(0, dtype=np.int64)
+    head = np.empty(0, dtype=np.int64)
     for start in range(0, count, _BATCH):
         size = min(_BATCH, count - start)
-        head, length = extend(head, length, size + depth - 1 - len(head))
-        S = np.concatenate(([0], np.cumsum(length)))
-        prefix = np.zeros(size, dtype=np.int64)
-        i, rows = 0, size
-        while rows:
-            used = S[i + 1 : i + 1 + rows] - S[:rows]
-            short = int(np.searchsorted(used, depth))
-            prefix[:short] += head[i : i + short] * pows[depth - used[:short]]
-            prefix[short:rows] += head[i + short : i + rows] // pows[used[short:] - depth]
-            i, rows = i + 1, short
-        yield prefix
-        head, length = head[size:], length[size:]
+        head = np.concatenate((head, read(size + depth - 1 - len(head))))
+        # the run of L-digit terms ends where the (L+1)-digit ones start; L = depth ends the block
+        ends = [0, *np.searchsorted(head, pows[1:depth]).tolist(), len(head)]
+        last = head[ends[-2] :]
+        over = np.flatnonzero(last >= pows[depth])  # below 2^63, longer than depth digits
+        last[over] //= pows[np.searchsorted(pows, last[over], side="right") - depth]
+        prefix = np.empty(len(head), dtype=np.int64)
+        after = 0  # the prefix of the window after the run, 0 past the terms read
+        for L in range(depth, 0, -1):
+            s, e = ends[L - 1], ends[L]
+            if s == e:
+                continue
+            q = -(-depth // L)
+            inside = prefix[s : max(s, e - q + 1)]
+            np.floor_divide(head[s + q - 1 : s + q - 1 + len(inside)], powers[q * L - depth], out=inside)
+            for i in range(q - 1):
+                inside += head[s + i : s + i + len(inside)] * powers[depth - (i + 1) * L]
+            for m in range(e - 1, s + len(inside) - 1, -1):
+                after = int(head[m]) * powers[depth - L] + after // powers[L]
+                prefix[m] = after
+            after = int(prefix[s])
+        yield prefix[:size]
+        head = head[size:]
 
 
 def _leading_digits(terms: Iterator[int], base: int, depth: int) -> Iterator[int]:
@@ -259,8 +286,8 @@ def ud_deviation(points: PointSet, alpha: ExactEndpoint, beta: ExactEndpoint, fi
         raise ValueError("empty point set")
     v, u = points.sorted, points.array
     if not (v[0] >= a and v[-1] < b):
-        i = np.flatnonzero((u < a) | (u >= b))[0]
-        raise ValueError(f"x_{first_index + i} = {float(u[i])!r} outside {_brief(f'[{alpha}, {beta})')}")
+        i = int(np.flatnonzero((u < a) | (u >= b))[0])
+        raise ValueError(f"x_{_show(first_index + i)} = {float(u[i])!r} outside {_brief(f'[{alpha}, {beta})')}")
     rescaled = v - a
     rescaled /= b - a
     np.minimum(rescaled, np.nextafter(1.0, 0.0), out=rescaled)
@@ -292,7 +319,7 @@ def log10_fracpart(m: int) -> float:
     trailing zeros only when every later digit is 0 as well.
     """
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise ValueError(f"m must be >= 1, got {_show(m)}")
     _, head, exact = decimal_head(m)
     s = head.rstrip("0") if exact else head
     if s == "1":
@@ -303,7 +330,7 @@ def log10_fracpart(m: int) -> float:
 def leading_digit(m: int, base: int = 10) -> int:
     """Most significant digit of the base-b expansion of m >= 1."""
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise ValueError(f"m must be >= 1, got {_show(m)}")
     if base == 10:
         return int(decimal_head(m)[1][0])
     while m >= base:
@@ -484,7 +511,7 @@ def _mantissa(m: int) -> int:
     """
     if m < _HEAD_BELOW:
         if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
+            raise ValueError(f"m must be >= 1, got {_show(m)}")
         return m
     _, head, exact = decimal_head(m)
     return int(head) if exact else 10 * int(head) + 1
@@ -548,17 +575,30 @@ def _certified_star(w: np.ndarray, exact_parts: Callable[[np.ndarray], np.ndarra
     first value >= r - 3e to the last <= r + 3e: sorted, they fill the runs.
     Every other term keeps its value, more than 3e below the largest: D* is
     the largest term over the runs, computed as ``_star_blocks`` does.
+
+    The rank values come from one walk of ``_star_blocks``.  It takes each
+    block's largest term T_b from its rise and fall, and holds the block's
+    D* terms only while T_b >= top - 4e, top the largest T_b so far.  A
+    block not held lies below the final top - 4e, because top only rises
+    and subtracting 4e rounds monotonically, so none of its ranks is a rank
+    value.  So masking the held terms at the final top - 4e gives the same
+    ranks as masking every block.  The per-rank maximum runs only on the
+    blocks held when they come, and the mask and the index only on those
+    still held at the end: most often one.
     """
     wrap = np.flatnonzero((w < _EPS) | (w > 1 - _EPS))
     w[wrap] = exact_parts(wrap)
     v = np.sort(w, kind=kind)
-    blocks = []  # per block of ranks: the values and D* terms within 4e of its largest term
+    top, blocks = -math.inf, []  # the blocks of ranks whose largest D* term is within 4e of the running top
     for part, rise, fall in _star_blocks(v):
-        term = np.maximum(rise, fall)
-        keep = term >= term.max() - 4 * _EPS
-        blocks.append((part[keep], term[keep]))
-    near_top = max(term.max() for _, term in blocks) - 4 * _EPS
-    ranks = np.concatenate([part[term >= near_top] for part, term in blocks])
+        largest = max(rise.max(), fall.max())
+        if largest > top:
+            top = largest
+            blocks = [block for block in blocks if block[0] >= top - 4 * _EPS]
+        if largest >= top - 4 * _EPS:
+            blocks.append((largest, part, np.maximum(rise, fall)))
+    near_top = top - 4 * _EPS
+    ranks = np.concatenate([part[term >= near_top] for _, part, term in blocks])
 
     def within(x: np.ndarray, width: float) -> np.ndarray:
         # the positions of x within width of a rank value, tested against the least r with r + width >= x

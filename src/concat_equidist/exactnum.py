@@ -118,7 +118,7 @@ def int_to_digits(n: int, base: int) -> DigitString:
     """Base-b expansion of a positive integer, most significant digit first."""
     _check_base(base)
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {_show(n)}")
     return DigitString(base, digit_text(n, base))
 
 
@@ -195,7 +195,7 @@ def digit_length(n: int, base: int) -> int:
     """
     _check_base(base)
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {_show(n)}")
     length = max(int(n.bit_length() / math.log2(base)) - 1, 0)
     power = base**length
     while n >= power:

@@ -250,7 +250,7 @@ def lemma1_main_term(k: int, J: int) -> int:
     """Exact main term sum_{i=0..J} floor(10^i / k) of the linear-family count."""
     family = MultipleTail(k)
     if J < 0:
-        raise ValueError(f"J must be >= 0, got {J}")
+        raise ValueError(f"J must be >= 0, got {_show(J)}")
     return family.main_terms({J})[0][J]
 
 
@@ -439,7 +439,7 @@ def tail_prefixes(spec: TailSpec, n: int, count: int, p: int) -> Iterator[int]:
     base, which is valid because a family's terms increase from n_min.
     """
     if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+        raise ValueError(f"p must be >= 1, got {_show(p)}")
     terms = spec.terms(n)
     base = spec.base
     length, bound = 1, base  # base**(length - 1) <= the next term < bound = base**length

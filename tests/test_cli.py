@@ -462,6 +462,11 @@ class TestDiscrepancy:
             (["--kind", "champ", "--N", "10", "--beta=0.9"], "x_9 = 0.9101112131415162 outside [0.1, 0.9)"),
             # from n_min = 9: x_9 = 0.110213... lies inside, x_10 = 0.102134... does not
             (["--kind", "poly", "--coeffs=10,-10,1", "--N", "5", "--alpha=0.105"], "x_10 = 0.10213449668510613 outside [0.105, 1)"),
+            # n - 10^5000 starts at n_min = 10^5000 + 1, an index past int64 and past 4300 digits
+            (
+                ["--kind", "poly", "--coeffs=-1" + "0" * 5000 + ",1", "--N", "3", "--alpha=0.5"],
+                "x_<16610-bit int> = 0.12345678910111213 outside [0.5, 1)",
+            ),
         ],
     )
     def test_a_point_outside_the_window_is_named_by_its_index(self, capsys, argv, message):

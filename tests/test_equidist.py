@@ -16,6 +16,7 @@ from concat_equidist import equidist
 from concat_equidist.equidist import (
     _BATCH,
     _EPS,
+    _STAR_BLOCK,
     _LOG10_2_FIXED,
     _FINER,
     _certified_star,
@@ -259,6 +260,10 @@ class TestTailPoints:
     @example((PolyTail(IntPoly((0, 0, 0, 0, 0, 0, 1))), 1440, 30, 18))  # n^6 passes 2^63 at n = 1449
     @example((ChampernowneTail(11), 1, _BATCH + 1, 18))  # the largest base of int64 blocks
     @example((ChampernowneTail(12), 1, 40, 18))  # the first base read from tail_prefixes
+    @example((MultipleTail(2 * 10**12), 499_990, _BATCH, 18))  # 18 to 19 digits at n = 500000, below 2^63
+    @example((PolyTail(IntPoly((1, 0, 0, 2))), 999_990, 40, 18))  # every term has 19 digits, below 2^63
+    @example((ChampernowneTail(2), 1, _BATCH + 1, 24))  # runs shorter than their windows
+    @example((ChampernowneTail(), 10**5 - _BATCH, 2 * _BATCH + 1, 18))  # the second block starts at 10^5
     def test_bitwise_equal_to_prefix_division(self, case):
         spec, n, count, depth = case
         got = tail_points(spec, n, count, depth).array
@@ -906,6 +911,11 @@ class TestInt64Reader:
     @example((PolyTail(IntPoly((9223372036854775000, 1))), 1, 2**63, [_BATCH]))  # 2^63 at n = 808
     @example((MultipleTail(10**17), 1, 10**17, [1, 1]))  # the first term is the bound
     @example((PolyTail(IntPoly(from_roots([10**5] * 6, 1, 1))), 10**5, 2**63, [_BATCH, 7]))
+    # the constant 2 10^30 wraps mod 2^64; f(1) = 6 and f(2) = 11 lie below 2^63, f(3) above
+    @example((PolyTail(IntPoly((2 * 10**30 + 1, -3 * 10**30 + 5, 10**30))), 1, 2**63, [1, 2]))
+    @example((MultipleTail(10**17), 1, 2**63, [7, _BATCH]))  # k n passes 2^63 at n = 93
+    @example((PolyTail(IntPoly((0, 0, 0, 1))), 5, 2**63, [1]))  # a single term
+    @example((MultipleTail(7), 14285714285714276, 10**17, [10, 1]))  # the first read ends at the bound
     def test_blocks_equal_the_term_stream(self, case):
         spec, n, bound, sizes = case
         _, read = _int64_reader(spec, n, bound, lambda rest: (-(a % 1000) - 1 for a in rest))
@@ -971,6 +981,31 @@ class TestOneSort:
         w = np.minimum(w, math.nextafter(1.0, 0.0))
         d_star = _certified_star(w, lambda idx: exact[idx])
         # the D* of the runs about the ranks is that of a full scan of the patched w, and of the exact parts
+        assert repr(d_star) == repr(star_discrepancy(PointSet(w))) == repr(formula_star_discrepancy(PointSet(exact)))
+
+    @pytest.mark.parametrize(
+        "raised,patched",
+        [
+            ({-1: 1e-6}, [2 * _STAR_BLOCK]),  # D* only in the last block
+            ({100: 1e-6, _STAR_BLOCK + 100: 1e-6}, [100, _STAR_BLOCK + 100]),  # two blocks tied at the top
+            # the later block higher by less than 4e keeps the earlier one's rank, by more drops it
+            ({100: 1e-6, _STAR_BLOCK + 100: 1e-6 + 2 * _EPS}, [100, _STAR_BLOCK + 100]),
+            ({100: 1e-6, _STAR_BLOCK + 100: 1e-6 + 8 * _EPS}, [_STAR_BLOCK + 100]),
+        ],
+        ids=["last", "tied", "within", "beyond"],
+    )
+    def test_d_star_past_one_block(self, raised, patched):
+        # a centered grid, where every D* term is 1/(2n), in three blocks of
+        # ranks; a raised point lifts its fall term by as much, stays in
+        # order, and is the only point within 2e of a rank that attains D*
+        n = 2 * _STAR_BLOCK + 1
+        exact = (2 * np.arange(n) + 1) / (2 * n)
+        for i, lift in raised.items():
+            exact[i] += lift
+        w = exact + np.random.default_rng(0).uniform(-_EPS / 100, _EPS / 100, n)
+        asked = []
+        d_star = _certified_star(w, lambda idx: asked.extend(idx.tolist()) or exact[idx])
+        assert asked == patched
         assert repr(d_star) == repr(star_discrepancy(PointSet(w))) == repr(formula_star_discrepancy(PointSet(exact)))
 
     @settings(max_examples=80)

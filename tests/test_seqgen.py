@@ -6,6 +6,7 @@ import pytest
 
 from hypothesis import event, given, settings, strategies as st
 
+from concat_equidist import asymptotics, equidist
 from concat_equidist.equidist import _BATCH, family_benford_report, tail_points
 from concat_equidist.exactnum import STR_BELOW, decimal_int, digit_length, int_to_digits
 from concat_equidist.seqgen import (
@@ -14,6 +15,7 @@ from concat_equidist.seqgen import (
     IntPoly,
     MultipleTail,
     PolyTail,
+    lemma1_main_term,
     tail_digits,
     tail_prefixes,
     term,
@@ -709,3 +711,31 @@ class TestIndexLe:
             expected += 1
         assert spec.index_le(m) == expected
 
+
+HUGE = -(10**5000)  # past the 4300 digits that int-to-str conversion allows
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda x: tail_points(ChampernowneTail(), 1, 5, x), "depth"),
+        (equidist.log10_fracpart, "m"),
+        (equidist.leading_digit, "m"),
+        (equidist._mantissa, "m"),
+        (lambda x: list(tail_prefixes(ChampernowneTail(), 1, 5, x)), "p"),
+        (lambda x: int_to_digits(x, 10), "n"),
+        (lambda x: digit_length(x, 10), "n"),
+        (asymptotics.limit_constants, "d"),
+        (asymptotics.y_sequence, "d_max"),
+        (lambda x: asymptotics.lemma2_main_term(NSQ, x), "J"),
+        (lambda x: lemma1_main_term(7, x), "J"),
+    ],
+    ids=[
+        "tail_points", "log10_fracpart", "leading_digit", "_mantissa", "tail_prefixes", "int_to_digits",
+        "digit_length", "limit_constants", "y_sequence", "lemma2_main_term", "lemma1_main_term",
+    ],
+)
+def test_a_huge_argument_is_named_by_its_size(call, name):
+    # an f-string of the int itself raises CPython's digit-limit error instead
+    with pytest.raises(ValueError, match=rf"^{name} must be >= [01], got -<{abs(HUGE).bit_length()}-bit int>$"):
+        call(HUGE)
