@@ -48,8 +48,6 @@ _EQUIDIST_NAMES = frozenset(
         "benford_report",
         "census",
         "family_benford_report",
-        "leading_digit",
-        "log10_fracpart",
         "log_fracparts",
         "pow2_benford_report",
         "star_discrepancy",

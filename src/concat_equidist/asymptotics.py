@@ -131,7 +131,10 @@ def ratio_scan(
     main terms are the family's fractions M_j / D (``spec.main_terms``):
     Lemma 1's exact integers over 1 for a linear family, Lemma 2's
     ``_lemma2_numerators`` for a polynomial one.  Each is rounded once, and
-    so is the residual count - main, as one int / int division.
+    so is the residual count - main, as one int / int division.  The main
+    terms and the limit constants are those of the paper's [0.1, 0.2),
+    whatever ``interval`` is: for k = 3 on [0.37, 0.3712) the row at j = 4
+    has count 4, main term 3702 and residual -3698, against the target 5/9.
     """
     if not points:
         raise ValueError("no scan points: j_max is below the subsequence threshold")

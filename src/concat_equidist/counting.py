@@ -31,7 +31,7 @@ class CountResult:
 
 def default_max_digits(spec: TailSpec, n: int) -> int:
     """Digit budget before membership is declared undecided."""
-    return 4 * digit_length(term(spec, n, 0), spec.base) + 16
+    return 4 * digit_length(term(spec, n), spec.base) + 16
 
 
 def _rank(
@@ -47,10 +47,10 @@ def _rank(
     before that, the next term is read.
     """
     base = spec.base
-    prefix = used = offset = r = 0
+    prefix = used = i = r = 0
     while used < budget:
-        a = term(spec, n, offset)
-        offset += 1
+        a = term(spec, n + i)
+        i += 1
         d = digit_length(a, base)
         if used + d > budget:
             a //= base ** (used + d - budget)
@@ -112,12 +112,12 @@ def _cells(
     base, start = spec.base, spec.n_min
     last = start + stops[-1]
     pairs = [(c.length, c.scaled) for c in cuts]
-    stop_decades = [digit_length(term(spec, start + N - 1, 0), base) for N in stops]
+    stop_decades = [digit_length(term(spec, start + N - 1), base) for N in stops]
     results: list[tuple[list[int], int]] = []
     below = [0] * len(cuts)  # per cut: index_le(max(v, b^(e-1)) - 1) in the current decade
     total = [0] * len(cuts)  # per cut: those of every decade walked, and the ties' shares
     digits_max = 0
-    for e in range(digit_length(term(spec, start, 0), base), stop_decades[-1] + 1):
+    for e in range(digit_length(term(spec, start), base), stop_decades[-1] + 1):
         least = base ** (e - 1)
         ties: dict[int, list[int]] = {}  # n -> the cuts a_n ties, in ascending n
         for j, (length, scaled) in enumerate(pairs):
@@ -125,7 +125,7 @@ def _cells(
             below[j] = i = spec.index_le(max(v, least) - 1)
             total[j] += i
             n = start + i  # the first index with a_n >= v; if cut j - 1 ties it too, a_n = v
-            if e < length and v >= least and n < last and (n in ties or term(spec, n, 0) == v):
+            if e < length and v >= least and n < last and (n in ties or term(spec, n) == v):
                 ties.setdefault(n, []).append(j)
         # each stop of this decade is counted before the first tie at or above it is streamed
         for n, tied in [*ties.items(), (last, [])]:

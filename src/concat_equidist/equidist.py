@@ -310,48 +310,17 @@ def weyl_sum(points: PointSet, h: int) -> float:
     return float(abs(np.exp(z, out=z).mean()))
 
 
-def log10_fracpart(m: int) -> float:
-    """{log10 m} in [0, 1), with terms c*10^k landing on the correct side.
+def census(terms: Iterable[int]) -> list[int]:
+    """The nine leading-digit counts of a stream of positive integers, indexed by digit - 1.
 
-    Trailing zeros are stripped first so exact powers of ten (and small
-    multiples of them) never round to 0.999... from the wrong side.  The
-    digits come from ``decimal_head``; its 17-digit head is stripped of
-    trailing zeros only when every later digit is 0 as well.
+    Each term is cut to its int64 ``_mantissa``, whose first digit is the
+    term's, and the cuts are counted as the reports count them
+    (``_digit_counts``); the counts sum to the stream length.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {_show(m)}")
-    _, head, exact = decimal_head(m)
-    s = head.rstrip("0") if exact else head
-    if s == "1":
-        return 0.0
-    return (math.log10(int(s)) - (len(s) - 1)) % 1.0
-
-
-def leading_digit(m: int, base: int = 10) -> int:
-    """Most significant digit of the base-b expansion of m >= 1."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {_show(m)}")
-    if base == 10:
-        return int(decimal_head(m)[1][0])
-    while m >= base:
-        m //= base
-    return m
-
-
-def census(terms: Iterable[int], base: int = 10) -> list[int]:
-    """Leading-digit counts for a stream of positive integers.
-
-    Returns a list indexed by digit - 1 (length base - 1); counts sum to the
-    stream length.
-    """
-    counts = [0] * (base - 1)
-    empty = True
-    for m in terms:
-        counts[leading_digit(m, base) - 1] += 1
-        empty = False
-    if empty:
+    mant = _mantissas(terms)
+    if not len(mant):
         raise ValueError("empty term stream")
-    return counts
+    return _digit_counts(mant).tolist()
 
 
 def log_fracparts(terms: Iterable[int]) -> PointSet:
@@ -363,10 +332,11 @@ def benford_report(terms: Iterable[int]) -> BenfordReport:
     """Leading-digit frequencies vs the Benford reference, plus log-discrepancy.
 
     One pass reads each term's decimal digits once, cut to an int64
-    ``_mantissa``.  NumPy takes the leading digits and the logarithms from
-    those, with ``math.log10`` only where it can decide D*
-    (``_certified_star``).  The results equal those of ``census`` and
-    ``star_discrepancy(log_fracparts(terms))``, bit for bit.
+    ``_mantissa``: its trailing zeros stripped, at most 17 digits kept, and
+    a guard digit where a later digit is nonzero.  NumPy counts the leading
+    digits of those and takes their logarithms, with ``math.log10`` of the
+    cut digits only where it can decide D* (``_certified_star``), so D* is
+    that of the ``math.log10`` parts, bit for bit.
     """
     return _report(_mantissas(terms))
 
@@ -474,18 +444,23 @@ def _pow2_parts(n: np.ndarray) -> np.ndarray:
 
 
 def _report(mant: np.ndarray, rising: int = 0) -> BenfordReport:
-    """The report of these ``_mantissa`` values.  The first ``rising`` increase strictly below
-    10^17, so one search for the edges c 10^e counts their leading digits; ``bincount`` the rest."""
+    """The report of these ``_mantissa`` values, the first ``rising`` of them increasing strictly below 10^17."""
     if not len(mant):
         raise ValueError("empty term stream")
+    w = np.log10(mant)
+    w -= np.floor(w)
+    return _summary(_digit_counts(mant, rising).tolist(), _certified_star(w, lambda idx: _exact_parts(mant[idx])))
+
+
+def _digit_counts(mant: np.ndarray, rising: int = 0) -> np.ndarray:
+    """The nine leading-digit counts of these ``_mantissa`` values.  The first ``rising`` increase
+    strictly below 10^17, so one search for the edges c 10^e counts them; ``bincount`` the rest."""
     below = np.searchsorted(mant[:rising], _DIGIT_FLOORS).reshape(HEAD_DIGITS, 10)  # how many lie below c 10^e
     counts = np.diff(below, axis=1).sum(axis=0)
     rest = mant[rising:]
     length = np.searchsorted(_POW10, rest, side="right")
     counts += np.bincount(rest // _POW10[length - 1], minlength=10)[1:]
-    w = np.log10(mant)
-    w -= np.floor(w)
-    return _summary(counts.tolist(), _certified_star(w, lambda idx: _exact_parts(mant[idx])))
+    return counts
 
 
 def _summary(counts: list[int], d_star: float) -> BenfordReport:
@@ -502,12 +477,15 @@ _DIGIT_FLOORS = np.array([c * 10**e for e in range(HEAD_DIGITS) for c in range(1
 
 
 def _mantissa(m: int) -> int:
-    """The digits of m >= 1 that ``log10_fracpart`` reads, as an int below 10^18.
+    """The digits of m >= 1 that decide its leading digit and {log10 m}, as an int below 10^18.
 
-    Below 10^17 that is m itself: ``_exact_parts`` strips its trailing
-    zeros.  From 10^17 on it is the 17-digit ``decimal_head``; when a later
-    digit is nonzero the head keeps its own trailing zeros, so a guard digit
-    1 is appended, which stripping stops at and ``_exact_parts`` removes.
+    The rule: strip m's trailing zeros and keep at most its 17 leading
+    digits, s; then {log10 m} = log10(s) - (len(s) - 1) mod 1, from
+    ``math.log10``.  Below 10^17 this value is m itself: ``_exact_parts``
+    strips its trailing zeros.  From 10^17 on it is the 17-digit
+    ``decimal_head``; when a later digit is nonzero the head keeps its own
+    trailing zeros, so a guard digit 1 is appended, which stripping stops
+    at and ``_exact_parts`` removes.
     """
     if m < _HEAD_BELOW:
         if m < 1:
@@ -533,11 +511,12 @@ def _family_mantissas(spec: TailSpec, n: int, count: int) -> tuple[np.ndarray, i
 
 
 def _exact_parts(mant: np.ndarray) -> np.ndarray:
-    """{log10 a_i} from int64 ``_mantissa`` values, bitwise ``log10_fracpart`` term by term.
+    """{log10 a_i} from int64 ``_mantissa`` values: log10(s) - (len(s) - 1) mod 1.
 
-    NumPy strips the trailing zeros (in place) and the guard digits; the
-    logarithms come from ``math.log10`` on the same integers, one call per
-    value, because ``np.log10`` may round differently.
+    NumPy strips the trailing zeros (in place) and the guard digits, which
+    leaves each s: a_i stripped of its trailing zeros and cut to at most
+    17 leading digits.  The logarithms come from ``math.log10`` on the same integers, one
+    call per value, because ``np.log10`` may round differently.
     """
     tens = np.flatnonzero(mant % 10 == 0)
     while tens.size:

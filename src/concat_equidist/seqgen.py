@@ -4,7 +4,7 @@ Two families are supported: the multiple-of-k tail 0.(kn)(k(n+1))..., whose
 k = 1 case is the Champernowne tail 0.(n)(n+1)(n+2)..., and the polynomial
 tail 0.f(n)f(n+1)... for an eventually increasing integer polynomial f.
 Other modules use a family only through its protocol: ``base``; ``n_min``,
-the least index; ``term(n, offset)``; the consecutive terms ``terms(n)``, the
+the least index; ``term(n)``, a_n; the consecutive terms ``terms(n)``, the
 one route by which tail digits, prefixes and the Benford pass walk a sequence
 in Python; the difference column that stream starts from (``differences(n)``),
 from which the diagnostics build int64 blocks of terms in NumPy; the count of
@@ -220,13 +220,13 @@ class MultipleTail(_Family):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {_show(self.k)}")
 
-    def term(self, n: int, offset: int = 0) -> int:
-        _check_index(self, n, offset)
-        return self.k * (n + offset)
+    def term(self, n: int) -> int:
+        _check_index(self, n)
+        return self.k * n
 
     def differences(self, n: int) -> list[int]:
         """[a_n, k]: the terms from a_n on are the running sums of the constant k."""
-        _check_index(self, n, 0)
+        _check_index(self, n)
         return [self.k * n, self.k]
 
     def index_le(self, m: int) -> int:
@@ -279,9 +279,9 @@ class PolyTail(_Family):
     def degree(self) -> int:
         return self.poly.degree
 
-    def term(self, n: int, offset: int = 0) -> int:
-        _check_index(self, n, offset)
-        return self.poly.eval(n + offset)
+    def term(self, n: int) -> int:
+        _check_index(self, n)
+        return self.poly.eval(n)
 
     def differences(self, n: int) -> list[int]:
         """The column f(n), Δf(n), ..., Δ^d f(n), with the domain checked.
@@ -289,7 +289,7 @@ class PolyTail(_Family):
         Each entry is a polynomial of ``IntPoly.table`` evaluated at n; the
         last is the constant d! c_d.
         """
-        _check_index(self, n, 0)
+        _check_index(self, n)
         return [_horner(h, n) for h in self.poly.table]
 
     def index_le(self, m: int) -> int:
@@ -389,16 +389,14 @@ def _lemma2_numerators(poly: IntPoly, Js: set[int]) -> tuple[dict[int, int], int
     return numerators, _iroot(poly.coeffs[-1] << B * d, d)
 
 
-def _check_index(spec: TailSpec, n: int, offset: int) -> None:
-    if offset < 0:
-        raise DomainError(f"offset must be >= 0, got {_show(offset)}")
+def _check_index(spec: TailSpec, n: int) -> None:
     if n < spec.n_min:
         raise DomainError(f"index {_show(n)} below the sequence domain (n_min = {_show(spec.n_min)})")
 
 
-def term(spec: TailSpec, n: int, offset: int = 0) -> int:
-    """The concatenated integer a_{n+offset} of the family."""
-    return spec.term(n, offset)
+def term(spec: TailSpec, n: int) -> int:
+    """The concatenated integer a_n of the family."""
+    return spec.term(n)
 
 
 def tail_digits(spec: TailSpec, n: int, p: int) -> DigitString:

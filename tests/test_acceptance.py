@@ -9,6 +9,7 @@ import time
 import pytest
 
 from every_index import in_interval
+from per_term import leading_digit
 from concat_equidist.asymptotics import (
     Y_LIMIT,
     inverse_epsilon,
@@ -18,7 +19,7 @@ from concat_equidist.asymptotics import (
     y_sequence,
 )
 from concat_equidist.counting import count_A
-from concat_equidist.equidist import benford_report, census, leading_digit, log_fracparts, star_discrepancy, PointSet
+from concat_equidist.equidist import benford_report, census, log_fracparts, star_discrepancy, PointSet
 from concat_equidist.exactnum import HalfOpenInterval
 from concat_equidist.seqgen import ChampernowneTail, IntPoly, MultipleTail, PolyTail, lemma1_main_term, term
 
@@ -148,7 +149,7 @@ def test_criterion_7_benford_negative_control():
     for N in (2 * 10**3, 2 * 10**4, 2 * 10**5):
         terms = range(1, N + 1)
         disc = star_discrepancy(log_fracparts(terms))
-        freq1 = census(terms, 10)[0] / N
+        freq1 = census(terms)[0] / N
         ok &= disc >= 0.2 and freq1 >= 0.5
     check("7 naturals: log10 star discrepancy >= 0.2 and digit-1 freq >= 0.5", ok)
 
@@ -178,13 +179,13 @@ def test_criterion_10_first_digit_reduction():
         running = 0
         for i, n in enumerate(range(start, start + 10**4), start=1):
             member = in_interval(spec, n, I12)
-            lead_one = leading_digit(term(spec, n, 0), 10) == 1
+            lead_one = leading_digit(term(spec, n)) == 1
             if member != lead_one:
                 ok = False
                 break
             running += member
         ok &= running == count_A(spec, I12, 10**4).count
-        ok &= running == census((term(spec, n, 0) for n in range(start, start + 10**4)), 10)[0]
+        ok &= running == census(term(spec, n) for n in range(start, start + 10**4))[0]
     check("10 count_A == digit-1 census, exhaustively for N <= 1e4, all families", ok)
 
 

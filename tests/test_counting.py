@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import every_index
+from per_term import leading_digit
 from concat_equidist import counting
 from concat_equidist.counting import (
     UndecidedMembershipError,
@@ -15,7 +16,7 @@ from concat_equidist.counting import (
     count_A,
     default_max_digits,
 )
-from concat_equidist.equidist import census, leading_digit
+from concat_equidist.equidist import census
 from concat_equidist.exactnum import (
     _DIGIT_CHARS,
     DigitString,
@@ -48,7 +49,7 @@ def brute_member(spec, n, lo: str, hi: str) -> bool:
     s = ""
     offset = 0
     while len(s) < 40:
-        s += str(term(spec, n, offset))
+        s += str(term(spec, n + offset))
         offset += 1
     p = 40
     x_scaled = int(s[:p])  # x_n ~ x_scaled / 10^p, truncation < 10^-p
@@ -63,15 +64,11 @@ def brute_member(spec, n, lo: str, hi: str) -> bool:
 class TestLeadingDigit:
     @pytest.mark.parametrize("m,expected", [(19, 1), (2 * 10**6, 2), (45 * 45, 2)])
     def test_examples(self, m, expected):
-        assert leading_digit(m, 10) == expected
+        assert census([m]) == [int(c == expected) for c in range(1, 10)]
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            leading_digit(0, 10)
-
-    def test_other_base(self):
-        assert leading_digit(255, 16) == 15
-        assert leading_digit(255, 2) == 1
+        with pytest.raises(ValueError, match="^m must be >= 1, got 0$"):
+            census([0])
 
 
 class TestInInterval:
@@ -225,7 +222,7 @@ def _cases(draw, max_n, max_len=5, max_budget=24, min_len=0, huge=False):
 
 
 def _decade(spec, n):
-    return digit_length(term(spec, n, 0), spec.base)
+    return digit_length(term(spec, n), spec.base)
 
 
 @st.composite
@@ -406,7 +403,7 @@ class TestClosedFormMatchesOracle:
         "lo,hi", [("0.1", "0.2"), ("0.123", "0.1231"), ("0.99", "1"), ("0.09", "0.1"), ("0", "0.1")]
     )
     def test_decade_boundaries(self, spec, N, lo, hi):
-        assert term(spec, spec.n_min + N - 1, 0) in (9, 99, 999, 100, 1000, 10**4)
+        assert term(spec, spec.n_min + N - 1) in (9, 99, 999, 100, 1000, 10**4)
         interval = HalfOpenInterval.parse(lo, hi)
         assert count_A(spec, interval, N) == every_index.count_A(spec, interval, N)
 
@@ -426,7 +423,7 @@ def digit_list_stream(spec, n, interval, max_digits):
     hi_state = PrefixOrder.UNDECIDED
     offset = 0
     while len(buf) < max_digits:
-        buf += str(int_to_digits(term(spec, n, offset), base))
+        buf += str(int_to_digits(term(spec, n + offset), base))
         offset += 1
         prefix = DigitString(base, buf[:max_digits])
         if lo_state is PrefixOrder.UNDECIDED:
@@ -486,22 +483,22 @@ class TestFirstDigitReduction:
             interval = HalfOpenInterval.parse(f"0.{c}", hi)
             for n in range(1, 400):
                 assert every_index.in_interval(spec, n, interval) == (
-                    leading_digit(term(spec, n, 0), 10) == c
+                    leading_digit(term(spec, n)) == c
                 )
 
 
 class TestCensus:
     def test_first_twenty_naturals(self):
-        counts = census(range(1, 21), 10)
+        counts = census(range(1, 21))
         assert counts[0] == 11
         assert sum(counts) == 20
 
     def test_constant_stream(self):
-        assert census([5] * 7, 10) == [0, 0, 0, 0, 7, 0, 0, 0, 0]
+        assert census([5] * 7) == [0, 0, 0, 0, 7, 0, 0, 0, 0]
 
     def test_powers_of_ten(self):
-        assert census([10**i for i in range(6)], 10)[0] == 6
+        assert census([10**i for i in range(6)])[0] == 6
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            census([], 10)
+        with pytest.raises(ValueError, match="^empty term stream$"):
+            census([])

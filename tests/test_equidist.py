@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import per_term
 from concat_equidist import equidist
 from concat_equidist.equidist import (
     _BATCH,
@@ -20,6 +21,7 @@ from concat_equidist.equidist import (
     _LOG10_2_FIXED,
     _FINER,
     _certified_star,
+    _digit_counts,
     _family_mantissas,
     _int64_reader,
     _mantissa,
@@ -33,8 +35,6 @@ from concat_equidist.equidist import (
     benford_report,
     census,
     family_benford_report,
-    leading_digit,
-    log10_fracpart,
     log_fracparts,
     pow2_benford_report,
     star_discrepancy,
@@ -366,8 +366,8 @@ class TestLogFracparts:
         assert pts.values == (0.0,) * 6
 
     def test_multiples_of_powers(self):
-        assert log10_fracpart(3 * 10**25) == pytest.approx(math.log10(3), abs=1e-12)
-        assert log10_fracpart(2 * 10**6) == pytest.approx(LOG2, abs=1e-12)
+        assert per_term.log10_fracpart(3 * 10**25) == pytest.approx(math.log10(3), abs=1e-12)
+        assert per_term.log10_fracpart(2 * 10**6) == pytest.approx(LOG2, abs=1e-12)
 
     def test_powers_of_two(self):
         pts = log_fracparts([2**n for n in range(1, 6)])
@@ -380,11 +380,11 @@ class TestLogFracparts:
 
     def test_big_power_of_two_matches_rotation(self):
         # 2^5000 is far beyond float range; the digit-based log must still agree
-        assert log10_fracpart(2**5000) == pytest.approx((5000 * LOG2) % 1.0, abs=1e-9)
+        assert per_term.log10_fracpart(2**5000) == pytest.approx((5000 * LOG2) % 1.0, abs=1e-9)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            log10_fracpart(0)
+            per_term.log10_fracpart(0)
 
 
 def str_log10_fracpart(m):
@@ -425,7 +425,7 @@ def huge_terms(draw):
 
 
 class TestMatchesStrOracle:
-    """log10_fracpart and leading_digit equal the str()-based rules
+    """The per-term log10_fracpart and leading_digit equal the str()-based rules
     bit for bit, also past Python's 4300-digit int-to-str limit."""
 
     @settings(max_examples=600)
@@ -441,12 +441,12 @@ class TestMatchesStrOracle:
             expected = (str_log10_fracpart(m), str_leading_digit(m))
         finally:
             sys.set_int_max_str_digits(limit)
-        assert (log10_fracpart(m), leading_digit(m)) == expected
+        assert (per_term.log10_fracpart(m), per_term.leading_digit(m)) == expected
 
     def test_powers_of_two_past_the_str_limit(self, deadline):
         with deadline(5.0, "log10 parts of 2^1..2^15000"):
             fracs = log_fracparts(2**n for n in range(1, 15_001)).values
-            digits = [leading_digit(2**n) for n in range(1, 15_001)]
+            digits = [per_term.leading_digit(2**n) for n in range(1, 15_001)]
         assert fracs[-1] == pytest.approx((15_000 * LOG2) % 1.0, abs=1e-9)
         assert digits[-1] == 2  # 2^15000 = 2.8…e4515
 
@@ -493,7 +493,7 @@ def two_pass_report(terms):
     if not terms:
         raise ValueError("empty term stream")
     n = len(terms)
-    freq = tuple(c / n for c in census(terms, 10))
+    freq = tuple(c / n for c in per_term.census(terms))
     gap = max(abs(f - b) for f, b in zip(freq, BENFORD_FREQ))
     return BenfordReport(n, freq, BENFORD_FREQ, gap, star_discrepancy(log_fracparts(terms)))
 
@@ -544,8 +544,8 @@ def per_term_report(terms):
     counts = [0] * 9
     fracs = []
     for m in terms:
-        counts[leading_digit(m) - 1] += 1
-        fracs.append(log10_fracpart(m))
+        counts[per_term.leading_digit(m) - 1] += 1
+        fracs.append(per_term.log10_fracpart(m))
     n = len(fracs)
     freq = tuple(c / n for c in counts)
     gap = max(abs(f - b) for f, b in zip(freq, BENFORD_FREQ))
@@ -602,7 +602,7 @@ class TestBatchedBenfordReport:
 
     def test_log_fracparts_equal_per_term(self):
         terms = [*range(1, _BATCH + 2), 10**16, 10**17 - 1, 2**900, 10**300, 1230 * 10**300 + 1]
-        assert log_fracparts(terms).values == tuple(map(log10_fracpart, terms))
+        assert log_fracparts(terms).values == tuple(map(per_term.log10_fracpart, terms))
 
     @pytest.mark.parametrize("position", [0, _BATCH - 1, _BATCH, _BATCH + 1])
     def test_bad_term_stops_the_stream(self, position):
@@ -613,6 +613,32 @@ class TestBatchedBenfordReport:
 
         with pytest.raises(ValueError, match="m must be >= 1, got 0"):
             benford_report(stream())
+
+
+class TestBatchedCensus:
+    """``census`` counts each term's leading digit as the reports do (``_digit_counts``),
+    equal to the per-term census."""
+
+    @settings(max_examples=200)
+    @given(st.one_of(st.lists(huge_terms(), min_size=1, max_size=12), batch_streams()))
+    def test_equals_the_per_term_census(self, terms):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = per_term.census(terms)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert repr(census(iter(terms))) == repr(expected)
+
+    def test_no_mantissas_count_nothing(self):
+        assert _digit_counts(np.empty(0, dtype=np.int64)).tolist() == [0] * 9
+
+    def test_rising_run_on_every_digit_edge(self):
+        # c 10^e - 1, c 10^e and c 10^e + 1 for every edge below 10^17, ending at 10^17 - 1
+        edges = sorted({c * 10**e + d for e in range(17) for c in range(1, 11) for d in (-1, 0, 1)} - {0, 10**17, 10**17 + 1})
+        mant = np.array(edges, dtype=np.int64)
+        assert edges[-1] == 10**17 - 1
+        assert _digit_counts(mant, len(mant)).tolist() == _digit_counts(mant).tolist() == per_term.census(edges)
 
 
 @st.composite
@@ -1012,6 +1038,8 @@ class TestOneSort:
     @given(family_cases())
     @example((PolyTail(IntPoly((99999999999999000, 1))), 1, 3000))  # crosses 10^17 at n = 1000
     @example((MultipleTail(10**16), 1, 2 * _BATCH + 1))  # 10^16, 2 10^16, ..., past 10^17 at n = 10
+    @example((ChampernowneTail(), 10**17 - 50, 50))  # the run ends at 10^17 - 1
+    @example((ChampernowneTail(), 10**17 - 50, 100))  # and crosses it
     def test_rising_census_equals_bincount(self, case):
         spec, n, count = case
         mant, rising = _family_mantissas(spec, n, count)
@@ -1020,6 +1048,7 @@ class TestOneSort:
         assert run == list(itertools.islice(spec.terms(n), rising))
         pow10 = 10 ** np.arange(18, dtype=np.int64)
         counts = np.bincount(mant // pow10[np.searchsorted(pow10, mant, side="right") - 1], minlength=10)[1:]
+        assert _digit_counts(mant, rising).tolist() == counts.tolist()
         assert _report(mant, rising).digit_freq == tuple(c / count for c in counts.tolist())
 
     @settings(max_examples=200)

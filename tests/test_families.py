@@ -45,10 +45,10 @@ class ShiftedNaturals:
     degree = 1
     label = "shifted"
 
-    def term(self, n, offset=0):
-        if n < 1 or offset < 0:
-            raise DomainError(f"index {n}, offset {offset}")
-        return n + offset + SHIFT
+    def term(self, n):
+        if n < 1:
+            raise DomainError(f"index {n}")
+        return n + SHIFT
 
     def terms(self, n):
         return itertools.count(self.term(n))
@@ -135,7 +135,7 @@ class TestProtocol:
     def test_terms_differences_and_term_agree(self, spec, past):
         n = spec.n_min + past
         head = list(itertools.islice(spec.terms(n), 30))
-        assert head == [spec.term(n, i) for i in range(30)]
+        assert head == [spec.term(n + i) for i in range(30)]
         assert spec.differences(n)[0] == spec.term(n)
 
     @given(families())
@@ -150,8 +150,6 @@ class TestProtocol:
     def test_below_the_domain_is_refused(self, spec):
         with pytest.raises(DomainError):
             spec.term(spec.n_min - 1)
-        with pytest.raises(DomainError):
-            spec.term(spec.n_min, -1)
 
 
 class TestScanPoints:

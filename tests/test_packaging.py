@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import concat_equidist
-from concat_equidist import DigitString, ExactEndpoint, asymptotics, cli, counting, equidist
+from concat_equidist import DigitString, ExactEndpoint, asymptotics, cli, counting, equidist, seqgen
 
 ROOT = Path(__file__).resolve().parents[1]
-IN_REPO_MODULES = {"concat_equidist", "tracer", "conftest", "every_index", "test_asymptotics"}
+IN_REPO_MODULES = {"concat_equidist", "tracer", "conftest", "every_index", "per_term", "test_asymptotics"}
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -56,7 +56,8 @@ class TestPackageSurface:
         exec("from concat_equidist import *", namespace)
         assert set(concat_equidist.__all__) <= namespace.keys()
 
-    @pytest.mark.parametrize("name", ["log10_int", "poly_log_ratio"])
+    # leading_digit and log10_fracpart are the per-term Benford reference, a test helper (per_term.py)
+    @pytest.mark.parametrize("name", ["log10_int", "poly_log_ratio", "leading_digit", "log10_fracpart"])
     def test_removed_log_helpers_stay_removed(self, name):
         assert name not in concat_equidist.__all__
         assert not hasattr(concat_equidist, name)
@@ -81,6 +82,12 @@ class TestPackageSurface:
         assert name not in concat_equidist.__all__
         assert not hasattr(concat_equidist, name)
         assert not hasattr(asymptotics, name)
+
+    def test_census_and_term_take_no_base_or_offset(self):
+        assert list(inspect.signature(equidist.census).parameters) == ["terms"]
+        assert list(inspect.signature(seqgen.term).parameters) == ["spec", "n"]
+        for family in (seqgen.MultipleTail, seqgen.PolyTail):
+            assert list(inspect.signature(family.term).parameters) == ["self", "n"]
 
     def test_every_index_oracle_stays_in_the_tests(self):
         # the every-index oracle is a test helper (every_index.py), not library API

@@ -273,23 +273,19 @@ def text_tail_cases(draw):
 
 class TestTerm:
     def test_champernowne(self):
-        assert term(ChampernowneTail(), 20, 0) == 20
+        assert term(ChampernowneTail(), 20) == 20
 
     def test_multiple(self):
-        assert term(MultipleTail(3), 5, 2) == 21
+        assert term(MultipleTail(3), 7) == 21
 
     def test_poly(self):
-        assert term(PolyTail(NSQ), 4, 1) == 25
+        assert term(PolyTail(NSQ), 5) == 25
 
     def test_below_n_min(self):
         shifted = IntPoly((10, -10, 1))  # n^2 - 10n + 10, decreasing at first
         spec = PolyTail(shifted)
         with pytest.raises(DomainError):
-            term(spec, spec.n_min - 1, 0)
-
-    def test_negative_offset(self):
-        with pytest.raises(DomainError):
-            term(ChampernowneTail(), 5, -1)
+            term(spec, spec.n_min - 1)
 
 
 class TestTailDigits:
@@ -694,7 +690,7 @@ class TestIntPoly:
     @given(st.integers(1, 50), st.integers(0, 20))
     def test_poly_terms_strictly_increasing_in_offset(self, n, offset):
         spec = PolyTail(NSQ)
-        assert term(spec, n, offset + 1) > term(spec, n, offset)
+        assert term(spec, n + offset + 1) > term(spec, n + offset)
 
 
 class TestIndexLe:
@@ -707,7 +703,7 @@ class TestIndexLe:
     )
     def test_counts_terms_up_to_m(self, spec, m):
         expected = 0
-        while term(spec, spec.n_min + expected, 0) <= m:
+        while term(spec, spec.n_min + expected) <= m:
             expected += 1
         assert spec.index_le(m) == expected
 
@@ -719,8 +715,6 @@ HUGE = -(10**5000)  # past the 4300 digits that int-to-str conversion allows
     "call,name",
     [
         (lambda x: tail_points(ChampernowneTail(), 1, 5, x), "depth"),
-        (equidist.log10_fracpart, "m"),
-        (equidist.leading_digit, "m"),
         (equidist._mantissa, "m"),
         (lambda x: list(tail_prefixes(ChampernowneTail(), 1, 5, x)), "p"),
         (lambda x: int_to_digits(x, 10), "n"),
@@ -731,7 +725,7 @@ HUGE = -(10**5000)  # past the 4300 digits that int-to-str conversion allows
         (lambda x: lemma1_main_term(7, x), "J"),
     ],
     ids=[
-        "tail_points", "log10_fracpart", "leading_digit", "_mantissa", "tail_prefixes", "int_to_digits",
+        "tail_points", "_mantissa", "tail_prefixes", "int_to_digits",
         "digit_length", "limit_constants", "y_sequence", "lemma2_main_term", "lemma1_main_term",
     ],
 )
