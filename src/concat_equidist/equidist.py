@@ -11,7 +11,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,6 +64,7 @@ class BenfordReport:
 
 _INT64_END = 2**63
 _BATCH = 4096  # terms or points per NumPy batch
+_PASS = 4 * _BATCH  # terms per block of the family Benford pass
 _STAR_BLOCK = 2 * _BATCH  # ranks per block of D* terms: 64 KiB temporaries
 
 
@@ -262,13 +263,24 @@ def star_discrepancy(points: PointSet) -> float:
     return float(max(max(rise.max(), fall.max()) for _, rise, fall in _star_blocks(points.sorted)))
 
 
-def _star_blocks(v: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(v_(i), i/N - v_(i), v_(i) - (i-1)/N) in blocks of ranks of the sorted v, bitwise as whole arrays."""
-    n = len(v)
-    for start in range(0, n, _STAR_BLOCK):
+def _star_blocks(
+    v: np.ndarray, rank: np.ndarray | None = None, n: int | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(v_(i), i/N - v_(i), v_(i) - (i-1)/N) in blocks of ranks of the sorted v, bitwise as whole arrays.
+
+    The ranks are the positions in v, or ``rank`` where v holds only some of
+    the n points: each rank i enters as the float i / n either way.
+    """
+    n = len(v) if n is None else n
+    for start in range(0, len(v), _STAR_BLOCK):
         part = v[start : start + _STAR_BLOCK]
-        q = np.arange(start, start + len(part) + 1, dtype=np.float64) / n  # i/N from i = start
-        yield part, q[1:] - part, part - q[:-1]
+        if rank is None:
+            q = np.arange(start, start + len(part) + 1, dtype=np.float64) / n  # i/N from i = start
+            below, above = q[:-1], q[1:]
+        else:
+            i = rank[start : start + len(part)]
+            below, above = i / n, (i + 1) / n
+        yield part, above - part, part - below
 
 
 def ud_deviation(points: PointSet, alpha: ExactEndpoint, beta: ExactEndpoint, first_index: int = 0) -> float:
@@ -344,11 +356,53 @@ def benford_report(terms: Iterable[int]) -> BenfordReport:
 def family_benford_report(spec: TailSpec, n: int, count: int) -> BenfordReport:
     """``benford_report`` of the terms a_n, ..., a_{n+count-1} of a family, bitwise.
 
-    The terms below 10^17 are their own mantissas, so they are built in
-    int64 blocks (``_int64_reader``) with no Python step per term; only
-    later terms are cut to their ``_mantissa`` one by one.
+    The terms below 10^17 increase and are their own mantissas.  One pass
+    builds them in int64 blocks (``_int64_reader``) and keeps only how many
+    lie below each integer threshold of the ``_grid`` (``_counts_below``).
+    ``_certify`` then builds again, from ``spec.differences``, only the
+    terms of the cells that can hold D*; the last block serves those it
+    holds.  Later terms are cut to their ``_mantissa`` one by one and are
+    loose points.  So from 2^14 terms on, no array of ``count`` elements is
+    held for the terms below 10^17; below that the grid is one cell, and
+    its terms come in one block.
     """
-    return _report(*_family_mantissas(spec, n, count))
+    below, read = _int64_reader(spec, n, _HEAD_BELOW, lambda rest: map(_mantissa, rest))
+    if count < 1:
+        raise ValueError("empty term stream")
+    rising = min(below, count)
+    grid = _grid(count)
+    below, last = _counts_below(grid, (read(min(_PASS, rising - start)) for start in range(0, rising, _PASS)))
+
+    def terms(start: int, stop: int) -> np.ndarray:
+        first = rising - len(last)  # the last block's
+        if first <= start and stop <= rising:
+            return last[start - first : stop - first]
+        return _term_block(spec.differences(n + start), stop - start)
+
+    loose = read(count - rising) if count > rising else np.empty(0, dtype=np.int64)
+    return _certify(loose, grid, below, terms)
+
+
+def _counts_below(grid: _Grid, blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """How many terms of a run lie below each threshold of the ``grid``, and the run's last block.
+
+    The run comes in non-empty ``blocks`` of increasing int64 terms below
+    10^17.  Each threshold is searched only in the block whose last term
+    first reaches it, and counts every term of the blocks before.  The
+    counts come in the rows of ``grid.column`` for the decades from the
+    run's first term to its last: one row of zeros when there is no term.
+    """
+    cuts = grid.thresholds
+    below = np.zeros(cuts.size, dtype=np.int64)
+    lo, seen, first, last = 0, 0, 1, np.empty(0, dtype=np.int64)
+    for block in blocks:
+        hi = int(np.searchsorted(cuts, block[-1], side="right"))
+        below[lo:hi] = np.searchsorted(block, cuts[lo:hi]) + seen
+        first = first if seen else int(block[0])
+        lo, seen, last = hi, seen + len(block), block
+    below[lo:] = seen
+    decades = slice(len(str(first)) - 1, len(str(int(last[-1]))) if seen else 1)
+    return below[grid.column[decades]], last
 
 
 def pow2_benford_report(N: int) -> BenfordReport:
@@ -443,24 +497,173 @@ def _pow2_parts(n: np.ndarray) -> np.ndarray:
     return top.astype(np.float64) * 2.0**-53
 
 
-def _report(mant: np.ndarray, rising: int = 0) -> BenfordReport:
-    """The report of these ``_mantissa`` values, the first ``rising`` of them increasing strictly below 10^17."""
+def _report(mant: np.ndarray) -> BenfordReport:
+    """The report of these ``_mantissa`` values."""
     if not len(mant):
         raise ValueError("empty term stream")
+    return _summary(_digit_counts(mant).tolist(), _certified_star(_log_parts(mant), lambda idx: _exact_parts(mant[idx])))
+
+
+def _log_parts(mant: np.ndarray) -> np.ndarray:
+    """frac(np.log10) of these ``_mantissa`` values: within _EPS of their ``_exact_parts`` but at the wrap."""
     w = np.log10(mant)
     w -= np.floor(w)
-    return _summary(_digit_counts(mant, rising).tolist(), _certified_star(w, lambda idx: _exact_parts(mant[idx])))
+    return w
 
 
-def _digit_counts(mant: np.ndarray, rising: int = 0) -> np.ndarray:
-    """The nine leading-digit counts of these ``_mantissa`` values.  The first ``rising`` increase
-    strictly below 10^17, so one search for the edges c 10^e counts them; ``bincount`` the rest."""
-    below = np.searchsorted(mant[:rising], _DIGIT_FLOORS).reshape(HEAD_DIGITS, 10)  # how many lie below c 10^e
-    counts = np.diff(below, axis=1).sum(axis=0)
-    rest = mant[rising:]
-    length = np.searchsorted(_POW10, rest, side="right")
-    counts += np.bincount(rest // _POW10[length - 1], minlength=10)[1:]
-    return counts
+def _digit_counts(mant: np.ndarray) -> np.ndarray:
+    """The nine leading-digit counts of these ``_mantissa`` values, by ``bincount``."""
+    length = np.searchsorted(_POW10, mant, side="right")
+    return np.bincount(mant // _POW10[length - 1], minlength=10)[1:]
+
+
+class _Grid(NamedTuple):
+    """Cuts of [0, 1) at g_j = log10(c_j) - 16 for integers 10^16 = c_0 < ... < c_M = 10^17.
+
+    A term a of e + 1 digits has its part log10(a) - e below the cut j
+    exactly when a < c_j 10^(e-16), that is a < ceil(c_j 10^(e-16)) =
+    ``thresholds[column[e, j]]``: an integer comparison, the same cut in
+    every decade.  ``thresholds`` holds each of those integers once, in
+    ascending order, so a low decade, where many cuts share one, costs
+    fewer searches.  The cells between the cuts are the units of
+    ``_certify``: a cell around each of 2, ..., 9 10^16 (split there, so
+    ``digits`` holds the columns of c 10^16 for c = 1..10) and around each
+    of K - 1 cuts spread evenly in log, each 2^-32 c wide on either side,
+    the wide cells between them, the cell of the powers of ten [10^16,
+    10^16 + 1), and the cells 1 = [10^16 + 1, 10^16 + 2^-32 10^16) and
+    M - 1 = [10^17 - 2^-32 10^17, 10^17), whose parts lie near the 0/1
+    wrap.  Every cell but the powers' spans more than 2^-34 in log10, so
+    more than 64 _EPS.  g holds the cuts as floats, from ``np.log10``
+    (within 2^-46 of log10(c_j) - 16), with g_0 = 0 and g_M = 1.
+    """
+
+    K: int
+    g: np.ndarray
+    thresholds: np.ndarray
+    column: np.ndarray
+    digits: np.ndarray
+
+
+def _grid(count: int) -> _Grid:
+    """The grid for ``count`` points: K the largest power of two up to count / 64, at most 1024.
+
+    K = 1, no even cut, below 2^14 points, where one certification of them
+    all costs less than the cells would save.
+    """
+    return _grid_of(1 << min(count // 64, 1024).bit_length() - 1 if count >= 2**14 else 1)
+
+
+@functools.cache
+def _grid_of(K: int) -> _Grid:
+    lo, hi = 10**16, 10**17
+    digits = [c * lo for c in range(1, 11)]
+    even = [int(10 ** (16 + k / K)) for k in range(1, K)]
+    # an even cut far enough from every digit cut that their cells do not meet
+    centers = digits[1:-1] + [c for c in even if min(abs(c - d) for d in digits) > c >> 28]
+    cuts = {lo, lo + 1, lo + (lo >> 32), hi - (hi >> 32), hi, *digits}
+    cuts.update(c + side * (c >> 32) for c in centers for side in (-1, 1))
+    cut = np.array(sorted(cuts), dtype=np.int64)
+    g = np.maximum.accumulate(np.log10(cut.astype(np.float64)) - 16.0)
+    g[0], g[-1] = 0.0, 1.0
+    table = np.empty((HEAD_DIGITS, len(cut)), dtype=np.int64)  # ascending: each decade's row ends where the next begins
+    for e, row in enumerate(table):
+        np.negative(np.floor_divide(-cut, 10 ** (HEAD_DIGITS - 1 - e), out=row), out=row)
+    first = np.empty(table.size, dtype=bool)
+    first[0] = True
+    np.not_equal(table.ravel()[1:], table.ravel()[:-1], out=first[1:])
+    column = np.cumsum(first, dtype=np.int32).reshape(table.shape)
+    column -= 1
+    return _Grid(K, g, table.ravel()[first], column, np.searchsorted(cut, digits))
+
+
+def _certify(loose: np.ndarray, grid: _Grid, below: np.ndarray, terms: Callable[[int, int], np.ndarray]) -> BenfordReport:
+    """The report of the ``loose`` mantissas and of a rising run of terms below 10^17, bitwise.
+
+    ``below[i, j]`` is how many terms of the run lie below the threshold of
+    cut j in the i-th decade from the run's first, and ``terms(a, b)`` builds
+    terms a..b-1 of the run again.  The terms of the cells 1 and M - 1 by
+    the wrap are built at once and join the loose points; every other term
+    has its part r in its cell and its exact part x within 2^-46 of r, on
+    the same side of the wrap.  A loose point (its part w
+    from ``np.log10`` within e = _EPS of x, and w = x within e of 0 or 1)
+    enters the cell of w.  So every point of cell u, between the cuts g_u
+    and g_(u+1), has x within 2e of [g_u, g_(u+1)] (the powers of ten lie at
+    0 = g_0 = g_1), and the counts F(u) of the points in the cells below u
+    are exact.  As the other cells are wider than 64e:
+
+    - every D* term of a rank whose value lies in [g_u, g_(u+1)] is at most
+      T(u) = max(F(u+2)/N - g_u, g_(u+1) - F(u-1)/N): at most F(u+2) points
+      lie at or below g_(u+1), and at least F(u-1) below g_u;
+    - D* >= B = max over the cuts of max(F(j-1)/N - g_j, g_j - F(j+1)/N).
+
+    Only a cell with T(u) >= B - 16e can hold the rank of D*: those are
+    kept.  The terms of the kept cells and of every cell that holds a loose
+    point are built again, and with the loose points they are the points
+    certified (``_certified_star``).  The other cells form runs, and each
+    point takes as its rank its position among the points certified plus
+    the terms of each run whose middle lies below its value.  That rank is
+    exact unless a term left out lies within 3e of the point's value, in a
+    cell v that is not kept next to the point's own cell.  Then the rank
+    lies between F(v-1) and F(v+2) - 1, and the point's value within 3e of
+    v, so its D* term is at most T(v) + 4e < D* - 12e, while the top of the
+    certification is at least D* - e: it neither sets the top nor comes
+    within 4e of it.  A rank within 4e of the top has an exact D* term t >=
+    D* - 6e, and a cell within 7e of its value has T >= t - 7e > B - 16e, so
+    it is kept: the band and the runs about the ranks hold every point of
+    the full sort, at their exact ranks, and D* is the exact one.
+    """
+    N = int(below[-1, -1]) + len(loose)
+    edges = below[:, grid.digits].sum(axis=0)  # how many terms lead below c 10^e, for c = 1..10
+    counts = edges[1:] - edges[:-1] + (_digit_counts(loose) if len(loose) else 0)
+    if grid.K == 1:  # every point is certified
+        mant = np.concatenate((loose, terms(0, N - len(loose))))
+        return _summary(counts.tolist(), _certified_star(_log_parts(mant), lambda idx: _exact_parts(mant[idx])))
+    wrap = [(a, b) for row in below[:, [1, 2, -2, -1]].tolist() for a, b in (row[:2], row[2:]) if a < b]
+    side = np.concatenate([loose, *_slices(wrap, terms)])
+    w = _log_parts(side)
+    near = np.flatnonzero((w < _EPS) | (w > 1 - _EPS))
+    if len(near):
+        w[near] = _exact_parts(side[near])
+    rising = below.sum(axis=0)
+    rising = rising[1:] - rising[:-1]
+    rising[[1, -1]] = 0  # those by the wrap are loose now
+    g = grid.g
+    per = np.bincount(np.searchsorted(g, w, side="right") - 1, minlength=len(rising))  # loose points per cell
+    f = np.concatenate(([0], np.cumsum(rising + per))) / N
+    low = np.concatenate(([0.0], f[:-1]))  # F(j-1)/N, and 0 at j = 0
+    high = np.append(f[1:], 1.0)  # F(j+1)/N, and 1 at j = M
+    top = np.maximum(high[1:] - g[:-1], g[1:] - low[:-1])  # T(u) for each cell u
+    keep = top >= max((low - g).max(), (g - high).max()) - 16 * _EPS
+    holds = per > 0
+    again = keep | holds  # the cells whose terms are built again
+    again[[1, -1]] = False
+    runs = [(a, b) for row in below[:, _runs(again)].tolist() for a, b in zip(row[::2], row[1::2]) if a < b]
+    mant = np.concatenate([side, *_slices(runs, terms)])
+    w = np.concatenate((w, _log_parts(mant[len(side) :])))
+    out = _runs(~(again | holds))
+    total = np.concatenate(([0], np.cumsum(rising)))
+    gaps = ((g[out[::2]] + g[out[1::2]]) / 2, total[out[1::2]] - total[out[::2]])
+    d_star = _certified_star(w, lambda idx: _exact_parts(mant[idx]), n=N, gaps=gaps)
+    return _summary(counts.tolist(), d_star)
+
+
+def _runs(mask: np.ndarray) -> list[int]:
+    """The cells where each run of True in ``mask`` starts and stops, in turn."""
+    ends = (np.flatnonzero(mask[1:] != mask[:-1]) + 1).tolist()
+    return [0] * bool(mask[0]) + ends + [len(mask)] * bool(mask[-1])
+
+
+def _slices(runs: list[tuple[int, int]], terms: Callable[[int, int], np.ndarray]) -> Iterator[np.ndarray]:
+    """The terms of each of the ascending index ``runs``, from one ``terms`` call for runs less than _BATCH apart."""
+    i = 0
+    while i < len(runs):
+        j = i + 1
+        while j < len(runs) and runs[j][0] - runs[j - 1][1] < _BATCH:
+            j += 1
+        start = runs[i][0]
+        block = terms(start, runs[j - 1][1])
+        yield from (block[a - start : b - start] for a, b in runs[i:j])
+        i = j
 
 
 def _summary(counts: list[int], d_star: float) -> BenfordReport:
@@ -473,7 +676,6 @@ def _summary(counts: list[int], d_star: float) -> BenfordReport:
 
 _POW10 = 10 ** np.arange(HEAD_DIGITS + 1, dtype=np.int64)  # 10^0 ... 10^17
 _HEAD_BELOW = 10**HEAD_DIGITS
-_DIGIT_FLOORS = np.array([c * 10**e for e in range(HEAD_DIGITS) for c in range(1, 11)], np.int64)  # c 10^e, c = 1..10
 
 
 def _mantissa(m: int) -> int:
@@ -498,16 +700,6 @@ def _mantissa(m: int) -> int:
 def _mantissas(terms: Iterable[int]) -> np.ndarray:
     """The ``_mantissa`` of each term as one int64 array, read lazily up to the first bad term."""
     return np.fromiter(map(_mantissa, terms), dtype=np.int64)
-
-
-def _family_mantissas(spec: TailSpec, n: int, count: int) -> tuple[np.ndarray, int]:
-    """The ``_mantissa`` values of a_n, ..., a_{n+count-1}, read in blocks of up to ``_BATCH``,
-    and how many of them lead below 10^17: those are the terms themselves."""
-    below, read = _int64_reader(spec, n, _HEAD_BELOW, lambda rest: map(_mantissa, rest))
-    mant = np.empty(max(count, 0), dtype=np.int64)
-    for start in range(0, count, _BATCH):
-        mant[start : start + _BATCH] = read(min(_BATCH, count - start))
-    return mant, min(below, len(mant))
 
 
 def _exact_parts(mant: np.ndarray) -> np.ndarray:
@@ -538,7 +730,13 @@ def _exact_parts(mant: np.ndarray) -> np.ndarray:
 _EPS = 2.0**-40
 
 
-def _certified_star(w: np.ndarray, exact_parts: Callable[[np.ndarray], np.ndarray], kind: str = "stable") -> float:
+def _certified_star(
+    w: np.ndarray,
+    exact_parts: Callable[[np.ndarray], np.ndarray],
+    kind: str = "stable",
+    n: int | None = None,
+    gaps: tuple[np.ndarray, np.ndarray] | None = None,
+) -> float:
     """D* of the exact {log10 a_i}, bitwise, from one sort of w and one scan of its ranks.
 
     ``exact_parts(idx)`` gives the ``_exact_parts`` of the terms at the
@@ -564,12 +762,23 @@ def _certified_star(w: np.ndarray, exact_parts: Callable[[np.ndarray], np.ndarra
     ranks as masking every block.  The per-rank maximum runs only on the
     blocks held when they come, and the mask and the index only on those
     still held at the end: most often one.
+
+    w may hold only some of n points (``_certify``): then ``gaps`` gives
+    values g and counts c, and each point's rank is its position in v plus
+    the c of every g at or below its value.
     """
     wrap = np.flatnonzero((w < _EPS) | (w > 1 - _EPS))
-    w[wrap] = exact_parts(wrap)
+    if len(wrap):
+        w[wrap] = exact_parts(wrap)
     v = np.sort(w, kind=kind)
+    n = len(w) if n is None else n
+    rank = None
+    if gaps is not None:
+        shift = np.zeros(len(v) + 1, dtype=np.int64)
+        np.add.at(shift, np.searchsorted(v, gaps[0]), gaps[1])
+        rank = np.arange(len(v)) + shift[:-1].cumsum()
     top, blocks = -math.inf, []  # the blocks of ranks whose largest D* term is within 4e of the running top
-    for part, rise, fall in _star_blocks(v):
+    for part, rise, fall in _star_blocks(v, rank, n):
         largest = max(rise.max(), fall.max())
         if largest > top:
             top = largest
@@ -586,11 +795,16 @@ def _certified_star(w: np.ndarray, exact_parts: Callable[[np.ndarray], np.ndarra
         return idx[ranks[np.searchsorted(upper, x[idx])] - width <= x[idx]]
 
     band = within(w, 3 * _EPS)
-    near = np.setdiff1d(band[within(w[band], 2 * _EPS)], wrap, assume_unique=True)
-    w[near] = exact_parts(near)
+    near = band[within(w[band], 2 * _EPS)]
+    if len(wrap):  # those already exact; both ascend
+        near = near[wrap[np.searchsorted(wrap, near).clip(max=len(wrap) - 1)] != near]
+    if len(near):
+        w[near] = exact_parts(near)
     stop = np.searchsorted(v, ranks + 3 * _EPS, side="right")
     start = np.maximum(np.searchsorted(v, ranks - 3 * _EPS), np.r_[0, stop[:-1]])  # from where the last run stops
     i = np.concatenate([np.arange(a, b) for a, b in zip(start, stop)])  # the positions of the runs
+    if rank is not None:
+        i = rank[i]
     x = w[band]
     x.sort()
-    return float(max(((i + 1) / len(w) - x).max(), (x - i / len(w)).max()))
+    return float(max(((i + 1) / n - x).max(), (x - i / n).max()))

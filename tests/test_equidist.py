@@ -21,13 +21,15 @@ from concat_equidist.equidist import (
     _LOG10_2_FIXED,
     _FINER,
     _certified_star,
+    _certify,
+    _counts_below,
     _digit_counts,
-    _family_mantissas,
+    _grid,
+    _grid_of,
     _int64_reader,
     _mantissa,
     _pow2_mantissa,
     _pow2_parts,
-    _report,
     BENFORD_FREQ,
     BenfordReport,
     PointSet,
@@ -638,7 +640,10 @@ class TestBatchedCensus:
         edges = sorted({c * 10**e + d for e in range(17) for c in range(1, 11) for d in (-1, 0, 1)} - {0, 10**17, 10**17 + 1})
         mant = np.array(edges, dtype=np.int64)
         assert edges[-1] == 10**17 - 1
-        assert _digit_counts(mant, len(mant)).tolist() == _digit_counts(mant).tolist() == per_term.census(edges)
+        assert _digit_counts(mant).tolist() == per_term.census(edges)
+        # the same edges as a rising run, counted at the grid's digit cuts
+        report = _certify(mant[:0], _grid_of(1), _counts_below(_grid_of(1), [mant])[0], lambda a, b: mant[a:b])
+        assert report.digit_freq == tuple(c / len(edges) for c in per_term.census(edges))
 
 
 @st.composite
@@ -792,6 +797,130 @@ class TestCertifiedLogDiscrepancy:
         with mock.patch.object(math, "log10", wraps=math.log10) as log10:
             build()
         assert log10.call_count <= most
+
+
+GRID_SIZES = (1, 2, 4, 16, 64, 256, 1024)
+
+
+@st.composite
+def rising_runs(draw):
+    """(run, K, loose): an increasing run of terms below 10^17, a grid of K
+    even cuts to count it on, and loose terms.  The runs hold consecutive
+    integers, terms spread in log, equal parts across decades (c, 10c,
+    100c, ...), clusters on one cut of the grid (ceil(c 10^(e-16)) and its
+    neighbours for e = 8..16, whose parts lie within 2^-40 of the cut from
+    e = 13 on), terms at the 0/1 wrap (10^e - d and 10^e + d), or a mix."""
+    K = draw(st.sampled_from(GRID_SIZES))
+    grid = _grid_of(K)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    run = set()
+    for kind in draw(st.lists(st.sampled_from(["consecutive", "spread", "equal", "cut", "wrap"]), min_size=1, max_size=3)):
+        if kind == "consecutive":
+            start = draw(st.one_of(st.integers(1, 10**6), st.integers(10**16 - 5000, 10**17 - 1)))
+            run.update(range(start, min(start + draw(st.integers(1, 3000)), 10**17)))
+        elif kind == "spread":
+            run.update(int(10 ** rng.uniform(0, 17)) for _ in range(draw(st.integers(1, 2000))))
+        elif kind == "equal":
+            run.update(c * 10**e for c in draw(st.lists(st.integers(1, 999), min_size=1, max_size=4)) for e in range(17))
+        elif kind == "cut":
+            j = draw(st.integers(1, grid.column.shape[1] - 2))
+            run.update(
+                int(grid.thresholds[grid.column[e, j]]) + d for e in range(8, 17) for d in range(-2, 3) if rng.random() < 0.7
+            )
+        else:
+            run.update(10**e + d for e in range(13, 18) for d in range(-3, 4))
+    run = sorted(a for a in run if 1 <= a < 10**17)
+    loose = draw(st.lists(st.one_of(batch_terms(), near_powers()), min_size=0 if run else 1, max_size=20))
+    return run, K, loose
+
+
+@st.composite
+def gridded_families(draw):
+    """(spec, n, count, K): ``family_cases`` on a drawn grid of K even cuts."""
+    spec, n, count = draw(family_cases())
+    return spec, n, count, draw(st.sampled_from(GRID_SIZES))
+
+
+class TestCutCertifier:
+    """Reports whose terms below 10^17 are counted at integer cuts and
+    certified only in the cells that can hold D*, against the report of one
+    math.log10 call per term, and D* against the formula over the exact
+    parts."""
+
+    @staticmethod
+    def check(report, terms):
+        assert repr(dataclasses.astuple(report)) == repr(dataclasses.astuple(log10_per_term_report(terms)))
+        exact = PointSet.of(per_term.log10_fracpart(a) for a in terms)
+        assert repr(report.log_discrepancy) == repr(formula_star_discrepancy(exact))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rising_runs(), st.integers(1, 3000))
+    @example((sorted(c * 10**e for c in (2, 3) for e in range(17)), 64, []), 5)  # equal parts
+    @example((list(range(10**16 - 40, 10**16 + 40)) + [10**17 - 1], 16, [10**17 + 1]), 7)  # at the wrap
+    @example((list(range(1, 2000)), 1, []), 100)  # a single cell
+    def test_rising_runs_equal_the_per_term_oracle(self, case, size):
+        run, K, loose = case
+        grid, mant = _grid_of(K), np.array(run, dtype=np.int64)
+        below, _ = _counts_below(grid, [mant[i : i + size] for i in range(0, len(mant), size)])
+        loose_mant = np.array([_mantissa(a) for a in loose], dtype=np.int64)
+        self.check(_certify(loose_mant, grid, below, lambda a, b: mant[a:b]), run + loose)
+        self.check(benford_report(iter(run + loose)), run + loose)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gridded_families())
+    @example((ChampernowneTail(), 1, 65_000, None))  # flat tops: D* can lie in many cells
+    @example((ChampernowneTail(), 1, 85_000, None))
+    @example((PolyTail(IntPoly((5, -3, 1))), 2, 35_000, None))
+    @example((PolyTail(IntPoly((99999999999999000, 1))), 1, 3000, 64))  # crosses 10^17 at n = 1000
+    @example((MultipleTail(10**15 + 1), 1, 200, 256))  # from 10^15 + 1 to past 10^17
+    @example((ChampernowneTail(), 1, 4000, None))  # a single cell below 2^14 terms
+    def test_families_equal_the_per_term_oracle(self, case):
+        spec, n, count, K = case
+        grid = _grid(count) if K is None else _grid_of(K)
+        with mock.patch.object(equidist, "_grid", lambda count: grid):
+            report = family_benford_report(spec, n, count)
+        self.check(report, list(itertools.islice(spec.terms(n), count)))
+
+    def test_a_rank_of_d_star_on_a_cut(self):
+        # ceil(c 10^(e-16)) - 1, ... + 1 for e = 13..16 on one cut of the grid, whose
+        # parts lie within 2^-40 of it, and terms spread in log above them: the
+        # smallest of the cluster's parts, x_(0), is D*, its fall term
+        grid = _grid_of(1024)
+        j = int(np.searchsorted(grid.g, 0.3))
+        cluster = [int(grid.thresholds[grid.column[e, j]]) + d for e in range(13, 17) for d in (-1, 0, 1)]
+        spread = [int(10 ** (16 + grid.g[j] + 0.01 + i / 300)) for i in range(200)]
+        run = sorted(set(cluster + spread))
+        parts = sorted(per_term.log10_fracpart(a) for a in run)
+        assert abs(parts[0] - grid.g[j]) < 2 * _EPS
+        mant = np.array(run, dtype=np.int64)
+        report = _certify(mant[:0], grid, _counts_below(grid, [mant])[0], lambda a, b: mant[a:b])
+        assert report.log_discrepancy == parts[0]
+        self.check(report, run)
+
+    def test_a_term_past_the_edge_of_the_cells_left_out(self):
+        # 600 terms just below a cut near 0.05 set the lower bound on D*, and 188
+        # terms at the bottom of the wide cell u from 0.109 reach just past it,
+        # so u is kept and holds D*; a term z just below the threshold of the
+        # cut g_(u+1) above has a log part that rounds up to g_(u+1), and the
+        # 2211 terms spread above leave every cell from u + 1 on out: z's rank
+        # counts none of them
+        grid, N = _grid_of(64), 3000
+        wide = np.flatnonzero(np.diff(grid.g) > 1 / 128)
+        low, u = (int(wide[np.searchsorted(grid.g[wide], y)]) for y in (0.04, 0.1))
+        threshold = lambda j: int(grid.thresholds[grid.column[16, j]])
+        m1 = math.ceil((0.2 - grid.g[low + 1] + grid.g[u]) * N) - 600 + 1
+        z = next(threshold(u + 1) - d for d in range(1, 1000) if per_term.log10_fracpart(threshold(u + 1) - d) >= grid.g[u + 1])
+        spread = N - 600 - m1 - 1
+        run = sorted(
+            [threshold(low + 1) - 1 - i for i in range(600)]
+            + [threshold(u) + i for i in range(m1)]
+            + [z]
+            + [int(10 ** (16 + grid.g[u + 1] + 1 / 32 + i * (0.99 - grid.g[u + 1] - 1 / 32) / spread)) for i in range(spread)]
+        )
+        mant = np.array(run, dtype=np.int64)
+        report = _certify(mant[:0], grid, _counts_below(grid, [mant])[0], lambda a, b: mant[a:b])
+        self.check(report, run)
+        assert report.log_discrepancy == (600 + m1) / N - per_term.log10_fracpart(threshold(u) + m1 - 1)
 
 
 # the denominators q of the convergents p/q of log10 2 up to 10^7: there
@@ -1042,14 +1171,19 @@ class TestOneSort:
     @example((ChampernowneTail(), 10**17 - 50, 100))  # and crosses it
     def test_rising_census_equals_bincount(self, case):
         spec, n, count = case
-        mant, rising = _family_mantissas(spec, n, count)
-        run = mant[:rising].tolist()
-        assert all(a < b for a, b in zip(run, run[1:])) and all(a < 10**17 for a in run)
-        assert run == list(itertools.islice(spec.terms(n), rising))
+        terms = list(itertools.islice(spec.terms(n), count))
+        run = np.array([a for a in terms if a < 10**17], dtype=np.int64)
+        assert run.tolist() == terms[: len(run)] and (run[1:] > run[:-1]).all()
+        grid = _grid_of(64)
+        below, last = _counts_below(grid, [run[i : i + 1000] for i in range(0, len(run), 1000)])
+        # the counts below every threshold of the run's decades, one search of the whole run
+        decades = slice(len(str(terms[0])) - 1, len(str(terms[len(run) - 1]))) if len(run) else slice(0, 1)
+        assert below.tolist() == np.searchsorted(run, grid.thresholds[grid.column[decades]]).tolist()
+        assert last.tolist() == run[(len(run) - 1) // 1000 * 1000 :].tolist()
+        mant = np.array([_mantissa(a) for a in terms], dtype=np.int64)
         pow10 = 10 ** np.arange(18, dtype=np.int64)
         counts = np.bincount(mant // pow10[np.searchsorted(pow10, mant, side="right") - 1], minlength=10)[1:]
-        assert _digit_counts(mant, rising).tolist() == counts.tolist()
-        assert _report(mant, rising).digit_freq == tuple(c / count for c in counts.tolist())
+        assert family_benford_report(spec, n, count).digit_freq == tuple(c / count for c in counts.tolist())
 
     @settings(max_examples=200)
     @given(
@@ -1068,37 +1202,50 @@ class TestOneSort:
         assert repr(ud_deviation(points, alpha, beta)) == repr(formula_star_discrepancy(PointSet(old)))
 
     @pytest.mark.parametrize(
-        "build",
+        "build,most",
         [
-            lambda: benford_report(range(1, 20_001)),
-            lambda: family_benford_report(PolyTail(IntPoly((41, 1, 1))), 1, 30_000),
-            lambda: pow2_benford_report(15_000),
+            # a family's terms below 10^17 are certified only in the cells that can hold D*
+            (lambda: family_benford_report(ChampernowneTail(), 1, 85_000), 8_500),
+            (lambda: family_benford_report(PolyTail(IntPoly((41, 1, 1))), 1, 85_000), 8_500),
+            # loose points are certified all together
+            (lambda: benford_report(range(1, 20_001)), None),
+            (lambda: pow2_benford_report(15_000), None),
         ],
-        ids=["naturals", "poly", "pow2"],
+        ids=["naturals", "poly", "file", "pow2"],
     )
-    def test_a_report_scans_its_ranks_once(self, build):
+    def test_a_report_scans_its_ranks_once(self, build, most):
         with mock.patch.object(equidist, "_star_blocks", wraps=equidist._star_blocks) as blocks:
             with mock.patch.object(equidist, "star_discrepancy") as second_pass:
                 report = build()
         assert blocks.call_count == 1 and not second_pass.called
-        assert len(blocks.call_args.args[0]) == report.N
+        if most is None:
+            assert len(blocks.call_args.args[0]) == report.N
+        else:
+            assert len(blocks.call_args.args[0]) <= most
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,most",
         [
-            ["benford", "--gen", "naturals", "--N", "85000"],
-            ["benford", "--gen", "poly", "--coeffs", "41,1,1", "--N", "30000"],
-            ["benford", "--gen", "pow2", "--N", "4000"],
-            ["discrepancy", "--kind", "champ", "--N", "27500"],
-            ["discrepancy", "--kind", "mult", "--k", "7", "--N", "10000", "--alpha", "0"],
+            (["benford", "--gen", "naturals", "--N", "85000"], 8_500),
+            (["benford", "--gen", "poly", "--coeffs", "41,1,1", "--N", "85000"], 8_500),
+            (["benford", "--gen", "pow2", "--N", "4000"], None),
+            (["discrepancy", "--kind", "champ", "--N", "27500"], None),
+            (["discrepancy", "--kind", "mult", "--k", "7", "--N", "10000", "--alpha", "0"], None),
         ],
         ids=["benford-naturals", "benford-poly", "benford-pow2", "discrepancy-champ", "discrepancy-mult"],
     )
-    def test_np_sort_runs_once_per_report(self, capsys, argv):
+    def test_np_sort_runs_once_per_report(self, capsys, argv, most):
         from concat_equidist.cli import main
 
+        assert main(argv) == 0  # builds the grid of cuts, which is kept
         # the certification's band is sorted in place, over the few points near the ranks
-        with mock.patch.object(np, "sort", wraps=np.sort) as sort:
+        with mock.patch.object(np, "sort", wraps=np.sort) as sort, mock.patch.object(np, "log10", wraps=np.log10) as log10:
             assert main(argv) == 0
         capsys.readouterr()
-        assert [len(c.args[0]) for c in sort.call_args_list] == [int(argv[argv.index("--N") + 1])]
+        sorted_sizes = [len(c.args[0]) for c in sort.call_args_list]
+        if most is None:
+            assert sorted_sizes == [int(argv[argv.index("--N") + 1])]
+        else:
+            # a family's log parts are taken and sorted only in the cells that can hold D*
+            assert len(sorted_sizes) == 1 and sorted_sizes[0] <= most
+            assert sum(len(c.args[0]) for c in log10.call_args_list) <= most

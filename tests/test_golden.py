@@ -149,6 +149,13 @@ CASES = [
         ["discrepancy", "--kind", "poly", "--coeffs=3,-7,0,2,0,1", "--N", "3000", "--weyl-h", "2"],
         0,
     ),
+    # recorded while every family Benford term took an np.log10 part and
+    # all of them were sorted: the flat tops of the naturals at 65 000 and
+    # 85 000 and of n^2 - 3n + 5 at 35 000, and 3n^2 + 2n + 7 at 47 500
+    ("benford_naturals_85000", ["benford", "--gen", "naturals", "--N", "85000"], 0),
+    ("benford_naturals_65000", ["benford", "--gen", "naturals", "--N", "65000", *JSON], 0),
+    ("benford_poly_5_m3_1_35000", ["benford", "--gen", "poly", "--coeffs=5,-3,1", "--N", "35000"], 0),
+    ("benford_poly_7_2_3_47500", ["benford", "--gen", "poly", "--coeffs=7,2,3", "--N", "47500"], 0),
     # point counts one below, at and one above a block of 4096 prefixes
     ("discrepancy_champ_4095", ["discrepancy", *CHAMP, "--N", "4095"], 0),
     ("discrepancy_champ_4096", ["discrepancy", *CHAMP, "--N", "4096", *JSON], 0),
