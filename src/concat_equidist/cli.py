@@ -10,9 +10,10 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import asymptotics, counting, seqgen
 from .counting import UndecidedMembershipError
@@ -169,27 +170,31 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _read_terms_file(path: str) -> list[int]:
-    """The positive integers of a file, one per line; blank lines are skipped.
+def _read_terms_file(path: str) -> Iterator[int]:
+    """The positive integers of a file, one per line, yielded as they are read; blank lines are skipped.
 
-    A term is a run of ASCII digits, not all 0, of any length.
+    A term is a run of ASCII digits, not all 0, of any length.  Lines end
+    where ``str.splitlines`` ends them, so each line read is split again.
     """
+    found = False
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            for lineno, line in enumerate(itertools.chain.from_iterable(map(str.splitlines, fh)), start=1):
+                stripped = line.strip()
+                if not stripped:
+                    continue
+                if not (stripped.isascii() and stripped.isdigit() and stripped.strip("0")):
+                    raise ValueError(f"{path}: line {lineno}: not a positive integer: {_show(stripped)}")
+                found = True
+                yield decimal_int(stripped)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    terms = []
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if not (stripped.isascii() and stripped.isdigit() and stripped.strip("0")):
-            raise ValueError(f"{path}: line {lineno}: not a positive integer: {_show(stripped)}")
-        terms.append(decimal_int(stripped))
-    if not terms:
+    except UnicodeDecodeError:
+        with open(path, encoding="utf-8") as fh:
+            fh.read()  # raises it again, placed in the whole file rather than in the chunk read
+        raise
+    if not found:
         raise ValueError(f"{path}: no terms found")
-    return terms
 
 
 def cmd_benford(args) -> int:

@@ -314,6 +314,15 @@ class TestBenford:
         assert (code, out) == (1, "")
         assert err == f"error: {path}: line 2: not a positive integer: {line!r}\n"
 
+    def test_file_bad_byte_is_placed_in_the_whole_file(self, capsys, tmp_path):
+        # the lines are read lazily, in chunks of a few KiB; the error still gives the byte's offset in the file
+        text = b"".join(b"%d\n" % a for a in range(1, 5000))
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text + b"\xff\n")
+        code, out, err = run(capsys, "benford", "--file", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: 'utf-8' codec can't decode byte 0xff in position {len(text)}: invalid start byte\n"
+
     def test_file_terms_past_the_str_limit(self, capsys, tmp_path):
         # 2^14284 and above have more than 4300 digits, the default limit of int(str)
         limit = sys.get_int_max_str_digits()
@@ -653,11 +662,13 @@ class TestPeakResidentSet:
         [
             (["benford", "--gen", "naturals"], 1),
             (["benford", "--gen", "poly", "--coeffs=0,0,1"], 1),
+            (["benford", "--gen", "pow2"], 3),
+            (["benford", "--file"], 4),
             (["discrepancy", "--kind", "champ"], 5),
         ],
-        ids=["benford-naturals", "benford-poly", "discrepancy-champ"],
+        ids=["benford-naturals", "benford-poly", "benford-pow2", "benford-file", "discrepancy-champ"],
     )
-    def test_a_million_points_hold_few_arrays(self, argv, arrays):
+    def test_a_million_points_hold_few_arrays(self, argv, arrays, tmp_path):
         # The peak resident set of a fresh process at N = 10^6, less that at
         # N = 1000, in float64 arrays of 10^6 points (7.63 MiB).  A family's
         # Benford report holds no array of N elements: the counts at the cuts
@@ -665,6 +676,10 @@ class TestPeakResidentSet:
         # hold D* (58 740 of the naturals, 83 126 of n^2) read 0.54 and 0.70,
         # against 3.4 and 3.6 while every term's log part was sorted.  The
         # bound of 1 leaves room for the allocator and the host.
+        # pow2 reads 2.4 (its points and their sorted copy).  --file, a file of
+        # the naturals 1..N, reads 3.4 (the mantissas, the points and their
+        # sorted copy), against 14.7 while the reader held the whole text,
+        # every line and every term at once.
         # Discrepancy reads 4.0 (points, sorted points and the complex Weyl
         # terms), against 6.2 while the points were sorted again for D*; its
         # bound is 5.  VmHWM is the ru_maxrss of the process's own memory:
@@ -680,9 +695,12 @@ print(code, status.split()[0])
         env = dict(os.environ, PYTHONPATH=str(Path(concat_equidist.__file__).parents[1]))
         kib = {}
         for N in (1000, 10**6):
-            proc = subprocess.run(
-                [sys.executable, "-c", script, *argv, "--N", str(N)], capture_output=True, text=True, env=env, timeout=120
-            )
+            args = [*argv, "--N", str(N)]
+            if "--file" in argv:
+                path = tmp_path / f"{N}.txt"
+                path.write_text("".join(f"{a}\n" for a in range(1, N + 1)))
+                args = [*argv, str(path)]
+            proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120)
             assert proc.returncode == 0, proc.stderr
             code, kib[N] = map(int, proc.stdout.split())
             assert code == 0

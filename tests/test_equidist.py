@@ -18,6 +18,7 @@ from concat_equidist.equidist import (
     _BATCH,
     _EPS,
     _STAR_BLOCK,
+    _WHOLE,
     _LOG10_2_FIXED,
     _FINER,
     _certified_star,
@@ -30,6 +31,7 @@ from concat_equidist.equidist import (
     _mantissa,
     _pow2_mantissa,
     _pow2_parts,
+    _unwrap,
     BENFORD_FREQ,
     BenfordReport,
     PointSet,
@@ -790,8 +792,10 @@ class TestCertifiedLogDiscrepancy:
             (lambda: benford_report(range(1, 85_001)), 64),
             (lambda: benford_report([123456789] * 5000), 5000),
             (lambda: benford_report([10**17 - 1] * 3000 + [99999999999999999 * 10**40] * 3000), 6000),
+            # every point lies within 2^-40 of the wrap (the terms cross 10^17 at n = 1000): each takes math.log10 once
+            (lambda: family_benford_report(PolyTail(IntPoly((99999999999999000, 1))), 1, 20_000), 20_000),
         ],
-        ids=["family-naturals", "naturals", "all-ties", "ties-at-the-wrap"],
+        ids=["family-naturals", "naturals", "all-ties", "ties-at-the-wrap", "family-at-the-wrap"],
     )
     def test_math_log10_calls(self, build, most):
         with mock.patch.object(math, "log10", wraps=math.log10) as log10:
@@ -1134,7 +1138,8 @@ class TestOneSort:
         rng = np.random.default_rng(seed)
         w = (exact + rng.uniform(-_EPS / 100, _EPS / 100, len(exact))) % 1.0
         w = np.minimum(w, math.nextafter(1.0, 0.0))
-        d_star = _certified_star(w, lambda idx: exact[idx])
+        parts = lambda idx: exact[idx]
+        d_star = _certified_star(_WHOLE, [len(w)], lambda keep: (_unwrap(w, parts), parts))
         # the D* of the runs about the ranks is that of a full scan of the patched w, and of the exact parts
         assert repr(d_star) == repr(star_discrepancy(PointSet(w))) == repr(formula_star_discrepancy(PointSet(exact)))
 
@@ -1159,7 +1164,8 @@ class TestOneSort:
             exact[i] += lift
         w = exact + np.random.default_rng(0).uniform(-_EPS / 100, _EPS / 100, n)
         asked = []
-        d_star = _certified_star(w, lambda idx: asked.extend(idx.tolist()) or exact[idx])
+        parts = lambda idx: asked.extend(idx.tolist()) or exact[idx]
+        d_star = _certified_star(_WHOLE, [n], lambda keep: (_unwrap(w, parts), parts))
         assert asked == patched
         assert repr(d_star) == repr(star_discrepancy(PointSet(w))) == repr(formula_star_discrepancy(PointSet(exact)))
 

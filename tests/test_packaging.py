@@ -5,6 +5,7 @@ import inspect
 import re
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -126,3 +127,42 @@ class TestFamilyProtocol:
     def test_cli_names_each_kind_once(self):
         names = [n.value for n in ast.walk(_ast(cli)) if isinstance(n, ast.Constant) and n.value in cli._FAMILIES]
         assert sorted(names) == sorted(cli._FAMILIES)
+
+
+def _private_definitions(tree: ast.Module) -> Iterator[tuple[str, ast.AST]]:
+    """Each module-level private function, class or constant of a module, with the node that defines it."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _names_used(node: ast.AST, skip: ast.AST | None = None) -> Iterator[str]:
+    """Every name that ``node`` reads, loads as an attribute or imports, outside the subtree ``skip``."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.alias):
+        yield node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _names_used(child, skip)
+
+
+class TestNoDeadHelpers:
+    def test_every_private_definition_is_named_elsewhere_in_src(self):
+        trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "src").rglob("*.py"))}
+        unused = [
+            f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+            for path, tree in trees.items()
+            for name, node in _private_definitions(tree)
+            if not any(name in set(_names_used(other, skip=node)) for other in trees.values())
+        ]
+        assert unused == []
