@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .exactnum import HEAD_DIGITS, ExactEndpoint, _brief, _show, decimal_head
+from .exactnum import ExactEndpoint, _brief, _power, _show
 from .seqgen import TailSpec, tail_prefixes
 
 BENFORD_FREQ = tuple(math.log10(1 + 1 / c) for c in range(1, 10))
@@ -289,11 +289,14 @@ def ud_deviation(points: PointSet, alpha: ExactEndpoint, beta: ExactEndpoint, fi
     Measures the worst deviation of empirical interval mass from the density (b-a)/(beta-alpha)
     required by u.d. mod 1 over [alpha, beta).  A point outside is named x_n, n = first_index + position.
     (v - a)/(b - a) is monotone in IEEE arithmetic, so the sorted points stay sorted.
+    alpha < beta is decided exactly; a window that float64 cannot tell from empty is refused.
     """
+    if not alpha < beta:
+        raise ValueError("require alpha < beta")
     a = float(alpha.value())
     b = float(beta.value())
     if not a < b:
-        raise ValueError("require alpha < beta")
+        raise ValueError(f"{_brief(f'[{alpha}, {beta})')} is narrower than float64 spacing at alpha = {a!r}")
     if len(points) == 0:
         raise ValueError("empty point set")
     v, u = points.sorted, points.array
@@ -645,6 +648,7 @@ def _summary(counts: list[int], d_star: float) -> BenfordReport:
     return BenfordReport(n, freq, BENFORD_FREQ, gap, d_star)
 
 
+HEAD_DIGITS = 17  # enough for >= 12 correct fractional digits of log10
 _POW10 = 10 ** np.arange(HEAD_DIGITS + 1, dtype=np.int64)  # 10^0 ... 10^17
 _LEADS = np.append(_POW10[:, None] * np.arange(1, 10), 10**18)  # c 10^e for e = 0..17 and c = 1..9, then 10^18
 _HEAD_BELOW = 10**HEAD_DIGITS
@@ -656,17 +660,22 @@ def _mantissa(m: int) -> int:
     The rule: strip m's trailing zeros and keep at most its 17 leading
     digits, s; then {log10 m} = log10(s) - (len(s) - 1) mod 1, from
     ``math.log10``.  Below 10^17 this value is m itself: ``_exact_parts``
-    strips its trailing zeros.  From 10^17 on it is the 17-digit
-    ``decimal_head``; when a later digit is nonzero the head keeps its own
-    trailing zeros, so a guard digit 1 is appended, which stripping stops
-    at and ``_exact_parts`` removes.
+    strips its trailing zeros.  From 10^17 on it is m's 17-digit head q,
+    from one exact division by a power of ten; when a later digit is
+    nonzero q keeps its own trailing zeros, so a guard digit 1 is appended,
+    which stripping stops at and ``_exact_parts`` removes.
     """
     if m < _HEAD_BELOW:
         if m < 1:
             raise ValueError(f"m must be >= 1, got {_show(m)}")
         return m
-    _, head, exact = decimal_head(m)
-    return int(head) if exact else 10 * int(head) + 1
+    # 0.30102999 < log10(2), so q has at least HEAD_DIGITS digits: at most 1 more below 1.2e8 bits, 25 below 2^32
+    e = (m.bit_length() - 1) * 30102999 // 10**8 + 1 - HEAD_DIGITS
+    q, r = divmod(m, _power(10, e)) if e else (m, 0)
+    if q >= _HEAD_BELOW:
+        q, low = divmod(q, 10 if q < 10**18 else _power(10, len(str(q)) - HEAD_DIGITS))
+        r = r or low
+    return 10 * q + 1 if r else q
 
 
 def _mantissas(terms: Iterable[int]) -> np.ndarray:

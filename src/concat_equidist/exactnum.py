@@ -7,6 +7,7 @@ ever touching floating point, and integer literals of any length.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 import sys
@@ -71,7 +72,7 @@ def _read_int(digits: str, base: int) -> int:
     if len(digits) <= _INT_CHUNK:
         return int(digits or "0", base)
     h = len(digits) // 2
-    return _read_int(digits[:-h], base) * base**h + _read_int(digits[-h:], base)
+    return _read_int(digits[:-h], base) * _power(base, h) + _read_int(digits[-h:], base)
 
 
 _DIGIT_GROUP = r"\d+(?:_\d+)*"  # compiled on first use, not at start-up
@@ -135,54 +136,27 @@ def digit_text(n: int, base: int) -> str:
             out.append(_DIGIT_CHARS[r])
         return "".join(reversed(out))
     h = int(n.bit_length() / math.log2(base)) // 2
-    high, low = divmod(n, base**h)
+    high, low = divmod(n, _power(base, h))
     return digit_text(high, base) + digit_text(low, base).rjust(h, "0")
 
 
-HEAD_DIGITS = 17  # enough for >= 12 correct fractional digits of log10
 # str() is faster below about 260 digits (CPython 3.11); above, it costs
 # quadratic time and fails past 4300 digits.
 STR_BELOW = 10**256
 _SPLIT_BITS = 256  # below it one divmod per digit beats splitting
+_POWERS = 64  # the memo's bound: one read or conversion of 10^6 digits uses 12 to 47 powers
 
 
-_POW10_STEP = 16
-_last_pow10 = (0, 1)  # the e and 10**e of the last call
+@functools.lru_cache(maxsize=_POWERS)
+def _power(base: int, e: int) -> int:
+    """base**e, kept for the ``_POWERS`` (base, e) pairs used last.
 
-
-def _pow10(e: int) -> int:
-    """10**e, built from the last power returned when e grew by at most ``_POW10_STEP``.
-
-    Terms of a growing stream past 256 digits, such as k n for a huge k or
-    the values of a polynomial with a huge constant term, share e several
-    times in a row or raise it by one.  Building 10**e afresh costs
-    about ten times the division by it; multiplying the last power by the
-    small 10**(e - last e) costs a few percent of that.  Any other e is
-    built afresh.
+    Long integers are split and cut at the same powers again and again:
+    ``_read_int`` and ``digit_text`` at b^h for h about half of each run of
+    digits, and ``equidist._mantissa`` at 10^e, which the terms of a
+    growing stream share many times in a row.
     """
-    global _last_pow10
-    last_e, last = _last_pow10
-    if e != last_e:
-        last = last * 10 ** (e - last_e) if last_e < e <= last_e + _POW10_STEP else 10**e
-        _last_pow10 = (e, last)
-    return last
-
-
-def decimal_head(m: int) -> tuple[int, str, bool]:
-    """(n, head, exact) for m >= 1: its decimal digit count n, its leading
-    min(n, HEAD_DIGITS) digits as a string, and whether every later digit is 0.
-
-    Large m never goes through str(m): the digit count comes from
-    ``bit_length`` and the head from one exact division by a power of ten.
-    """
-    if m < STR_BELOW:
-        s = str(m)
-        return len(s), s[:HEAD_DIGITS], not s[HEAD_DIGITS:].strip("0")
-    # 0.30102999 < log10(2), so m has at least e + HEAD_DIGITS digits
-    e = (m.bit_length() - 1) * 30102999 // 10**8 + 1 - HEAD_DIGITS
-    q, r = divmod(m, _pow10(e))
-    s = str(q)
-    return e + len(s), s[:HEAD_DIGITS], not r and not s[HEAD_DIGITS:].strip("0")
+    return base**e
 
 
 def digit_length(n: int, base: int) -> int:

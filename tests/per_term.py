@@ -2,15 +2,32 @@
 
 ``equidist`` reads a stream of terms in int64 batches (``_mantissas``, then
 ``_digit_counts`` and ``_exact_parts``).  These functions read each term on
-its own, from its ``decimal_head``, and the tests hold them to the str()
-rules and the batched reports to them, bit for bit.
+its own, from all of its decimal digits (``str_decimal_head``), and the
+tests hold the library's mantissas and the batched reports to them, bit for
+bit.
 """
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable
 
-from concat_equidist.exactnum import _show, decimal_head
+from concat_equidist.exactnum import _show
+
+
+def str_decimal_head(m: int) -> tuple[str, bool]:
+    """The leading min(n, 17) of the n decimal digits of m >= 1, and whether every later digit is 0.
+
+    The digits come from ``str(m)``, with the int-str digit limit lifted for
+    the one call.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        s = str(m)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return s[:17], not s[17:].strip("0")
 
 
 def log10_fracpart(m: int) -> float:
@@ -18,12 +35,12 @@ def log10_fracpart(m: int) -> float:
 
     Trailing zeros are stripped first so exact powers of ten (and small
     multiples of them) never round to 0.999... from the wrong side.  The
-    digits come from ``decimal_head``; its 17-digit head is stripped of
-    trailing zeros only when every later digit is 0 as well.
+    17-digit head is stripped of trailing zeros only when every later digit
+    is 0 as well.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {_show(m)}")
-    _, head, exact = decimal_head(m)
+    head, exact = str_decimal_head(m)
     s = head.rstrip("0") if exact else head
     if s == "1":
         return 0.0
@@ -34,7 +51,7 @@ def leading_digit(m: int) -> int:
     """Most significant decimal digit of m >= 1."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {_show(m)}")
-    return int(decimal_head(m)[1][0])
+    return int(str_decimal_head(m)[0][0])
 
 
 def census(terms: Iterable[int]) -> list[int]:

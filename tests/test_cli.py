@@ -482,6 +482,22 @@ class TestDiscrepancy:
         code, out, err = run(capsys, "discrepancy", *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "beta,message",
+        [
+            ("0.1", "require alpha < beta"),
+            ("0.09999999999999999999999999", "require alpha < beta"),
+            # beta > alpha exactly, but both round to the float 0.1
+            (
+                "0.10000000000000000000000001",
+                "[0.1, 0.10000000000000000000000001) is narrower than float64 spacing at alpha = 0.1",
+            ),
+        ],
+    )
+    def test_alpha_lt_beta_is_decided_exactly(self, capsys, beta, message):
+        code, out, err = run(capsys, "discrepancy", "--kind", "champ", "--N", "3", "--alpha", "0.1", "--beta", beta)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_weyl_h_within_the_float_range_is_summed(self, capsys):
         code, out, err = run(capsys, "discrepancy", "--kind", "champ", "--N", "10", "--weyl-h", "1" + "0" * 300)
         assert code == 0, err

@@ -182,6 +182,13 @@ class TestUdDeviation:
         with pytest.raises(ValueError, match=r"^x_8 = 0\.95 outside \[0\.1, 0\.9\)$"):
             ud_deviation(points, ExactEndpoint.parse("0.1"), ExactEndpoint.parse("0.9"), first_index=7)
 
+    def test_a_window_below_float_spacing_is_not_called_empty(self):
+        points, alpha = PointSet.of([0.1]), ExactEndpoint.parse("0.1")
+        with pytest.raises(ValueError, match=r"^require alpha < beta$"):
+            ud_deviation(points, alpha, ExactEndpoint.parse("0.0999999999999999999999"))
+        with pytest.raises(ValueError, match=r"^\[0\.1, 0\.1000000000000000000001\) is narrower than float64 spacing"):
+            ud_deviation(points, alpha, ExactEndpoint.parse("0.1000000000000000000001"))
+
 
 class TestWeylSum:
     def test_full_period_cancellation(self):
@@ -434,8 +441,8 @@ class TestMatchesStrOracle:
 
     @settings(max_examples=600)
     @given(huge_terms())
-    # (b - 1) log10(2) lies just below an integer at b = 13302 and 26603 bits:
-    # the digit count estimate must round down there
+    # (b - 1) log10(2) lies just below an integer at b = 13302 and 26603 bits,
+    # where _mantissa's digit count estimate must round down (TestMantissa)
     @example(2**13301)
     @example(2**26602 + 1)
     def test_bitwise_equal(self, m):

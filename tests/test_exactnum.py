@@ -1,28 +1,31 @@
 import re
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
+from concat_equidist import equidist
+from concat_equidist.equidist import _mantissa
 from concat_equidist.exactnum import (
-    _POW10_STEP,
     DigitString,
     ExactEndpoint,
     HalfOpenInterval,
     PrefixOrder,
     compare_prefix,
-    decimal_head,
     STR_BELOW,
     _DIGIT_CHARS,
     _INT_CHUNK,
+    _power,
     _read_int,
     decimal_int,
     digit_length,
     digit_text,
     int_to_digits,
 )
+from per_term import str_decimal_head
 
 
 def brute_digits(n, base):
@@ -335,14 +338,13 @@ class TestHalfOpenInterval:
             HalfOpenInterval(ExactEndpoint.parse("0.1", 10), ExactEndpoint.parse("0.2", 16))
 
 
-def str_decimal_head(m):
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        s = str(m)
-    finally:
-        sys.set_int_max_str_digits(limit)
-    return len(s), s[:17], not s[17:].strip("0")
+def str_mantissa(m):
+    """``_mantissa`` from all of m's digits: m below 10^17, else its 17-digit head, with a guard digit 1
+    when a later digit is nonzero."""
+    if m < 10**17:
+        return m
+    head, exact = str_decimal_head(m)
+    return int(head) if exact else 10 * int(head) + 1
 
 
 # runs of terms that share a digit count, as consecutive powers of two do, and
@@ -358,28 +360,80 @@ head_runs = st.lists(
 )
 
 
-class TestDecimalHead:
-    """The powers of ten kept between calls never change an answer, whichever
-    order the terms come in."""
+class TestMantissa:
+    """``_mantissa`` cuts a term with one division by a power of ten from the memo; the powers kept
+    between calls never change an answer, whichever order the terms come in."""
 
     @settings(max_examples=150)
-    @given(head_runs, st.sampled_from(["increasing", "decreasing", "as drawn"]))
+    @given(head_runs, st.sampled_from(["rising", "falling", "as drawn"]))
     def test_equals_str_oracle_in_any_order(self, ms, order):
         if order != "as drawn":
-            ms = sorted(ms, reverse=order == "decreasing")
+            ms = sorted(ms, reverse=order == "falling")
         ms = [m for m in ms for _ in range(3)]  # repeated terms hit the kept powers
-        assert [decimal_head(m) for m in ms] == [str_decimal_head(m) for m in ms]
+        assert [_mantissa(m) for m in ms] == [str_mantissa(m) for m in ms]
 
-    @pytest.mark.parametrize("step", [1, _POW10_STEP, _POW10_STEP + 1])
+    @pytest.mark.parametrize("step", [1, 16, 17])
     def test_digit_counts_growing_by_a_step(self, step):
-        # a power within _POW10_STEP of the last is built from it, a farther one afresh
         ms = [7 * 10 ** (300 + step * i) + i for i in range(40)]
-        assert [decimal_head(m) for m in ms] == [str_decimal_head(m) for m in ms]
+        assert [_mantissa(m) for m in ms] == [str_mantissa(m) for m in ms]
 
     def test_consecutive_powers_of_two(self):
-        ms = [2**b for b in range(850, 4000)]
-        assert [decimal_head(m) for m in ms] == [str_decimal_head(m) for m in ms]
-        assert [decimal_head(m) for m in reversed(ms)] == [str_decimal_head(m) for m in reversed(ms)]
+        ms = [2**b for b in range(50, 4000)]
+        assert [_mantissa(m) for m in ms] == [str_mantissa(m) for m in ms]
+        assert [_mantissa(m) for m in reversed(ms)] == [str_mantissa(m) for m in reversed(ms)]
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            st.tuples(st.integers(1, 10**20), st.integers(0, 5000)).map(lambda t: t[0] * 10 ** t[1]),
+            st.tuples(st.integers(17, 5000), st.integers(-1000, 1000)).map(lambda t: 10 ** t[0] + t[1]),
+        )
+    )
+    @example(10**17 - 1)
+    @example(10**17)
+    @example(10**17 + 1)
+    # (b - 1) log10(2) lies just below an integer at b = 13302 and 26603 bits: the estimate must round down
+    @example(2**13301)
+    @example(2**26602 + 1)
+    def test_powers_of_ten_and_their_neighbours(self, m):
+        assert _mantissa(m) == str_mantissa(m)
+
+    @pytest.mark.parametrize("extra", [2, 25])
+    @pytest.mark.parametrize(
+        "m", [3 * 10**400 + 1, 7 * 10**400, 123456789012345678901234567 * 10**374, 10**401 - 1, 2**1331]
+    )
+    def test_a_head_of_up_to_42_digits_is_cut_exactly(self, m, extra):
+        # q keeps two or more digits above 17 only past about 1.2e8 bits; a first power short by
+        # ``extra`` digits stands in for such a term
+        e = (m.bit_length() - 1) * 30102999 // 10**8 + 1 - 17
+        with mock.patch.object(equidist, "_power", side_effect=lambda base, k: _power(base, k - extra if k == e else k)):
+            assert _mantissa(m) == str_mantissa(m)
+
+    def test_the_digit_estimate_leaves_17_to_42_digits_in_q_below_2_to_the_32_bits(self):
+        # m of b bits is cut at 10^e, e = floor((b - 1) c) - 16 with c = 0.30102999;
+        # q = m // 10^e has 17 to 42 digits when 10^(e + 16) <= 2^(b - 1) and 2^b <= 10^(e + 42)
+        def e(b):
+            return (b - 1) * 30102999 // 10**8 + 1 - 17
+
+        for b in [57, *range(58, 5000, 7), 13302, 26603]:
+            assert 10 ** (e(b) + 16) <= 2 ** (b - 1) and 2**b <= 10 ** (e(b) + 42), b
+        # every b: c <= p/q < log10 2 for p/q = 8651/28738, so 10^floor((b - 1) c) <= 2^(b - 1)
+        assert 30102999 * 28738 <= 8651 * 10**8 and 10**8651 < 2**28738
+        # b <= 2^32: log10 2 < P/Q = 76573/254370, and b P/Q <= (b - 1) c + 25 (rising in b) gives
+        # b log10 2 < floor((b - 1) c) + 26 = e + 42
+        assert 2**254370 < 10**76573
+        b = 2**32
+        assert b * 76573 * 10**8 <= ((b - 1) * 30102999 + 25 * 10**8) * 254370
+
+    def test_mantissa_read_and_text_share_the_memo(self):
+        _power.cache_clear()
+        _mantissa(3 * 10**400 + 1)
+        assert _power.cache_info().currsize == 1
+        value = _read_int("7" * 20_000, 10)
+        info = _power.cache_info()
+        assert info.currsize > 1
+        assert digit_text(value, 10) == "7" * 20_000
+        assert _power.cache_info().hits > info.hits
 
 
 @st.composite

@@ -10,7 +10,7 @@ from typing import Iterator
 import pytest
 
 import concat_equidist
-from concat_equidist import DigitString, ExactEndpoint, asymptotics, cli, counting, equidist, seqgen
+from concat_equidist import DigitString, ExactEndpoint, asymptotics, cli, counting, equidist, exactnum, seqgen
 
 ROOT = Path(__file__).resolve().parents[1]
 IN_REPO_MODULES = {"concat_equidist", "tracer", "conftest", "every_index", "per_term", "test_asymptotics"}
@@ -83,6 +83,13 @@ class TestPackageSurface:
         assert name not in concat_equidist.__all__
         assert not hasattr(concat_equidist, name)
         assert not hasattr(asymptotics, name)
+
+    # a term's mantissa is one division by a power from exactnum._power, the one memo of powers
+    @pytest.mark.parametrize("name", ["decimal_head", "_pow10", "_last_pow10", "_POW10_STEP"])
+    def test_removed_head_helpers_stay_removed(self, name):
+        assert name not in concat_equidist.__all__
+        assert not hasattr(exactnum, name)
+        assert not hasattr(equidist, name)
 
     def test_census_and_term_take_no_base_or_offset(self):
         assert list(inspect.signature(equidist.census).parameters) == ["terms"]
@@ -166,3 +173,15 @@ class TestNoDeadHelpers:
             if not any(name in set(_names_used(other, skip=node)) for other in trees.values())
         ]
         assert unused == []
+
+
+class TestNoModuleState:
+    def test_no_global_statement_in_src(self):
+        # state kept between calls lives in a bounded functools memo, not in a rebound module global
+        found = [
+            f"{path.relative_to(ROOT)}:{node.lineno}"
+            for path in sorted((ROOT / "src").rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Global)
+        ]
+        assert found == []
